@@ -20,6 +20,7 @@
 //! stay bit-stable across partition counts.
 
 use crate::chunked::BoundaryRow;
+use crate::coo::radix_permutation;
 use crate::{CooTensor, Idx, Val};
 
 /// A sparse tensor in FLYCOO form: one entry copy + per-mode remap tables.
@@ -53,9 +54,8 @@ impl FlycooTensor {
 
         let mut perms = Vec::with_capacity(coo.order());
         let mut boundary = Vec::with_capacity(coo.order());
-        for mode_inds in &inds {
-            let mut perm: Vec<u32> = (0..nnz as u32).collect();
-            perm.sort_unstable_by_key(|&e| (mode_inds[e as usize], e));
+        for (mode_inds, &dim) in inds.iter().zip(coo.dims()) {
+            let perm = radix_permutation(nnz, &[(mode_inds, dim)]);
             // Runs of one output row in remap order; cut runs become
             // boundary rows exactly as in the chunked layout.
             let mut rows_boundary = Vec::new();

@@ -8,6 +8,7 @@
 //! memory-footprint comparisons and as a compaction stage for clustered
 //! tensors.
 
+use crate::coo::radix_permutation;
 use crate::{CooTensor, Idx, Val};
 
 /// Block edge exponent limit: local offsets are stored as `u8`, so block
@@ -52,38 +53,38 @@ impl HiCooTensor {
 
         // Sort entries by block coordinate (lexicographic), then by local
         // offset — a morton order would be fancier; lexicographic suffices.
-        let mut perm: Vec<usize> = (0..nnz).collect();
-        let key = |e: usize| -> Vec<Idx> {
-            (0..n).map(|m| coo.mode_indices(m)[e] >> block_bits).collect()
-        };
-        perm.sort_by(|&a, &b| {
-            key(a).cmp(&key(b)).then_with(|| {
-                let la: Vec<Idx> = (0..n).map(|m| coo.mode_indices(m)[a]).collect();
-                let lb: Vec<Idx> = (0..n).map(|m| coo.mode_indices(m)[b]).collect();
-                la.cmp(&lb)
-            })
-        });
-
         let mask = (1u32 << block_bits) - 1;
+        let bidx: Vec<Vec<Idx>> = (0..n)
+            .map(|m| coo.mode_indices(m).iter().map(|&i| i >> block_bits).collect())
+            .collect();
+        let local: Vec<Vec<Idx>> =
+            (0..n).map(|m| coo.mode_indices(m).iter().map(|&i| i & mask).collect()).collect();
+        let keys: Vec<(&[Idx], Idx)> = bidx
+            .iter()
+            .zip(coo.dims())
+            .map(|(col, &d)| (&col[..], ((d - 1) >> block_bits) + 1))
+            .chain(local.iter().map(|col| (&col[..], mask + 1)))
+            .collect();
+        let perm = radix_permutation(nnz, &keys);
+
         let mut blocks: Vec<Block> = Vec::new();
         let mut offsets = Vec::with_capacity(nnz * n);
         let mut vals = Vec::with_capacity(nnz);
 
         for (pos, &e) in perm.iter().enumerate() {
-            let bk = key(e);
-            let open_new = match blocks.last() {
-                None => true,
-                Some(b) => b.bidx != bk,
-            };
+            let e = e as usize;
+            let open_new = pos == 0 || bidx.iter().any(|col| col[e] != col[perm[pos - 1] as usize]);
             if open_new {
                 if let Some(b) = blocks.last_mut() {
                     b.end = pos;
                 }
-                blocks.push(Block { bidx: bk, start: pos, end: pos });
+                blocks.push(Block {
+                    bidx: bidx.iter().map(|col| col[e]).collect(),
+                    start: pos,
+                    end: pos,
+                });
             }
-            for m in 0..n {
-                offsets.push((coo.mode_indices(m)[e] & mask) as u8);
-            }
+            offsets.extend(local.iter().map(|col| col[e] as u8));
             vals.push(coo.values()[e]);
         }
         if let Some(b) = blocks.last_mut() {

@@ -6,10 +6,16 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_scalfrag-cli"))
 }
 
-fn write_sample_tns() -> std::path::PathBuf {
+/// A scratch path private to one test: the tests run in parallel, so a
+/// shared file would be truncated by one test while another reads it.
+fn scratch_path(file: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("scalfrag_cli_tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sample.tns");
+    dir.join(file)
+}
+
+fn write_sample_tns(test: &str) -> std::path::PathBuf {
+    let path = scratch_path(&format!("{test}.tns"));
     let t = scalfrag::tensor::gen::zipf_slices(&[40, 30, 20], 1_500, 0.8, 13);
     scalfrag::tensor::io::write_tns_file(&t, &path).unwrap();
     path
@@ -17,7 +23,7 @@ fn write_sample_tns() -> std::path::PathBuf {
 
 #[test]
 fn info_reports_tensor_and_features() {
-    let path = write_sample_tns();
+    let path = write_sample_tns("info_reports_tensor_and_features");
     let out = cli().args(["info", path.to_str().unwrap()]).output().unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
@@ -37,7 +43,7 @@ fn info_on_preset_works() {
 
 #[test]
 fn mttkrp_runs_on_cpu_and_parti_backends() {
-    let path = write_sample_tns();
+    let path = write_sample_tns("mttkrp_runs_on_cpu_and_parti_backends");
     for backend in ["cpu", "parti"] {
         let out = cli()
             .args(["mttkrp", path.to_str().unwrap(), "--backend", backend, "--rank", "4"])
@@ -51,7 +57,7 @@ fn mttkrp_runs_on_cpu_and_parti_backends() {
 
 #[test]
 fn cpd_reports_fits() {
-    let path = write_sample_tns();
+    let path = write_sample_tns("cpd_reports_fits");
     let out = cli()
         .args(["cpd", path.to_str().unwrap(), "--backend", "cpu", "--rank", "3", "--iters", "2"])
         .output()
@@ -64,8 +70,8 @@ fn cpd_reports_fits() {
 
 #[test]
 fn trace_writes_chrome_json() {
-    let path = write_sample_tns();
-    let trace_path = std::env::temp_dir().join("scalfrag_cli_tests").join("t.json");
+    let path = write_sample_tns("trace_writes_chrome_json");
+    let trace_path = scratch_path("trace_writes_chrome_json.json");
     let out = cli()
         .args(["trace", path.to_str().unwrap(), "--out", trace_path.to_str().unwrap()])
         .output()
@@ -91,7 +97,7 @@ fn bad_arguments_exit_nonzero() {
 
 #[test]
 fn mode_out_of_range_is_rejected() {
-    let path = write_sample_tns();
+    let path = write_sample_tns("mode_out_of_range_is_rejected");
     let out = cli().args(["info", path.to_str().unwrap(), "--mode", "9"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
