@@ -10,6 +10,22 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> unused dependency declarations"
+# Every [dependencies] entry of a workspace crate must be named (as its
+# underscore identifier) somewhere in that crate's src, tests or benches.
+unused=0
+for toml in crates/*/Cargo.toml; do
+    dir=$(dirname "$toml")
+    for dep in $(awk '/^\[/ { section = $0; next }
+                      section == "[dependencies]" && /^[A-Za-z0-9_-]+ *[.=]/ { split($0, a, /[ .=]/); print a[1] }' "$toml"); do
+        if ! grep -rqw --include='*.rs' "${dep//-/_}" "$dir/src" "$dir/tests" "$dir/benches" 2>/dev/null; then
+            echo "$toml: [dependencies] entry '$dep' is never named in the crate"
+            unused=1
+        fi
+    done
+done
+test "$unused" -eq 0
+
 echo "==> cargo build --release"
 cargo build --release
 

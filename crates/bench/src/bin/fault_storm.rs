@@ -1,19 +1,18 @@
 //! Fault-storm benchmark: MTBF sweep × recovery-policy ablation for the
-//! resilient multi-GPU MTTKRP executor, plus a faulted serving-layer demo.
+//! faulted multi-GPU MTTKRP plan, plus a faulted serving-layer demo.
 //!
 //! Three recovery policies run the same seeded fault storms on a 3-GPU
 //! node:
 //!
-//! * **no-retry** — faults fail segments outright (the lost-work
-//!   baseline);
-//! * **retry** — segment-level retries with exponential backoff ride out
+//! * **no-retry** — faults fail ops outright (the lost-work baseline);
+//! * **retry** — op-level retries with exponential backoff ride out
 //!   corruption, aborts and transient outages, but a dead device's shards
 //!   stay lost;
 //! * **retry+re-shard** — retries plus mid-execution re-placement of a
 //!   dead device's shards onto the survivors.
 //!
 //! Because partial outputs fold in shard-index order, any run that
-//! completes every segment is *bitwise* identical to the fault-free run —
+//! completes every unit is *bitwise* identical to the fault-free run —
 //! the `ok` column checks exactly that.
 //!
 //! Regenerate with `cargo run --release -p scalfrag-bench --bin
@@ -22,10 +21,10 @@
 //! retry+re-shard must complete everything bit-exactly, no-retry must
 //! demonstrably lose work, and the fault log must be deterministic.
 
-use scalfrag_cluster::execute_cluster_resilient;
 use scalfrag_cluster::{
-    execute_cluster, ClusterOptions, ExecMode, FaultRecoveryPolicy, NodeSpec, ResilientClusterRun,
+    build_cluster_plan, execute_cluster, ClusterOptions, ExecMode, FaultRecoveryPolicy, NodeSpec,
 };
+use scalfrag_exec::{run_plan_faulted, ExecOutcome};
 use scalfrag_faults::{mat_checksum, FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
@@ -62,7 +61,7 @@ fn smoke_plan() -> FaultPlan {
 
 struct PolicyRow {
     name: &'static str,
-    run: ResilientClusterRun,
+    run: ExecOutcome,
     log_fingerprint: u64,
 }
 
@@ -76,16 +75,8 @@ fn run_policies(tensor: &CooTensor, factors: &FactorSet, plan: &FaultPlan) -> Ve
         .into_iter()
         .map(|(name, policy)| {
             let mut inj = FaultInjector::new(plan.clone());
-            let run = execute_cluster_resilient(
-                &node(),
-                tensor,
-                factors,
-                0,
-                &opts(),
-                &mut inj,
-                &policy,
-                ExecMode::Functional,
-            );
+            let cluster = build_cluster_plan(&node(), tensor, factors, 0, &opts());
+            let run = run_plan_faulted(&cluster, ExecMode::Functional, &mut inj, &policy);
             PolicyRow { name, run, log_fingerprint: inj.log().fingerprint() }
         })
         .collect()
@@ -100,9 +91,9 @@ fn print_table(rows: &[PolicyRow], clean_sum: u64) {
         println!(
             "  {:<16} {:>6} {:>6} {:>9} {:>8} {:>6} {:>9.3}ms {:>4}",
             r.name,
-            r.run.completed_segments,
-            r.run.failed_segments,
-            r.run.replaced_segments,
+            r.run.completed_items,
+            r.run.lost_items(),
+            r.run.replaced_items,
             r.run.retries,
             r.run.dead_devices.len(),
             r.run.makespan() * 1e3,
@@ -117,14 +108,14 @@ fn smoke(tensor: &CooTensor, factors: &FactorSet, clean_sum: u64) {
 
     let no_retry = &rows[0];
     assert!(
-        no_retry.run.failed_segments > 0,
+        no_retry.run.lost_items() > 0,
         "smoke: the no-retry baseline must demonstrably lose work"
     );
     let reshard = &rows[2];
     assert!(
         reshard.run.all_complete(),
-        "smoke: retry+re-shard must complete every segment ({} lost)",
-        reshard.run.failed_segments
+        "smoke: retry+re-shard must complete every unit ({} lost)",
+        reshard.run.lost_items()
     );
     assert_eq!(
         mat_checksum(&reshard.run.output),
@@ -152,8 +143,8 @@ fn smoke(tensor: &CooTensor, factors: &FactorSet, clean_sum: u64) {
 }
 
 fn mtbf_sweep(tensor: &CooTensor, factors: &FactorSet, clean_sum: u64) {
-    // Horizon sized to the op count of a clean run: 6 shards x 2 segments
-    // x (H2D + kernel) across 3 devices is ~8 ops per device.
+    // Horizon sized to the polled-op count of a clean run: per device,
+    // the factor upload, then 2 shards x (2 x (H2D + kernel) + D2H).
     for &mtbf in &[3u64, 6, 12, 24] {
         let plan = FaultPlan::seeded_storm(0xfa_17 ^ mtbf, DEVICES, mtbf, 16, true);
         println!("\nMTBF {mtbf} ops, {} scheduled faults (recoverable storm):", plan.len());

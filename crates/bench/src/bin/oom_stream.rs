@@ -67,7 +67,7 @@ fn sweep_point(preset: &SyntheticPreset, divisor: u64) -> CurvePoint {
     CurvePoint {
         divisor,
         budget,
-        segments: plan.seg_lists[0].len(),
+        segments: plan.total_items(),
         evictions: mem.evictions,
         peak_bytes: mem.peak_bytes,
         staged_bytes: mem.staged_bytes,

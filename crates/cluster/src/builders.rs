@@ -4,9 +4,9 @@
 //! passes here.
 //!
 //! The node/interconnect knowledge the interpreter must not own —
-//! initial placement, re-placement of orphaned work, the analytic
-//! reduction cost — travels with the plan as a [`ClusterPolicy`]
-//! implementation ([`NodePlacement`]).
+//! re-placement of orphaned work and the analytic reduction cost —
+//! travels with the plan as a [`ClusterPolicy`] implementation
+//! ([`NodePlacement`]).
 
 use crate::executor::{reduction_seconds, shard_output_bytes, ClusterOptions};
 use crate::node::NodeSpec;
@@ -18,14 +18,12 @@ use scalfrag_exec::{
 };
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
-use scalfrag_tensor::segment::{segment_by_nnz, Segment};
+use scalfrag_tensor::segment::segment_by_nnz;
 use scalfrag_tensor::CooTensor;
 use std::sync::Arc;
 
-/// The placement callbacks a cluster plan carries: assignment over the
-/// healthy devices (re-running the scheduler on a sub-node that preserves
-/// device order), the re-placement strategy, the per-device speed proxy
-/// and the analytic reduction cost.
+/// The placement callbacks a cluster plan carries: the re-placement
+/// strategy, the per-device speed proxy and the analytic reduction cost.
 pub struct NodePlacement {
     node: NodeSpec,
     shards: Vec<Shard>,
@@ -35,27 +33,6 @@ pub struct NodePlacement {
 }
 
 impl ClusterPolicy for NodePlacement {
-    fn assign(&self, alive: &[usize]) -> Vec<Vec<usize>> {
-        // `assign_shards` always sees the FULL shard list (its round-robin
-        // branch keys on global shard indices), on a sub-node preserving
-        // device order; results map back through `alive`.
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); self.node.num_devices()];
-        if alive.is_empty() {
-            return assignment;
-        }
-        let sub = NodeSpec {
-            devices: alive.iter().map(|&d| self.node.devices[d].clone()).collect(),
-            host: self.node.host.clone(),
-            interconnect: self.node.interconnect,
-        };
-        for (k, list) in
-            assign_shards(&self.shards, &sub, self.scheduler, self.rank).into_iter().enumerate()
-        {
-            assignment[alive[k]] = list;
-        }
-        assignment
-    }
-
     fn strategy(&self) -> PlaceStrategy {
         match self.scheduler {
             DeviceScheduler::RoundRobin => PlaceStrategy::RoundRobin,
@@ -95,8 +72,6 @@ pub fn build_cluster_plan(
     let order = sorted.order();
     let shards = shard_tensor(&sorted, mode, opts.policy, opts.num_shards);
     let assignment = assign_shards(&shards, node, opts.scheduler, rank);
-    let seg_lists: Vec<Vec<Segment>> =
-        shards.iter().map(|s| segment_by_nnz(s.nnz(), opts.segments_per_shard)).collect();
 
     // Peer-linked nodes gather row-overlapping partials device-to-device,
     // so the per-shard D2H hop disappears from the device timelines.
@@ -115,14 +90,16 @@ pub fn build_cluster_plan(
         let mut shard_work: Vec<ShardWork> = Vec::new();
         for &si in shard_indices {
             let d2h_bytes = shard_output_bytes(&shards[si], rank, out_bytes);
-            let mut unit_ids = Vec::with_capacity(seg_lists[si].len());
-            for (j, seg) in seg_lists[si].iter().enumerate() {
+            let mut unit_ids = Vec::new();
+            for (j, seg) in
+                segment_by_nnz(shards[si].nnz(), opts.segments_per_shard).into_iter().enumerate()
+            {
                 let bytes = seg.byte_size(order) as u64;
                 unit_ids.push(units.len());
                 units.push(WorkUnit {
                     shard: si,
                     segment: j,
-                    seg: seg.clone(),
+                    seg,
                     stream: None, // the device's round-robin counter places it
                     alloc: Some((bytes, "segment must fit")),
                     h2d_bytes: bytes,
@@ -152,7 +129,7 @@ pub fn build_cluster_plan(
             final_d2h: None,
             shard_list: shard_indices.clone(),
             skip_if_idle: true,
-            program: None,
+            program: Vec::new(),
         });
     }
 
@@ -169,19 +146,11 @@ pub fn build_cluster_plan(
         kernel: opts.kernel,
         factors: Arc::new(factors.clone()),
         factors_bytes,
-        seg_lists,
         shards: shard_descs,
         devices,
         reduce: Reduce::FoldShards,
         reduction_s,
-        peer_reduce,
-        replay_spec: node.effective_device(0),
         cluster: Some(Arc::new(policy)),
-        sync_after_prologue: true,
-        resilient_prologue: vec![(factors_bytes, "factor matrices must fit")],
-        seg_alloc_what: "segment must fit",
-        static_streams: None,
-        tag_shards: true,
         meta: PlanMeta {
             segment_map: format!(
                 "{} shard(s) ({:?}) × {} segment(s), {:?} over {} device(s)",
@@ -192,11 +161,11 @@ pub fn build_cluster_plan(
                 node.num_devices(),
             ),
             predictor: "fixed config".to_string(),
-            retry: None,
             optimizer: String::new(),
             batch_jobs: 0,
         },
     }
+    .lowered()
 }
 
 /// The cluster crate's registered plan builders (mirroring the

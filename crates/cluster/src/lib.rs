@@ -18,10 +18,11 @@
 //! 4. **Plan building** ([`builders`]) — the schedule lowers to a
 //!    multi-device [`scalfrag_exec::Plan`], carrying the node-aware
 //!    placement callbacks as a [`scalfrag_exec::ClusterPolicy`].
-//! 5. **Execution** ([`executor`], [`resilient`]) — thin wrappers hand
-//!    the plan to the single interpreter in `scalfrag-exec`; dry runs are
-//!    its [`scalfrag_exec::ExecMode::Dry`], fault injection its resilient
-//!    mode.
+//! 5. **Execution** ([`executor`]) — a thin wrapper hands the plan to
+//!    the single interpreter in `scalfrag-exec`; dry runs are its
+//!    [`scalfrag_exec::ExecMode::Dry`]. Fault injection runs the same plan
+//!    through [`scalfrag_exec::run_plan_faulted`], which moves a dead
+//!    device's work onto survivors through the plan's placement policy.
 //!
 //! Numerics are decoupled from placement: partial outputs live per
 //! *shard* and fold in shard-index order, so for a fixed shard count the
@@ -30,16 +31,12 @@
 pub mod builders;
 pub mod executor;
 pub mod node;
-pub mod resilient;
 pub mod schedule;
 pub mod shard;
 
 pub use builders::{build_cluster_plan, plan_builders, NodePlacement};
 pub use executor::{execute_cluster, ClusterOptions, ClusterRun, DeviceRun};
 pub use node::{Interconnect, NodeSpec};
-pub use resilient::{
-    execute_cluster_resilient, FaultRecoveryPolicy, RecoveryMode, ResilientClusterRun,
-};
-pub use scalfrag_exec::ExecMode;
+pub use scalfrag_exec::{ExecMode, FaultRecoveryPolicy, RecoveryMode};
 pub use schedule::{assign_shards, DeviceScheduler};
 pub use shard::{shard_tensor, Shard, ShardPolicy};

@@ -11,18 +11,21 @@
 //! * [`path_backends`] — full execution paths: the ParTI baseline facade,
 //!   ScalFrag single-GPU (sync and pipelined+hybrid), ClusterScalFrag
 //!   across scheduler/shard-policy combos and device counts, the serving
-//!   layer in functional mode, and the resilient cluster path with
-//!   injected-and-recovered faults. These exercise segmentation, sharding,
-//!   reduction and recovery on top of the same kernels.
+//!   layer in functional mode, and the cluster plan run through the
+//!   faulted interpreter with injected-and-recovered faults. These
+//!   exercise segmentation, sharding, reduction and recovery on top of
+//!   the same kernels.
 //!
 //! Every runner returns the dense `rows × rank` MTTKRP output as a `Mat`.
 
 use std::sync::Arc;
 
 use scalfrag_balance::{BalancedKernel, FlycooKernel, CHUNK_LEN, FLYCOO_SEG_LEN};
-use scalfrag_cluster::{DeviceScheduler, FaultRecoveryPolicy, NodeSpec, ShardPolicy};
+use scalfrag_cluster::{
+    build_cluster_plan, ClusterOptions, DeviceScheduler, FaultRecoveryPolicy, NodeSpec, ShardPolicy,
+};
 use scalfrag_core::{ClusterScalFrag, Parti, ScalFrag};
-use scalfrag_exec::PlanBuilder;
+use scalfrag_exec::{run_plan_faulted, ExecMode, PlanBuilder};
 use scalfrag_faults::{FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{
@@ -209,17 +212,17 @@ pub fn path_backends() -> Vec<Backend> {
             outcome.shard_outputs.last().cloned().expect("batched plan yields per-job outputs")
         }),
         Backend::new("path:cluster-resilient", |t, f, mode| {
-            let ctx = ClusterScalFrag::builder().node(node(3)).fixed_config(CFG).shards(6).build();
+            let plan = build_cluster_plan(&node(3), t, f, mode, &ClusterOptions::new(CFG, 6));
             // Two recoverable faults, recovered in-run; the output must
             // still be conformant (no double accumulation on retry).
-            let plan = FaultPlan::new()
+            let faults = FaultPlan::new()
                 .fault(0, FaultTrigger::AtOp(2), FaultKind::DeviceFail { down_s: Some(1e-3) })
                 .fault(1, FaultTrigger::AtOp(5), FaultKind::KernelAbort);
-            let mut inj = FaultInjector::new(plan);
-            let run =
-                ctx.mttkrp_resilient(t, f, mode, &mut inj, &FaultRecoveryPolicy::retry_reshard());
-            assert_eq!(run.failed_segments, 0, "recoverable plan must fully recover");
-            run.report.output
+            let mut inj = FaultInjector::new(faults);
+            let policy = FaultRecoveryPolicy::retry_reshard();
+            let run = run_plan_faulted(&plan, ExecMode::Functional, &mut inj, &policy);
+            assert!(run.all_complete(), "recoverable plan must fully recover");
+            run.output
         }),
     ]
 }

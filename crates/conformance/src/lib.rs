@@ -11,7 +11,7 @@
 //!   seeded corpus spanning hyperslice-skew, fiber-skew, degenerate and
 //!   dense-ish regimes; [`differential::run_differential`] executes every
 //!   registered backend ([`backends`]: the five kernel formats + F-COO,
-//!   and the ParTI/ScalFrag/cluster/serve/resilient execution paths)
+//!   and the ParTI/ScalFrag/cluster/serve/faulted execution paths)
 //!   against the oracle under a per-case ULP budget, yielding a
 //!   [`differential::ConformanceReport`] with per-backend max-ULP and
 //!   first-divergence coordinates.

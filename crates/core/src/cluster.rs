@@ -4,9 +4,10 @@
 use crate::report::PhaseTiming;
 use scalfrag_autotune::TrainedPredictor;
 use scalfrag_cluster::{
-    execute_cluster, execute_cluster_resilient, ClusterOptions, ClusterRun, DeviceScheduler,
-    ExecMode, FaultRecoveryPolicy, NodeSpec, ResilientClusterRun, ShardPolicy,
+    build_cluster_plan, execute_cluster, ClusterOptions, ClusterRun, DeviceScheduler, ExecMode,
+    FaultRecoveryPolicy, NodeSpec, ShardPolicy,
 };
+use scalfrag_exec::{run_plan_faulted, ExecOutcome};
 use scalfrag_faults::FaultInjector;
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
@@ -252,28 +253,16 @@ impl ClusterScalFrag {
         let cfg = self.select_config(tensor, mode, rank as u32);
         let opts = self.options(cfg);
         let stats = scalfrag_kernels::SegmentStats::compute(tensor, mode);
-        let run = execute_cluster_resilient(
-            &self.node,
-            tensor,
-            factors,
-            mode,
-            &opts,
-            injector,
-            policy,
-            ExecMode::Functional,
-        );
+        let plan = build_cluster_plan(&self.node, tensor, factors, mode, &opts);
+        let run = run_plan_faulted(&plan, ExecMode::Functional, injector, policy);
         let report = ClusterMttkrpReport {
             mode,
             rank,
             config: opts.kernel.full_config(cfg, rank as u32),
-            num_shards: run.num_shards,
-            per_device: run
-                .devices
-                .iter()
-                .map(|d| PhaseTiming::from_timeline(&d.timeline))
-                .collect(),
-            device_names: run.devices.iter().map(|d| d.device_name).collect(),
-            assignments: run.devices.iter().map(|d| d.shard_indices.clone()).collect(),
+            num_shards: plan.shards.len(),
+            per_device: run.device_timelines.iter().map(PhaseTiming::from_timeline).collect(),
+            device_names: plan.devices.iter().map(|d| d.name).collect(),
+            assignments: run.device_shards.clone(),
             reduction_s: run.reduction_s,
             total_s: run.makespan(),
             flops: stats.flops(rank as u32),
@@ -404,12 +393,12 @@ pub struct ResilientClusterMttkrpReport {
 }
 
 impl ResilientClusterMttkrpReport {
-    fn new(report: ClusterMttkrpReport, run: &ResilientClusterRun) -> Self {
+    fn new(report: ClusterMttkrpReport, run: &ExecOutcome) -> Self {
         Self {
             report,
-            failed_segments: run.failed_segments,
-            completed_segments: run.completed_segments,
-            replaced_segments: run.replaced_segments,
+            failed_segments: run.lost_items(),
+            completed_segments: run.completed_items,
+            replaced_segments: run.replaced_items,
             retries: run.retries,
             dead_devices: run.dead_devices.clone(),
         }

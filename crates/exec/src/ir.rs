@@ -2,19 +2,19 @@
 //!
 //! A [`Plan`] is built once by a *plan builder* (the `pipeline`, `cluster`
 //! and `serve` crates) and executed by the single interpreter in
-//! [`crate::interp`]. Per device the plan lowers to a linear program of
-//! typed ops ([`PlanOp`]) — `Alloc`, `Free`, `Evict`, `Prefetch`, `H2D`,
-//! `Launch`, `HostResidue`, `Barrier`, `D2H` — each tagged with a stream
-//! placement where it moves data; streams within
-//! a device execute their queues in order, so the op list plus the barrier
-//! edges form the schedule DAG. Cross-device reduction is a single
-//! analytic [`PlanOp::Reduce`] op.
+//! [`crate::interp`]. Each device carries a linear program of typed ops
+//! ([`PlanOp`]) — `Alloc`, `Free`, `Evict`, `Prefetch`, `H2D`, `Launch`,
+//! `HostResidue`, `Barrier`, `D2H` — each tagged with a stream placement
+//! where it moves data; streams within a device execute their queues in
+//! order, so the op list plus the barrier edges form the schedule DAG.
+//! Cross-device reduction is a single analytic [`PlanOp::Reduce`] op.
 //!
-//! The same lowering feeds both execution and [`Plan::render`], so the IR
-//! dump is exactly what the interpreter runs.
+//! Builders lower their declarative schedule into these programs once
+//! ([`Plan::lowered`]); optimizer passes rewrite them; the interpreter
+//! and [`Plan::render`] both read them, so the IR dump is exactly what
+//! runs.
 
 use crate::kernel::KernelChoice;
-use crate::retry::RetryPolicy;
 use scalfrag_gpusim::{DeviceSpec, HostSpec, KernelWorkload, LaunchConfig};
 use scalfrag_kernels::FactorSet;
 use scalfrag_tensor::segment::Segment;
@@ -187,11 +187,12 @@ pub struct DeviceOps {
     /// Skip the device entirely (empty timeline) when it has no units —
     /// cluster semantics; single-device plans always run their prologue.
     pub skip_if_idle: bool,
-    /// Explicit op program: when set, [`Plan::lower_device`] returns it
-    /// verbatim instead of lowering the declarative fields. Used by
-    /// builders whose schedule the generic lowering cannot express (the
-    /// out-of-core streaming plan's evict/prefetch loop).
-    pub program: Option<Vec<PlanOp>>,
+    /// The op program the interpreter runs. Builders fill it once, from
+    /// the declarative fields above ([`Plan::lowered`]) or explicitly
+    /// where the generic lowering cannot express the schedule (the
+    /// out-of-core streaming plan's evict/prefetch loop); optimizer
+    /// passes rewrite it.
+    pub program: Vec<PlanOp>,
 }
 
 /// How per-shard partial buffers combine into the output matrix.
@@ -221,14 +222,11 @@ pub enum PlaceStrategy {
     Lpt,
 }
 
-/// Placement callbacks a multi-device plan carries: initial assignment
-/// over the healthy devices, re-placement strategy inputs, and the
+/// Placement callbacks a multi-device plan carries: the strategy for
+/// moving a lost device's work onto survivors, its inputs, and the
 /// analytic reduction cost. Implemented by the cluster crate (it owns the
 /// node/interconnect model); the interpreter stays node-agnostic.
 pub trait ClusterPolicy: Send + Sync {
-    /// Assigns every shard to one of the `alive` devices; returns
-    /// per-device shard lists indexed by *global* device index.
-    fn assign(&self, alive: &[usize]) -> Vec<Vec<usize>>;
     /// Strategy for re-placing orphaned work.
     fn strategy(&self) -> PlaceStrategy;
     /// End-to-end speed proxy of device `d` (bytes/s), for LPT.
@@ -245,8 +243,6 @@ pub struct PlanMeta {
     pub segment_map: String,
     /// Predictor verdict (or "fixed config" when none ran).
     pub predictor: String,
-    /// Retry policy attached by a resilient wrapper (informational).
-    pub retry: Option<RetryPolicy>,
     /// Comma-separated names of the optimizer passes applied to this plan
     /// (empty = raw builder output). Stamped by `scalfrag-opt`; rendered
     /// so an IR dump always says where its schedule came from.
@@ -257,8 +253,8 @@ pub struct PlanMeta {
     pub batch_jobs: usize,
 }
 
-/// An executable MTTKRP schedule: shards, per-device programs, reduction,
-/// and the resilient-mode knobs. Built by the plan builders; executed by
+/// An executable MTTKRP schedule: shards, per-device programs and the
+/// reduction. Built by the plan builders; executed by
 /// [`crate::interp::run_plan`] and friends.
 #[derive(Clone)]
 pub struct Plan {
@@ -282,36 +278,14 @@ pub struct Plan {
     pub factors_bytes: u64,
     /// The input shards (one for single-device plans).
     pub shards: Vec<ShardDesc>,
-    /// Segment list per shard (resilient mode re-derives work items from
-    /// these).
-    pub seg_lists: Vec<Vec<Segment>>,
     /// Per-device programs.
     pub devices: Vec<DeviceOps>,
     /// How partial buffers combine.
     pub reduce: Reduce,
     /// Analytic reduction seconds for the static placement.
     pub reduction_s: f64,
-    /// Row-overlapping partials gather device-to-device (peer links), so
-    /// per-shard D2H hops are absent.
-    pub peer_reduce: bool,
-    /// Device model for the functional replay in resilient mode.
-    pub replay_spec: DeviceSpec,
     /// Placement callbacks (multi-device plans only).
     pub cluster: Option<Arc<dyn ClusterPolicy>>,
-    /// Resilient mode: synchronize after the factor upload so the first
-    /// wave's clock sits at the prologue end (cluster semantics) instead
-    /// of zero (pipeline semantics).
-    pub sync_after_prologue: bool,
-    /// Resilient mode: allocations charged at bring-up.
-    pub resilient_prologue: Vec<(u64, &'static str)>,
-    /// Resilient mode: OOM message for lazy segment allocations.
-    pub seg_alloc_what: &'static str,
-    /// Resilient mode: static worker-stream per `(shard, segment)`
-    /// (`None` = the device's round-robin counter).
-    pub static_streams: Option<Vec<Vec<usize>>>,
-    /// Resilient-mode labels carry the shard index (`shard0 seg1 …`)
-    /// instead of the bare segment (`seg1 …`).
-    pub tag_shards: bool,
     /// Plan metadata.
     pub meta: PlanMeta,
 }
@@ -330,39 +304,35 @@ impl std::fmt::Debug for Plan {
 }
 
 impl Plan {
-    /// Resilient-mode label tag for one `(shard, segment)` item.
-    pub(crate) fn tag(&self, si: usize, j: usize) -> String {
-        if self.tag_shards {
-            format!("shard{si} seg{j}")
-        } else {
-            format!("seg{j}")
-        }
-    }
-
-    /// Total `(shard, segment)` work items across all devices.
+    /// Total work units across all devices.
     pub fn total_items(&self) -> usize {
-        self.seg_lists.iter().map(Vec::len).sum()
+        self.devices.iter().map(|d| d.units.len()).sum()
     }
 
-    /// Total lowered op count across all device programs — the op-budget
-    /// metric the plan optimizer reports reductions against.
+    /// Total op count across all device programs — the op-budget metric
+    /// the plan optimizer reports reductions against.
     pub fn total_ops(&self) -> usize {
-        self.devices.iter().map(|d| self.lower_device(d).len()).sum()
+        self.devices.iter().map(|d| d.program.len()).sum()
     }
 
-    /// Lowers one device's share into its linear op program. Execution
-    /// and [`Plan::render`] both consume this, so the dump *is* the
-    /// schedule.
+    /// Lowers every device's declarative schedule into its op program —
+    /// the one lowering a builder runs before handing the plan out.
+    pub fn lowered(mut self) -> Self {
+        for d in 0..self.devices.len() {
+            let ops = self.lower_device(&self.devices[d]);
+            self.devices[d].program = ops;
+        }
+        self
+    }
+
+    /// Lowers one device's declarative share into a linear op program.
     ///
     /// Transient per-segment buffers get `Free` ops: each worker stream
     /// keeps at most one segment buffer live (its FIFO queue guarantees
     /// the previous segment's kernel drained before the buffer is
     /// rewritten), so long plans hold `O(streams)` segment buffers
     /// instead of monotonically consuming the pool.
-    pub fn lower_device(&self, dev: &DeviceOps) -> Vec<PlanOp> {
-        if let Some(program) = &dev.program {
-            return program.clone();
-        }
+    pub(crate) fn lower_device(&self, dev: &DeviceOps) -> Vec<PlanOp> {
         let mut ops = Vec::new();
         let mut next_slot = 0usize;
         if let Some(res) = &dev.residue {
@@ -486,9 +456,6 @@ impl Plan {
         if self.meta.batch_jobs > 0 {
             let _ = writeln!(s, "  batch: {} fused job(s)", self.meta.batch_jobs);
         }
-        if let Some(r) = &self.meta.retry {
-            let _ = writeln!(s, "  retry: {r:?}");
-        }
         for dev in &self.devices {
             let _ = writeln!(
                 s,
@@ -498,8 +465,8 @@ impl Plan {
                 dev.worker_streams,
                 if dev.dedicated_d2h { " + d2h stream" } else { "" },
             );
-            for op in self.lower_device(dev) {
-                let _ = writeln!(s, "    {}", render_op(&op));
+            for op in &dev.program {
+                let _ = writeln!(s, "    {}", render_op(op));
             }
         }
         if self.reduction_s > 0.0 {

@@ -1,13 +1,13 @@
 //! `scalfrag-exec` — the ScheduleIR execution engine.
 //!
-//! A [`Plan`] is a declarative schedule: per-device typed ops (`H2D`,
-//! `Launch`, `Reduce`, `D2H`, `HostResidue`, `Barrier`) with stream
-//! placement, plus plan-level metadata (segment map, predictor verdict,
-//! retry policy). The `pipeline`, `cluster`, `serve` and `core` crates
-//! are pure plan *builders*; this crate owns the single interpreter that
-//! executes any plan over the simulated GPU — fault-free or under fault
-//! injection, functional or dry — and emits a fingerprintable
-//! [`PlanTrace`].
+//! A [`Plan`] is a schedule: per-device programs of typed ops (`H2D`,
+//! `Launch`, `Reduce`, `D2H`, `HostResidue`, `Barrier`, memory ops) with
+//! stream placement, plus plan-level metadata (segment map, predictor
+//! verdict, optimizer provenance). The `pipeline`, `cluster`, `serve`,
+//! `oom` and `core` crates are pure plan *builders*; this crate owns the
+//! single interpreter that executes any plan over the simulated GPU —
+//! fault-free or under fault injection, functional or dry — and emits a
+//! fingerprintable [`PlanTrace`].
 
 #![warn(missing_docs)]
 
@@ -19,8 +19,7 @@ mod retry;
 mod trace;
 
 pub use interp::{
-    run_plan, run_plan_on, run_plan_resilient, run_plan_resilient_on, DeviceMemStats, ExecOutcome,
-    UnitOutcome,
+    run_plan, run_plan_faulted, run_plan_on, DeviceMemStats, ExecOutcome, UnitOutcome,
 };
 pub use ir::{
     ClusterPolicy, DeviceOps, ExecMode, PlaceStrategy, Plan, PlanMeta, PlanOp, Reduce, ResidueWork,

@@ -1,10 +1,10 @@
-//! Retry and recovery policies — plan-level metadata consumed by the
-//! interpreter's resilient mode.
+//! Retry and recovery policies of a faulted run
+//! ([`crate::run_plan_faulted`]).
 
-/// Segment-retry policy: capped attempts with exponential backoff.
+/// Op-retry policy: capped attempts with exponential backoff.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
-    /// Total attempts per segment (1 = no retries).
+    /// Total attempts per op (1 = no retries).
     pub max_attempts: u32,
     /// Backoff before the first retry (s).
     pub backoff_base_s: f64,
@@ -40,25 +40,24 @@ impl RetryPolicy {
     }
 }
 
-/// How far a multi-device run goes to keep a fault-injected run alive.
+/// How far a run goes to keep a fault-injected run alive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryMode {
-    /// Lose faulted work; abandon a device on any failure.
+    /// Lose faulted work; abandon a device on any outage.
     NoRetry,
-    /// Retry segments in place; wait out transient outages.
+    /// Retry ops in place; wait out transient outages.
     Retry,
     /// [`RecoveryMode::Retry`] plus re-placement of a dead device's
     /// unfinished work onto survivors.
     RetryReShard,
 }
 
-/// The cluster-level recovery policy: a mode plus the segment retry knobs.
+/// The recovery policy of a faulted run: a mode plus the op retry knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultRecoveryPolicy {
     /// Recovery mode.
     pub mode: RecoveryMode,
-    /// Per-segment retry schedule (ignored under
-    /// [`RecoveryMode::NoRetry`]).
+    /// Per-op retry schedule.
     pub retry: RetryPolicy,
 }
 

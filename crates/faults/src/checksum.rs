@@ -1,9 +1,8 @@
 //! FNV-1a fingerprints over tensors, matrices and raw value buffers.
 //!
-//! Two roles: (1) the ECC-style *detection* mechanism — resilient
-//! executors conceptually checksum every transferred segment, and the
-//! simulated verification cost is charged as a host task sized by these
-//! routines' inputs; (2) the *zero numeric drift* witness — recovery
+//! Two roles: (1) the ECC-style *detection* mechanism — a faulted plan
+//! run conceptually checksums every transfer, and the simulated
+//! verification cost is charged as a host task sized by the bytes moved; (2) the *zero numeric drift* witness — recovery
 //! tests and the `fault_storm` bench compare output fingerprints against
 //! fault-free runs, so "bit-identical" is one `u64` comparison.
 

@@ -14,9 +14,9 @@ pub enum FaultKind {
     /// outage that heals after `d` simulated seconds (counted from the
     /// moment the fault is observed); `None` is permanent for the run.
     DeviceFail { down_s: Option<f64> },
-    /// One H2D/D2H transfer delivers corrupted bytes. Detectable: the
-    /// resilient executors checksum every segment after transfer, so a
-    /// corrupted segment is retried rather than silently consumed.
+    /// One H2D/D2H transfer delivers corrupted bytes. Detectable: a
+    /// faulted plan run checksums every transfer, so a corrupted one is
+    /// retried rather than silently consumed.
     TransferCorruption,
     /// One kernel launch aborts after being charged its full cost.
     KernelAbort,
@@ -51,9 +51,9 @@ impl fmt::Display for FaultKind {
 /// so a `FaultLog` reads as a causal trace of the whole incident.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RecoveryAction {
-    /// A pipeline/cluster executor re-enqueued a failed segment
-    /// (`attempt` is 1-based: attempt 2 is the first retry).
-    RetrySegment { shard: usize, segment: usize, attempt: u32 },
+    /// The plan interpreter re-issued a failed op, named by its span
+    /// label (`attempt` is 1-based: attempt 2 is the first retry).
+    Retry { op: String, attempt: u32 },
     /// The cluster executor re-placed a shard from a dead device onto a
     /// survivor.
     ReShard { shard: usize, from_device: usize, to_device: usize },
@@ -68,9 +68,7 @@ pub enum RecoveryAction {
 impl fmt::Display for RecoveryAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RecoveryAction::RetrySegment { shard, segment, attempt } => {
-                write!(f, "retry shard {shard} segment {segment} (attempt {attempt})")
-            }
+            RecoveryAction::Retry { op, attempt } => write!(f, "retry {op} (attempt {attempt})"),
             RecoveryAction::ReShard { shard, from_device, to_device } => {
                 write!(f, "re-place shard {shard}: device {from_device} -> {to_device}")
             }
@@ -189,7 +187,7 @@ mod tests {
                     device: 1,
                     sim_time_s: 0.6,
                     entry: LogEntry::Recovered {
-                        action: RecoveryAction::RetrySegment { shard: 0, segment: 2, attempt: 2 },
+                        action: RecoveryAction::Retry { op: "seg2 kernel".to_string(), attempt: 2 },
                     },
                 },
             ],

@@ -28,8 +28,8 @@
 //! The injector is deliberately passive: it never mutates the simulator.
 //! Executors decide what a verdict means (charge the op and retry, stall
 //! for backoff, re-place work), which keeps timing policy reviewable in
-//! one place per layer — `scalfrag-pipeline` retries segments,
-//! `scalfrag-cluster` re-places shards, `scalfrag-serve` requeues jobs,
+//! one place per layer — the `scalfrag-exec` interpreter retries ops and
+//! re-places a dead device's units, `scalfrag-serve` requeues jobs,
 //! `scalfrag-kernels` rolls CPD-ALS back to a checkpoint.
 
 pub mod checksum;

@@ -210,8 +210,7 @@ impl Gpu {
 
     /// Enqueues a pure delay on `stream`: the stream's clock advances by
     /// `seconds` without occupying any engine. Models waits that burn no
-    /// resource — retry backoff and fault downtime in the resilient
-    /// executors.
+    /// resource — retry backoff under fault injection.
     pub fn stall(&mut self, stream: StreamId, seconds: f64, label: impl Into<String>) -> OpId {
         assert!(
             seconds >= 0.0 && seconds.is_finite(),

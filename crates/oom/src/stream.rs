@@ -204,7 +204,6 @@ pub(crate) fn assemble_plan(
     capped.global_mem_bytes = capped.global_mem_bytes.min(budget);
 
     let k = segments.len();
-    let static_streams = vec![(0..k).map(|i| i % 2).collect()];
     Plan {
         name: "oom-stream",
         mode,
@@ -216,11 +215,10 @@ pub(crate) fn assemble_plan(
         factors,
         factors_bytes,
         shards: vec![ShardDesc { index: 0, tensor: shard, rows: None }],
-        seg_lists: vec![segments],
         devices: vec![DeviceOps {
             device: 0,
             name: spec.name,
-            spec: capped.clone(),
+            spec: capped,
             host: None,
             worker_streams: 2,
             dedicated_d2h: false,
@@ -239,21 +237,11 @@ pub(crate) fn assemble_plan(
             final_d2h: Some((out_bytes, "output D2H")),
             shard_list: vec![0],
             skip_if_idle: false,
-            program: Some(program),
+            program,
         }],
         reduce: Reduce::Single,
         reduction_s: 0.0,
-        peer_reduce: false,
-        replay_spec: capped,
         cluster: None,
-        sync_after_prologue: false,
-        resilient_prologue: vec![
-            (factors_bytes, "factor matrices must fit in the memory budget"),
-            (out_bytes, "output matrix must fit in the memory budget"),
-        ],
-        seg_alloc_what: "segment must fit in the memory budget",
-        static_streams: Some(static_streams),
-        tag_shards: false,
         meta: PlanMeta {
             segment_map: format!(
                 "{k} segment(s) of <= {} nnz through 2 staging slot(s) of {} B \
@@ -261,7 +249,6 @@ pub(crate) fn assemble_plan(
                 layout.entries_per_slot, layout.slot_bytes, layout.persistent_bytes
             ),
             predictor: "fixed config".to_string(),
-            retry: None,
             optimizer: String::new(),
             batch_jobs: 0,
         },

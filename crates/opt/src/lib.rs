@@ -3,7 +3,7 @@
 //! The plan builders (`pipeline`, `cluster`, `serve`, `oom`, `core`)
 //! emit *correct* schedules; this crate makes them *fast* without
 //! touching the builders. Every optimization is a [`Pass`]: a pure
-//! `Plan -> Plan` rewrite over the lowered op programs, carrying a
+//! `Plan -> Plan` rewrite over the op programs, carrying a
 //! machine-checkable safety [`Contract`] the in-repo verifier
 //! ([`verify::check_pass`]) enforces by replaying raw and optimized
 //! plans through the one interpreter.
@@ -35,7 +35,7 @@ pub mod passes;
 pub mod verify;
 
 pub use orderer::{choose_pipeline, choose_pipeline_joint, OrderedChoice};
-pub use pass::{applied, materialize, Contract, NumericsEffect, Pass, Pipeline, TraceEffect};
+pub use pass::{applied, Contract, NumericsEffect, Pass, Pipeline, TraceEffect};
 pub use passes::{all_passes, candidate_pipelines, default_pipeline};
 pub use verify::{check_commutation, check_pass, lowered_programs, Violation};
 

@@ -1,10 +1,8 @@
 //! The pass framework: the [`Pass`] trait, its machine-checkable safety
-//! [`Contract`], pass [`Pipeline`]s, and plan materialization.
+//! [`Contract`] and pass [`Pipeline`]s.
 //!
-//! A pass is a pure `Plan -> Plan` rewrite over the *lowered* op programs.
-//! Before the first pass runs, [`materialize`] pins every device's
-//! declarative schedule into an explicit [`PlanOp`] program (the form
-//! `Plan::lower_device` returns verbatim), so passes compose by editing
+//! A pass is a pure `Plan -> Plan` rewrite over the op programs the
+//! builders lowered (`DeviceOps::program`), so passes compose by editing
 //! op vectors. Every pass stamps its name into `PlanMeta::optimizer`, so
 //! an IR dump always says which rewrites produced the schedule — and the
 //! verifier (see [`crate::verify`]) can hold each pass to its declared
@@ -62,8 +60,8 @@ pub struct Contract {
 
 /// One plan-optimizer pass.
 ///
-/// Implementations must be *idempotent* (`apply(apply(p))` lowers to the
-/// same programs as `apply(p)`) and must uphold their [`Contract`]; both
+/// Implementations must be *idempotent* (`apply(apply(p))` has the same
+/// programs as `apply(p)`) and must uphold their [`Contract`]; both
 /// are enforced in-repo by [`crate::verify::check_pass`].
 pub trait Pass: Send + Sync {
     /// Stable pass name (used for provenance stamps and commutation
@@ -73,24 +71,9 @@ pub trait Pass: Send + Sync {
     /// The safety contract the verifier holds this pass to.
     fn contract(&self) -> Contract;
 
-    /// Rewrites `plan` (materializing it first if needed) and returns
-    /// the optimized plan. Never mutates its input.
+    /// Rewrites `plan` and returns the optimized plan. Never mutates its
+    /// input.
     fn apply(&self, plan: &Plan) -> Plan;
-}
-
-/// Pins every device's declarative schedule into an explicit op program
-/// (`DeviceOps::program`), the common ground passes rewrite on. Lowering
-/// is exactly `Plan::lower_device`, so a materialized-but-unoptimized
-/// plan executes identically to the raw plan.
-pub fn materialize(plan: &Plan) -> Plan {
-    let mut p = plan.clone();
-    for d in 0..p.devices.len() {
-        if p.devices[d].program.is_none() {
-            let ops = p.lower_device(&p.devices[d]);
-            p.devices[d].program = Some(ops);
-        }
-    }
-    p
 }
 
 /// Whether `name` is already stamped in the plan's optimizer provenance.
@@ -109,18 +92,17 @@ pub(crate) fn note_pass(plan: &mut Plan, name: &str) {
     plan.meta.optimizer.push_str(name);
 }
 
-/// The shared pass skeleton: materialize, rewrite each device's op
-/// program through `f(plan, device, ops)`, stamp provenance.
+/// The shared pass skeleton: rewrite each device's op program through
+/// `f(plan, device, ops)`, stamp provenance.
 pub(crate) fn rewrite_programs(
     plan: &Plan,
     name: &str,
     f: impl Fn(&Plan, &scalfrag_exec::DeviceOps, Vec<PlanOp>) -> Vec<PlanOp>,
 ) -> Plan {
-    let mut p = materialize(plan);
+    let mut p = plan.clone();
     for d in 0..p.devices.len() {
-        let ops = p.devices[d].program.take().expect("materialized above");
-        let new_ops = f(plan, &p.devices[d], ops);
-        p.devices[d].program = Some(new_ops);
+        let ops = std::mem::take(&mut p.devices[d].program);
+        p.devices[d].program = f(plan, &p.devices[d], ops);
     }
     note_pass(&mut p, name);
     p
@@ -159,14 +141,9 @@ impl Pipeline {
         }
     }
 
-    /// Runs every pass in order. The empty pipeline still materializes
-    /// the plan, so `apply` always returns an explicit-program plan.
+    /// Runs every pass in order (the empty pipeline returns a copy).
     pub fn apply(&self, plan: &Plan) -> Plan {
-        let mut p = materialize(plan);
-        for pass in &self.passes {
-            p = pass.apply(&p);
-        }
-        p
+        self.passes.iter().fold(plan.clone(), |p, pass| pass.apply(&p))
     }
 }
 

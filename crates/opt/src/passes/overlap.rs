@@ -1,7 +1,7 @@
 //! Stream re-assignment: spread a single-stream segment chain over
 //! multiple worker streams so copies overlap compute.
 
-use crate::pass::{materialize, note_pass, Contract, NumericsEffect, Pass, TraceEffect};
+use crate::pass::{note_pass, Contract, NumericsEffect, Pass, TraceEffect};
 use scalfrag_exec::{DeviceOps, Plan, PlanOp, StreamRef};
 
 /// Widest stream fan-out the pass introduces (the repo's pipelined
@@ -40,7 +40,7 @@ fn overlap_device(dev: &DeviceOps) -> Option<(Vec<PlanOp>, usize)> {
     if dev.worker_streams != 1 {
         return None;
     }
-    let ops = dev.program.as_ref()?;
+    let ops = &dev.program;
     // Shape gate: worker-stream traffic only, all of it on stream 0, no
     // memory-pressure ops, and readback strictly after the last launch.
     let mut launches = 0usize;
@@ -149,10 +149,10 @@ impl Pass for OverlapStreams {
     }
 
     fn apply(&self, plan: &Plan) -> Plan {
-        let mut p = materialize(plan);
+        let mut p = plan.clone();
         for d in 0..p.devices.len() {
             if let Some((ops, streams)) = overlap_device(&p.devices[d]) {
-                p.devices[d].program = Some(ops);
+                p.devices[d].program = ops;
                 p.devices[d].worker_streams = streams;
             }
         }

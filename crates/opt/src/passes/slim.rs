@@ -1,9 +1,7 @@
 //! Factor-upload slimming: a mode-`n` MTTKRP never reads factor `n` on
 //! the device, so its rows need not ride the factor upload.
 
-use crate::pass::{
-    applied, materialize, rewrite_programs, Contract, NumericsEffect, Pass, TraceEffect,
-};
+use crate::pass::{applied, rewrite_programs, Contract, NumericsEffect, Pass, TraceEffect};
 use scalfrag_exec::{Plan, PlanOp};
 
 /// Shrinks every `"factors H2D"` upload by the output-mode factor's
@@ -42,7 +40,7 @@ impl Pass for SlimFactors {
 
     fn apply(&self, plan: &Plan) -> Plan {
         if applied(plan, self.name()) {
-            return materialize(plan);
+            return plan.clone();
         }
         let mode_bytes = (plan.rows * plan.rank * 4) as u64;
         rewrite_programs(plan, self.name(), |plan, _dev, ops| {

@@ -66,11 +66,10 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// The lowered programs of every device — the canonical form two plans
-/// are compared in (explicit programs and declarative lowering meet
-/// here).
+/// The op programs of every device — the form two plans are compared
+/// in.
 pub fn lowered_programs(plan: &Plan) -> Vec<Vec<PlanOp>> {
-    plan.devices.iter().map(|d| plan.lower_device(d)).collect()
+    plan.devices.iter().map(|d| d.program.clone()).collect()
 }
 
 /// A trace as an order-insensitive span multiset (sorted tuples of
@@ -101,7 +100,7 @@ fn functional_capable(plan: &Plan) -> bool {
 
 /// Checks one pass against one plan:
 ///
-/// 1. **Idempotence** — `apply ∘ apply` lowers to the same programs as
+/// 1. **Idempotence** — `apply ∘ apply` has the same programs as
 ///    `apply`;
 /// 2. **Trace contract** — dry-runs raw vs optimized (which also runs
 ///    the interpreter's transient-leak check over the rewritten
@@ -145,7 +144,7 @@ pub fn check_pass(pass: &dyn Pass, plan: &Plan) -> Result<(), Violation> {
 }
 
 /// Checks a declared commutation on one plan: `b(a(p))` and `a(b(p))`
-/// must lower to identical programs. (Programs, not renders — the
+/// must have identical programs. (Programs, not renders — the
 /// provenance stamp legitimately records the two orders differently.)
 pub fn check_commutation(a: &dyn Pass, b: &dyn Pass, plan: &Plan) -> Result<(), Violation> {
     let ab = b.apply(&a.apply(plan));

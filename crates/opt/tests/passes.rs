@@ -8,8 +8,7 @@ use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
 use scalfrag_opt::passes::{BatchH2d, CoalesceH2d, DeadOpElim, OverlapStreams, SlimFactors};
 use scalfrag_opt::{
-    applied, check_pass, choose_pipeline, default_pipeline, materialize, optimize_chosen,
-    optimize_default, Pass,
+    applied, check_pass, choose_pipeline, default_pipeline, optimize_chosen, optimize_default, Pass,
 };
 use scalfrag_pipeline::{build_pipelined_plan, build_sync_plan, KernelChoice, PipelinePlan};
 use scalfrag_tensor::{gen, CooTensor};
@@ -39,23 +38,24 @@ fn single_stream_plan(tensor: &CooTensor, factors: &FactorSet) -> Plan {
 fn h2d_ops(plan: &Plan) -> Vec<(StreamRef, u64)> {
     plan.devices
         .iter()
-        .flat_map(|d| plan.lower_device(d))
+        .flat_map(|d| &d.program)
         .filter_map(|op| match op {
-            PlanOp::H2D { stream, bytes, .. } => Some((stream, bytes)),
+            PlanOp::H2D { stream, bytes, .. } => Some((*stream, *bytes)),
             _ => None,
         })
         .collect()
 }
 
 #[test]
-fn materialize_pins_the_program_without_changing_the_schedule() {
+fn builders_hand_out_their_program_lowered_once() {
     let (tensor, factors) = fixture();
     let plan = sync_plan(&tensor, &factors);
-    let mat = materialize(&plan);
-    assert!(mat.devices.iter().all(|d| d.program.is_some()));
+    assert!(plan.devices.iter().all(|d| !d.program.is_empty()));
+    let relowered = plan.clone().lowered();
+    assert_eq!(relowered.devices[0].program, plan.devices[0].program, "lowering is deterministic");
     let raw = run_plan(&plan, ExecMode::Dry);
-    let pinned = run_plan(&mat, ExecMode::Dry);
-    assert_eq!(raw.trace.fingerprint(), pinned.trace.fingerprint());
+    let again = run_plan(&relowered, ExecMode::Dry);
+    assert_eq!(raw.trace.fingerprint(), again.trace.fingerprint());
 }
 
 #[test]
@@ -87,9 +87,9 @@ fn slim_factors_drops_exactly_the_output_mode_rows_and_only_once() {
     let factors_copy = |p: &Plan| {
         p.devices
             .iter()
-            .flat_map(|d| p.lower_device(d))
+            .flat_map(|d| &d.program)
             .find_map(|op| match op {
-                PlanOp::H2D { bytes, label, .. } if label == "factors H2D" => Some(bytes),
+                PlanOp::H2D { bytes, label, .. } if label == "factors H2D" => Some(*bytes),
                 _ => None,
             })
             .expect("factors copy present")
@@ -105,8 +105,8 @@ fn slim_factors_drops_exactly_the_output_mode_rows_and_only_once() {
 #[test]
 fn dead_op_elim_drops_zero_byte_copies_and_degenerate_barriers() {
     let (tensor, factors) = fixture();
-    let mut plan = materialize(&sync_plan(&tensor, &factors));
-    let program = plan.devices[0].program.as_mut().unwrap();
+    let mut plan = sync_plan(&tensor, &factors);
+    let program = &mut plan.devices[0].program;
     program.insert(
         0,
         PlanOp::H2D { stream: StreamRef::Worker(0), bytes: 0, label: "empty seg H2D".into() },
@@ -116,12 +116,12 @@ fn dead_op_elim_drops_zero_byte_copies_and_degenerate_barriers() {
         PlanOp::Barrier { record: vec![StreamRef::Worker(0)], wait: vec![StreamRef::Worker(0)] },
     );
     let opt = DeadOpElim.apply(&plan);
-    let ops = opt.devices[0].program.clone().unwrap();
+    let ops = opt.devices[0].program.clone();
     assert!(!ops.iter().any(|op| matches!(op, PlanOp::H2D { bytes: 0, .. })));
     assert!(!ops.iter().any(
         |op| matches!(op, PlanOp::Barrier { record, wait } if record == wait && record.len() == 1)
     ));
-    assert_eq!(ops.len(), plan.devices[0].program.as_ref().unwrap().len() - 2);
+    assert_eq!(ops.len(), plan.devices[0].program.len() - 2);
     check_pass(&DeadOpElim, &plan).unwrap();
 }
 
@@ -148,8 +148,7 @@ fn overlap_streams_leaves_registered_multi_stream_plans_alone() {
         for (raw_dev, opt_dev) in plan.devices.iter().zip(&opt.devices) {
             assert_eq!(raw_dev.worker_streams, opt_dev.worker_streams, "{}", builder.name);
             assert_eq!(
-                plan.lower_device(raw_dev),
-                opt_dev.program.clone().unwrap(),
+                raw_dev.program, opt_dev.program,
                 "{}: identity on already-streamed plans",
                 builder.name
             );

@@ -30,11 +30,10 @@ pub fn build_sync_plan(
     let factors_bytes = factors.byte_size() as u64;
     let out_bytes = (rows * rank * 4) as u64;
     let tensor_bytes = tensor.byte_size() as u64;
-    let seg = Segment { start: 0, end: tensor.nnz() };
     let units = vec![WorkUnit {
         shard: 0,
         segment: 0,
-        seg: seg.clone(),
+        seg: Segment { start: 0, end: tensor.nnz() },
         stream: Some(0),
         alloc: None, // the prologue charged the whole tensor
         h2d_bytes: tensor_bytes,
@@ -53,7 +52,6 @@ pub fn build_sync_plan(
         factors: Arc::new(factors.clone()),
         factors_bytes,
         shards: vec![ShardDesc { index: 0, tensor: Arc::new(tensor.clone()), rows: None }],
-        seg_lists: vec![vec![seg]],
         devices: vec![DeviceOps {
             device: 0,
             name: spec.name,
@@ -72,30 +70,19 @@ pub fn build_sync_plan(
             final_d2h: Some((out_bytes, "output D2H")),
             shard_list: vec![0],
             skip_if_idle: false,
-            program: None,
+            program: Vec::new(),
         }],
         reduce: Reduce::Single,
         reduction_s: 0.0,
-        peer_reduce: false,
-        replay_spec: spec.clone(),
         cluster: None,
-        sync_after_prologue: false,
-        resilient_prologue: vec![
-            (factors_bytes, "factors fit"),
-            (out_bytes, "output fits"),
-            (tensor_bytes, "tensor fits"),
-        ],
-        seg_alloc_what: "segment buffer must fit",
-        static_streams: Some(vec![vec![0]]),
-        tag_shards: false,
         meta: PlanMeta {
             segment_map: "monolithic (1 segment, 1 stream)".to_string(),
             predictor: "fixed config".to_string(),
-            retry: None,
             optimizer: String::new(),
             batch_jobs: 0,
         },
     }
+    .lowered()
 }
 
 /// Lowers the segmented pipeline of §IV-C over a *mode-sorted* tensor:
@@ -131,7 +118,6 @@ pub fn build_pipelined_plan(
         })
         .collect();
     let unit_ids: Vec<usize> = (0..units.len()).collect();
-    let static_streams = vec![(0..plan.segments.len()).map(|i| plan.stream_of(i)).collect()];
     Plan {
         name: "scalfrag-pipelined",
         mode,
@@ -143,7 +129,6 @@ pub fn build_pipelined_plan(
         factors: Arc::new(factors.clone()),
         factors_bytes,
         shards: vec![ShardDesc { index: 0, tensor: Arc::new(tensor.clone()), rows: None }],
-        seg_lists: vec![plan.segments.clone()],
         devices: vec![DeviceOps {
             device: 0,
             name: spec.name,
@@ -166,18 +151,11 @@ pub fn build_pipelined_plan(
             final_d2h: Some((out_bytes, "output D2H")),
             shard_list: vec![0],
             skip_if_idle: false,
-            program: None,
+            program: Vec::new(),
         }],
         reduce: Reduce::Single,
         reduction_s: 0.0,
-        peer_reduce: false,
-        replay_spec: spec.clone(),
         cluster: None,
-        sync_after_prologue: false,
-        resilient_prologue: vec![(factors_bytes, "factors fit"), (out_bytes, "output fits")],
-        seg_alloc_what: "segment buffer must fit",
-        static_streams: Some(static_streams),
-        tag_shards: false,
         meta: PlanMeta {
             segment_map: format!(
                 "{} slice-aligned segment(s) over {} stream(s)",
@@ -185,11 +163,11 @@ pub fn build_pipelined_plan(
                 plan.num_streams
             ),
             predictor: "fixed config".to_string(),
-            retry: None,
             optimizer: String::new(),
             batch_jobs: 0,
         },
     }
+    .lowered()
 }
 
 /// Lowers the hybrid schedule of §I: the dense-slice bulk goes through
@@ -227,7 +205,7 @@ pub fn build_hybrid_plan(
         split.cpu_part.nnz(),
         split.threshold
     );
-    plan
+    plan.lowered()
 }
 
 /// Lowers the load-balanced segmented-scan schedule: the monolithic sync
@@ -314,8 +292,6 @@ pub fn build_batched_plan(
     let mut units = Vec::with_capacity(jobs.len());
     let mut shard_work = Vec::with_capacity(jobs.len());
     let mut shards = Vec::with_capacity(jobs.len());
-    let mut seg_lists = Vec::with_capacity(jobs.len());
-    let mut static_streams = Vec::with_capacity(jobs.len());
     for (j, job) in jobs.iter().enumerate() {
         let seg = Segment { start: 0, end: job.tensor.nnz() };
         let tensor_bytes = job.tensor.byte_size() as u64;
@@ -323,13 +299,13 @@ pub fn build_batched_plan(
         units.push(WorkUnit {
             shard: j,
             segment: 0,
-            seg: seg.clone(),
             stream: Some(s),
             alloc: Some((tensor_bytes, "job tensor must fit")),
             h2d_bytes: tensor_bytes,
             h2d_label: format!("job{} H2D ({} nnz)", job.id, seg.nnz()),
             kernel_label: format!("job{} kernel", job.id),
             workload: None,
+            seg,
         });
         shard_work.push(ShardWork {
             shard: j,
@@ -338,8 +314,6 @@ pub fn build_batched_plan(
             d2h: Some((out_bytes, format!("job{} output D2H", job.id))),
         });
         shards.push(ShardDesc { index: j, tensor: Arc::clone(&job.tensor), rows: None });
-        seg_lists.push(vec![seg]);
-        static_streams.push(vec![s]);
     }
     Plan {
         name: "serve-batched",
@@ -352,7 +326,6 @@ pub fn build_batched_plan(
         factors,
         factors_bytes,
         shards,
-        seg_lists,
         devices: vec![DeviceOps {
             device: 0,
             name: spec.name,
@@ -367,18 +340,11 @@ pub fn build_batched_plan(
             final_d2h: None,
             shard_list: (0..jobs.len()).collect(),
             skip_if_idle: false,
-            program: None,
+            program: Vec::new(),
         }],
         reduce: Reduce::PerJob,
         reduction_s: 0.0,
-        peer_reduce: false,
-        replay_spec: spec.clone(),
         cluster: None,
-        sync_after_prologue: false,
-        resilient_prologue: vec![(factors_bytes, "factor matrices must fit on the device")],
-        seg_alloc_what: "job tensor must fit",
-        static_streams: Some(static_streams),
-        tag_shards: true,
         meta: PlanMeta {
             segment_map: format!(
                 "batched ×{}: shared factor upload, per-job H2D/launch/D2H over {} stream(s)",
@@ -386,11 +352,11 @@ pub fn build_batched_plan(
                 worker_streams
             ),
             predictor: "fixed config".to_string(),
-            retry: None,
             optimizer: String::new(),
             batch_jobs: jobs.len(),
         },
     }
+    .lowered()
 }
 
 /// The batch-fused serving builder, registered separately so the

@@ -9,8 +9,8 @@
 //! flight.
 //!
 //! The host fold is a first-class `HostResidue` op of the lowered plan:
-//! it appears in the plan trace and participates in the resilient
-//! engine's retry discipline like any device op.
+//! it appears in the plan trace and, under fault injection, polls,
+//! retries and waits out outages like any device op.
 
 use crate::builders::build_hybrid_plan;
 use crate::executor::{ExecMode, KernelChoice, PipelineRun};

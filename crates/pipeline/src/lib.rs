@@ -22,14 +22,13 @@
 //! Since the ScheduleIR refactor this crate is a *plan builder*: every
 //! schedule lowers to a [`scalfrag_exec::Plan`] ([`builders`]) and the
 //! single interpreter in `scalfrag-exec` executes it. Dry runs are the
-//! interpreter's [`ExecMode::Dry`]; fault injection is its resilient
-//! mode.
+//! interpreter's [`ExecMode::Dry`]; fault injection runs the same plan
+//! through [`scalfrag_exec::run_plan_faulted`].
 
 pub mod builders;
 pub mod executor;
 pub mod hybrid;
 pub mod plan;
-pub mod resilient;
 
 pub use builders::{
     balance_plan_builders, batched_plan_builders, build_balance_flycoo_plan,
@@ -39,4 +38,3 @@ pub use builders::{
 pub use executor::{execute_pipelined, execute_sync, ExecMode, KernelChoice, PipelineRun};
 pub use hybrid::{execute_hybrid, split_by_slice_population, HybridSplit};
 pub use plan::PipelinePlan;
-pub use resilient::{execute_pipelined_resilient, ResilientRun, RetryPolicy, SegmentOutcome};

@@ -25,9 +25,9 @@
 //! * [`pipeline`] — tensor segmentation, CUDA-stream-style scheduling and
 //!   the pipelined transfer/compute overlap of §IV-C.
 //! * [`exec`] — the ScheduleIR execution engine: every path above lowers
-//!   to one typed [`exec::Plan`] DAG, and one fault-aware interpreter
-//!   executes it (dry-run, retry/backoff and shard re-placement are
-//!   interpreter modes, not separate code paths).
+//!   to one typed [`exec::Plan`] DAG, and one op loop executes it —
+//!   dry-run, fault polling, retry/backoff and shard re-placement are
+//!   steps of executing an op, not separate code paths.
 //! * [`opt`] — the pass-based plan optimizer over the ScheduleIR:
 //!   transfer coalescing, copy/compute overlap re-streaming, dead-op
 //!   elimination, eviction sinking / prefetch hoisting, each with a
@@ -57,8 +57,8 @@
 //!   invariant catalogue, and the simulated-race checker driver.
 //! * [`faults`] — deterministic fault injection (device failures, transfer
 //!   corruption, kernel aborts, stragglers) and the recovery machinery:
-//!   segment retries in [`pipeline`], shard re-placement in [`cluster`],
-//!   job requeue in [`serve`] and checkpoint/rollback in [`kernels`].
+//!   op retries and unit re-placement in [`exec::run_plan_faulted`], job
+//!   requeue in [`serve`] and checkpoint/rollback in [`kernels`].
 //!
 //! ## Quickstart
 //!
@@ -97,23 +97,22 @@ pub use scalfrag_tensor as tensor;
 
 /// Convenient glob-importable re-exports of the most used types.
 pub mod prelude {
-    pub use scalfrag_cluster::{
-        execute_cluster_resilient, DeviceScheduler, FaultRecoveryPolicy, Interconnect, NodeSpec,
-        RecoveryMode, ResilientClusterRun, ShardPolicy,
-    };
+    pub use scalfrag_cluster::{DeviceScheduler, Interconnect, NodeSpec, ShardPolicy};
     pub use scalfrag_conformance::{oracle_mttkrp, run_differential, ConformanceReport};
     pub use scalfrag_core::{
         ClusterMttkrpReport, ClusterScalFrag, MttkrpReport, Parti, ResilientClusterMttkrpReport,
         ScalFrag,
     };
-    pub use scalfrag_exec::{run_plan, ExecMode, Plan, PlanBuilder, PlanTrace};
+    pub use scalfrag_exec::{
+        run_plan, run_plan_faulted, ExecMode, ExecOutcome, FaultRecoveryPolicy, Plan, PlanBuilder,
+        PlanTrace, RecoveryMode, RetryPolicy,
+    };
     pub use scalfrag_faults::{
         DeviceHealth, FaultInjector, FaultKind, FaultLog, FaultPlan, FaultTrigger,
     };
     pub use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
     pub use scalfrag_kernels::{FactorSet, MttkrpBackend};
     pub use scalfrag_linalg::Mat;
-    pub use scalfrag_pipeline::RetryPolicy;
     pub use scalfrag_serve::{
         AdmissionPolicy, DevicePool, MttkrpJob, ScalFragServer, ServeReport, WorkloadSpec,
     };

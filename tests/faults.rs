@@ -5,7 +5,7 @@
 //! produce the identical fault log.
 
 use proptest::prelude::*;
-use scalfrag::cluster::{execute_cluster, ClusterOptions};
+use scalfrag::cluster::{build_cluster_plan, execute_cluster, ClusterOptions};
 use scalfrag::faults::mat_checksum;
 use scalfrag::kernels::{
     cpd_als, cpd_als_checkpointed, CheckpointConfig, CpuSequentialBackend, ScriptedFailureBackend,
@@ -50,14 +50,13 @@ proptest! {
         let policy = FaultRecoveryPolicy::retry_reshard()
             .with_retry(RetryPolicy::with_attempts(plan.len() as u32 + 4));
 
+        let cluster = build_cluster_plan(&node(), &tensor, &factors, 0, &opts());
         let mut inj = FaultInjector::new(plan.clone());
-        let run = execute_cluster_resilient(
-            &node(), &tensor, &factors, 0, &opts(), &mut inj, &policy, ExecMode::Functional,
-        );
+        let run = run_plan_faulted(&cluster, ExecMode::Functional, &mut inj, &policy);
         prop_assert!(
             run.all_complete(),
-            "seed {seed} mtbf {mtbf}: {} segments lost under full recovery",
-            run.failed_segments
+            "seed {seed} mtbf {mtbf}: {} units lost under full recovery",
+            run.lost_items()
         );
         prop_assert_eq!(
             mat_checksum(&run.output),
@@ -69,9 +68,7 @@ proptest! {
 
         // Replay: same plan, fresh injector -> identical log and bits.
         let mut replay = FaultInjector::new(plan);
-        let rerun = execute_cluster_resilient(
-            &node(), &tensor, &factors, 0, &opts(), &mut replay, &policy, ExecMode::Functional,
-        );
+        let rerun = run_plan_faulted(&cluster, ExecMode::Functional, &mut replay, &policy);
         prop_assert_eq!(inj.log().fingerprint(), replay.log().fingerprint());
         prop_assert_eq!(mat_checksum(&run.output), mat_checksum(&rerun.output));
     }
@@ -94,17 +91,14 @@ fn no_retry_baseline_loses_work_under_a_storm() {
         .fault(1, FaultTrigger::AtOp(2), FaultKind::DeviceFail { down_s: None })
         .fault(0, FaultTrigger::AtOp(3), FaultKind::TransferCorruption);
     let mut inj = FaultInjector::new(plan);
-    let run = execute_cluster_resilient(
-        &node(),
-        &tensor,
-        &factors,
-        0,
-        &opts(),
+    let cluster = build_cluster_plan(&node(), &tensor, &factors, 0, &opts());
+    let run = run_plan_faulted(
+        &cluster,
+        ExecMode::Functional,
         &mut inj,
         &FaultRecoveryPolicy::no_retry(),
-        ExecMode::Functional,
     );
-    assert!(run.failed_segments > 0, "no-retry must lose the dead device's segments");
+    assert!(run.lost_items() > 0, "no-retry must lose the dead device's segments");
     assert_eq!(run.dead_devices, vec![1]);
 }
 
@@ -159,5 +153,80 @@ fn checkpointed_cpd_recovers_the_fault_free_trajectory() {
             mat_checksum(ckpt.result.factors.get(mode)),
             "rollback must reproduce the clean bits for mode {mode}"
         );
+    }
+}
+
+fn registry_tensor() -> (CooTensor, FactorSet) {
+    let dims = [80u32, 56, 40];
+    let tensor = scalfrag::tensor::gen::zipf_slices(&dims, 6_000, 1.1, 61);
+    let factors = FactorSet::random(&dims, 8, 62);
+    (tensor, factors)
+}
+
+fn bits(m: &Mat) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every registered builder, raw and after the default optimizer
+/// pipeline, runs through the one faulted loop: a seeded recoverable
+/// storm under the full recovery stack completes every unit on the
+/// fault-free bits (per-job outputs included) and replays to the same
+/// fault log, and an inert injector leaves the memory accounting of the
+/// fault-free run untouched.
+#[test]
+fn every_builder_recovers_a_storm_bit_exactly_raw_and_optimized() {
+    let (tensor, factors) = registry_tensor();
+    let builders = scalfrag::conformance::all_plan_builders();
+    assert_eq!(builders.len(), 11);
+    for builder in &builders {
+        let raw = (builder.build)(&tensor, &factors, 0);
+        for plan in [scalfrag::opt::optimize_default(&raw), raw] {
+            let clean = run_plan(&plan, ExecMode::Functional);
+            let policy = FaultRecoveryPolicy::retry_reshard();
+            let mut inert = FaultInjector::inert();
+            let quiet = run_plan_faulted(&plan, ExecMode::Functional, &mut inert, &policy);
+            assert_eq!(quiet.mem, clean.mem, "{}: inert injector, same memory", plan.name);
+            let mut injected = 0;
+            for seed in 0..3u64 {
+                let storm = FaultPlan::seeded_storm(seed, plan.devices.len(), 6, 32, true);
+                let run = || {
+                    let mut inj = FaultInjector::new(storm.clone());
+                    let out = run_plan_faulted(&plan, ExecMode::Functional, &mut inj, &policy);
+                    (out, inj.log().fingerprint(), inj.log().injected())
+                };
+                let ((out, log, fired), (_, replay_log, _)) = (run(), run());
+                injected += fired;
+                let name = format!("{} seed {seed} ({})", plan.name, plan.meta.optimizer);
+                assert!(out.all_complete(), "{name}: {} items lost", out.lost_items());
+                assert_eq!(bits(&out.output), bits(&clean.output), "{name}: output bits");
+                assert_eq!(out.shard_outputs.len(), clean.shard_outputs.len(), "{name}");
+                for (a, b) in out.shard_outputs.iter().zip(&clean.shard_outputs) {
+                    assert_eq!(bits(a), bits(b), "{name}: per-job output bits");
+                }
+                assert_eq!(log, replay_log, "{name}: the storm must replay to the same log");
+            }
+            assert!(injected > 0, "{}: the storms must actually fire", plan.name);
+        }
+    }
+}
+
+/// A permanent failure of device 0 at its first op, without retries,
+/// loses work on every builder — reported, not panicked.
+#[test]
+fn every_builder_reports_lost_work_under_no_retry() {
+    let (tensor, factors) = registry_tensor();
+    for builder in scalfrag::conformance::all_plan_builders() {
+        let raw = (builder.build)(&tensor, &factors, 0);
+        for plan in [scalfrag::opt::optimize_default(&raw), raw] {
+            let dead = FaultPlan::new().fault(
+                0,
+                FaultTrigger::AtOp(0),
+                FaultKind::DeviceFail { down_s: None },
+            );
+            let mut inj = FaultInjector::new(dead);
+            let policy = FaultRecoveryPolicy::no_retry();
+            let run = run_plan_faulted(&plan, ExecMode::Functional, &mut inj, &policy);
+            assert!(!run.all_complete(), "{}: a dead device 0 must lose work", plan.name);
+        }
     }
 }

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use scalfrag::cluster::{execute_cluster_resilient, ClusterOptions};
+use scalfrag::cluster::{build_cluster_plan, ClusterOptions};
 use scalfrag::faults::mat_checksum;
 use scalfrag::prelude::*;
 use scalfrag::tensor::gen;
@@ -29,7 +29,11 @@ use scalfrag::conformance::{combined_plan_fingerprint, print_or_assert};
 // (group size, batch wait, dispatch-group counters) that the report
 // digest deliberately folds.
 const GOLDEN_SERVE_FINGERPRINT: u64 = 0xf111_6031_af67_9f0f;
-const GOLDEN_FAULT_LOG_FINGERPRINT: u64 = 0xbd60_acb6_58c7_9e45;
+// Re-pinned when faulted runs moved onto the plan's op program: the log
+// now polls every op that moves bytes (factor uploads and D2H included),
+// names retried ops by span label, and records the ops polled at their
+// program position instead of per retry wave.
+const GOLDEN_FAULT_LOG_FINGERPRINT: u64 = 0x52b9_83c6_7791_6e25;
 const GOLDEN_CLUSTER_OUTPUT_CHECKSUM: u64 = 0xd336_3d55_543a_4baf;
 const GOLDEN_PLAN_TRACE_FINGERPRINT: u64 = 0xed33_cf2f_445d_e4d6;
 const GOLDEN_BALANCE_PLAN_TRACE_FINGERPRINT: u64 = 0x22fc_902a_17f3_df68;
@@ -87,17 +91,9 @@ fn fault_log_fingerprint_is_pinned() {
         let policy = FaultRecoveryPolicy::retry_reshard()
             .with_retry(RetryPolicy::with_attempts(plan.len() as u32 + 4));
         let mut inj = FaultInjector::new(plan);
-        let run = execute_cluster_resilient(
-            &node,
-            &tensor,
-            &factors,
-            0,
-            &opts,
-            &mut inj,
-            &policy,
-            ExecMode::Functional,
-        );
-        assert_eq!(run.failed_segments, 0, "recoverable storm must recover");
+        let cluster = build_cluster_plan(&node, &tensor, &factors, 0, &opts);
+        let run = run_plan_faulted(&cluster, ExecMode::Functional, &mut inj, &policy);
+        assert!(run.all_complete(), "recoverable storm must recover");
         inj.log().fingerprint()
     };
     let a = run();

@@ -86,7 +86,7 @@ fn budget_equal_to_working_set_streams_without_evictions() {
         KernelChoice::Tiled,
     )
     .unwrap();
-    assert_eq!(plan.seg_lists[0].len(), 2, "two slots, two segments");
+    assert_eq!(plan.total_items(), 2, "two slots, two segments");
     let outcome = run_plan(&plan, ExecMode::Dry);
     assert_eq!(outcome.mem[0].evictions, 0);
     assert_eq!(outcome.mem[0].prefetches, 2);
@@ -192,7 +192,7 @@ fn registry_plan_streams_under_its_budget_with_frees_balanced() {
 fn dry_run_leak_check_catches_unfreed_transients() {
     let (tensor, factors) = seed_tensor();
     let mut plan = registry_plan(&tensor, &factors, 0);
-    let program = plan.devices[0].program.as_mut().expect("streaming plans carry a program");
+    let program = &mut plan.devices[0].program;
     program.retain(|op| !matches!(op, PlanOp::Free { .. }));
     run_plan(&plan, ExecMode::Dry);
 }
