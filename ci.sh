@@ -29,6 +29,15 @@ test "$unused" -eq 0
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> benchmark build (perfbench/ is its own workspace, outside --workspace)"
+# The build may refresh perfbench/Cargo.lock; the tracked file goes back on
+# exit so the gate leaves the benchmark as it found it.
+lock=$(mktemp)
+cp perfbench/Cargo.lock "$lock"
+trap 'cp "$lock" perfbench/Cargo.lock; rm -f "$lock"' EXIT
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+    cargo build --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

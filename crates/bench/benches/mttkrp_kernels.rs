@@ -34,14 +34,14 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("coo-atomic", name), &tensor, |b, t| {
             b.iter(|| {
                 let out = AtomicF32Buffer::new(rows * RANK);
-                CooAtomicKernel::execute(t, &factors, 0, &out);
+                CooAtomicKernel::execute(t, 0..t.nnz(), &factors, 0, &out);
                 out
             })
         });
         group.bench_with_input(BenchmarkId::new("tiled", name), &sorted, |b, t| {
             b.iter(|| {
                 let out = AtomicF32Buffer::new(rows * RANK);
-                TiledKernel::execute(t, &factors, 0, 256, &out);
+                TiledKernel::execute(t, 0..t.nnz(), &factors, 0, 256, &out);
                 out
             })
         });

@@ -67,8 +67,7 @@ pub fn build_cluster_plan(
     let out_bytes = (rows * rank * 4) as u64;
     let factors_bytes = factors.byte_size() as u64;
 
-    let mut sorted = tensor.clone();
-    sorted.sort_for_mode(mode);
+    let sorted = tensor.sorted_for_mode(mode);
     let order = sorted.order();
     let shards = shard_tensor(&sorted, mode, opts.policy, opts.num_shards);
     let assignment = assign_shards(&shards, node, opts.scheduler, rank);

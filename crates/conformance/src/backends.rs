@@ -62,24 +62,18 @@ fn into_mat(buf: AtomicF32Buffer, rows: usize, rank: usize) -> Mat {
     Mat::from_vec(rows, rank, buf.to_vec())
 }
 
-fn sorted_for(tensor: &CooTensor, mode: usize) -> CooTensor {
-    let mut t = tensor.clone();
-    t.sort_for_mode(mode);
-    t
-}
-
 /// The five kernel formats (plus F-COO) as raw-format backends.
 pub fn kernel_backends() -> Vec<Backend> {
     vec![
         Backend::new(CooAtomicKernel::NAME, |t, f, mode| {
             let out = out_buffer(t, f, mode);
-            CooAtomicKernel::execute(t, f, mode, &out);
+            CooAtomicKernel::execute(t, 0..t.nnz(), f, mode, &out);
             into_mat(out, t.dims()[mode] as usize, f.rank())
         }),
         Backend::new(TiledKernel::NAME, |t, f, mode| {
-            let seg = sorted_for(t, mode);
+            let seg = t.sorted_for_mode(mode);
             let out = out_buffer(t, f, mode);
-            TiledKernel::execute(&seg, f, mode, 256, &out);
+            TiledKernel::execute(&seg, 0..seg.nnz(), f, mode, 256, &out);
             into_mat(out, t.dims()[mode] as usize, f.rank())
         }),
         Backend::new(CsfFiberKernel::NAME, |t, f, mode| {
@@ -89,7 +83,7 @@ pub fn kernel_backends() -> Vec<Backend> {
             into_mat(out, t.dims()[mode] as usize, f.rank())
         }),
         Backend::new(BcsfKernel::NAME, |t, f, mode| {
-            let seg = sorted_for(t, mode);
+            let seg = t.sorted_for_mode(mode);
             let split = BcsfKernel::split(&seg, mode, 64);
             let out = out_buffer(t, f, mode);
             BcsfKernel::execute(&seg, f, mode, &split, &out);

@@ -35,8 +35,7 @@ pub fn check_all_kernels(
     rank: usize,
     cfg: LaunchConfig,
 ) -> Vec<RaceVerdict> {
-    let mut sorted = tensor.clone();
-    sorted.sort_for_mode(mode);
+    let sorted = tensor.sorted_for_mode(mode);
     let mut verdicts = Vec::new();
 
     let mut log = AccessLog::new();

@@ -2,14 +2,17 @@
 
 use crate::report::{MttkrpReport, PhaseTiming};
 use scalfrag_autotune::TrainedPredictor;
+use scalfrag_exec::run_plan_on;
 use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig};
+use scalfrag_kernels::workload::mttkrp_flops;
 use scalfrag_kernels::{FactorSet, MttkrpBackend};
 use scalfrag_linalg::Mat;
 use scalfrag_pipeline::{
-    execute_hybrid, execute_pipelined, execute_sync, split_by_slice_population, ExecMode,
-    KernelChoice, PipelinePlan,
+    build_shared_pipelined_plan, execute_hybrid, execute_sync, split_by_slice_population, ExecMode,
+    KernelChoice, PipelinePlan, PipelineRun,
 };
 use scalfrag_tensor::{CooTensor, TensorFeatures};
+use std::sync::Arc;
 
 /// Feature toggles for the ScalFrag stack — the ablation surface.
 #[derive(Clone, Debug)]
@@ -258,10 +261,9 @@ impl ScalFrag {
         let cfg = self.select_config(tensor, mode, rank as u32);
         let kernel = self.kernel_choice();
         let mut gpu = Gpu::new(self.device.clone());
-        let stats = scalfrag_kernels::SegmentStats::compute(tensor, mode);
         let exec = if functional { ExecMode::Functional } else { ExecMode::Dry };
 
-        let (run, segments, streams) = if self.config.hybrid && functional {
+        let (run, segments, streams) = if self.config.hybrid {
             let split = split_by_slice_population(tensor, mode, self.config.hybrid_threshold);
             let segs = self.config.segments.unwrap_or(4);
             let strs = self.config.streams.unwrap_or(4.min(segs.max(1)));
@@ -269,8 +271,8 @@ impl ScalFrag {
                 execute_hybrid(&mut gpu, &split, factors, mode, cfg, segs, strs, kernel, exec);
             (run, segs, strs)
         } else if self.config.pipelined {
-            let mut sorted = tensor.clone();
-            sorted.sort_for_mode(mode);
+            // The sorted copy is the plan's shard, shared rather than cloned.
+            let sorted = Arc::new(tensor.sorted_for_mode(mode));
             let plan = match (self.config.segments, self.config.streams) {
                 (Some(segs), streams) => {
                     PipelinePlan::new(&sorted, mode, cfg, segs, streams.unwrap_or(segs.min(4)))
@@ -279,7 +281,13 @@ impl ScalFrag {
                     PipelinePlan::auto(&sorted, mode, cfg, &self.device, factors.byte_size())
                 }
             };
-            let run = execute_pipelined(&mut gpu, &sorted, factors, &plan, kernel, exec);
+            let program = build_shared_pipelined_plan(&self.device, sorted, factors, &plan, kernel);
+            let outcome = run_plan_on(&mut gpu, &program, exec);
+            let run = PipelineRun {
+                output: outcome.output,
+                timeline: outcome.timeline,
+                trace: outcome.trace,
+            };
             (run, plan.num_segments(), plan.num_streams)
         } else {
             let run = execute_sync(&mut gpu, tensor, factors, mode, cfg, kernel, exec);
@@ -293,7 +301,7 @@ impl ScalFrag {
             config: kernel.full_config(cfg, rank as u32),
             segments,
             streams,
-            flops: stats.flops(rank as u32),
+            flops: mttkrp_flops(tensor.nnz() as u64, tensor.order() as u32, rank as u32),
             timing: PhaseTiming::from_timeline(&run.timeline),
             overlap_ratio: run.timeline.overlap_ratio(),
             output: run.output,
@@ -366,6 +374,27 @@ mod tests {
         let expect = mttkrp_seq(&t, &f, 0);
         assert!(r.output.max_abs_diff(&expect) < 1e-2);
         assert!(r.timing.host_s > 0.0, "hybrid must use the host engine");
+    }
+
+    #[test]
+    fn hybrid_dry_runs_time_the_functional_schedule() {
+        let (t, f) = small();
+        let ctx = ScalFrag::builder()
+            .fixed_config(LaunchConfig::new(1024, 256))
+            .hybrid(true)
+            .hybrid_threshold(30)
+            .build();
+        let wet = ctx.mttkrp(&t, &f, 0);
+        let dry = ctx.mttkrp_dry(&t, &f, 0);
+        assert!(dry.timing.host_s > 0.0, "the dry run must time the host tail");
+        let bits = |r: &MttkrpReport| {
+            let p = r.timing;
+            [p.h2d_s, p.kernel_s, p.d2h_s, p.host_s, p.queue_s, p.batch_wait_s, p.total_s]
+                .map(f64::to_bits)
+        };
+        assert_eq!(bits(&dry), bits(&wet));
+        assert_eq!((dry.segments, dry.streams), (wet.segments, wet.streams));
+        assert_eq!(dry.output.frob_norm(), 0.0);
     }
 
     #[test]

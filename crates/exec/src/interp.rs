@@ -493,20 +493,14 @@ impl<'g> Device<'g> {
             });
         }
         let shard = &plan.shards[u.shard];
-        // A segment covering the whole shard (batched serving plans
-        // launch one kernel per job) needs no copy.
-        let piece = if u.seg.start == 0 && u.seg.end == shard.tensor.nnz() {
-            Arc::clone(&shard.tensor)
-        } else {
-            Arc::new(shard.tensor.slice_range(u.seg.start, u.seg.end))
-        };
         let functional = run.mode == ExecMode::Functional;
         self.attempt(faults, OpClass::Kernel, s, label, 0, |gpu, ok| {
             plan.kernel.enqueue(
                 gpu,
                 s,
                 plan.config,
-                Arc::clone(&piece),
+                Arc::clone(&shard.tensor),
+                u.seg.start..u.seg.end,
                 Arc::clone(&plan.factors),
                 plan.mode,
                 (ok && functional).then(|| Arc::clone(&run.buffers[u.shard])),

@@ -4,6 +4,7 @@ use scalfrag_balance::{BalancedKernel, FlycooKernel, CHUNK_LEN, FLYCOO_SEG_LEN};
 use scalfrag_gpusim::{Gpu, LaunchConfig, StreamId};
 use scalfrag_kernels::{AtomicF32Buffer, CooAtomicKernel, FactorSet, SegmentStats, TiledKernel};
 use scalfrag_tensor::{ChunkedTensor, CooTensor, FlycooTensor};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which kernel the interpreter launches per segment.
@@ -46,10 +47,11 @@ impl KernelChoice {
         }
     }
 
-    /// Enqueues one segment's kernel launch on `stream`: resolves the
+    /// Enqueues one segment's kernel launch on `stream` over the entries
+    /// `range` of its shard `tensor` — no copy of the segment: resolves the
     /// launch configuration, cost-model workload and (when `out` is given)
     /// the functional kernel body. The balance arms build their chunked /
-    /// remapped layouts from the COO segment here, mirroring the device-side
+    /// remapped layouts from the range here, mirroring the device-side
     /// format construction the real kernels would do at load time.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue(
@@ -57,7 +59,8 @@ impl KernelChoice {
         gpu: &mut Gpu,
         stream: StreamId,
         config: LaunchConfig,
-        seg: Arc<CooTensor>,
+        tensor: Arc<CooTensor>,
+        range: Range<usize>,
         factors: Arc<FactorSet>,
         mode: usize,
         out: Option<Arc<AtomicF32Buffer>>,
@@ -66,21 +69,26 @@ impl KernelChoice {
         match out {
             Some(out) => match self {
                 KernelChoice::CooAtomic => {
-                    CooAtomicKernel::enqueue(gpu, stream, config, seg, factors, mode, out, label);
+                    CooAtomicKernel::enqueue(
+                        gpu, stream, config, tensor, range, factors, mode, out, label,
+                    );
                 }
                 KernelChoice::Tiled => {
-                    TiledKernel::enqueue(gpu, stream, config, seg, factors, mode, out, label);
+                    TiledKernel::enqueue(
+                        gpu, stream, config, tensor, range, factors, mode, out, label,
+                    );
                 }
                 KernelChoice::Balanced => {
-                    let stats = SegmentStats::compute(&seg, mode);
-                    let chunked = Arc::new(ChunkedTensor::from_coo(&seg, mode, CHUNK_LEN));
+                    let stats = SegmentStats::compute_range(&tensor, mode, range.clone());
+                    let chunked =
+                        Arc::new(ChunkedTensor::from_range(&tensor, range, mode, CHUNK_LEN));
                     BalancedKernel::enqueue(
                         gpu, stream, config, &stats, chunked, factors, out, label,
                     );
                 }
                 KernelChoice::ModeAgnostic => {
-                    let stats = SegmentStats::compute(&seg, mode);
-                    let fly = Arc::new(FlycooTensor::from_coo(&seg, FLYCOO_SEG_LEN));
+                    let stats = SegmentStats::compute_range(&tensor, mode, range.clone());
+                    let fly = Arc::new(FlycooTensor::from_range(&tensor, range, FLYCOO_SEG_LEN));
                     FlycooKernel::enqueue(
                         gpu, stream, config, &stats, fly, mode, factors, out, label,
                     );
@@ -90,9 +98,74 @@ impl KernelChoice {
                 // Timing-only launch: same cost-model workload, no numerics.
                 let rank = factors.rank() as u32;
                 let cfg = self.full_config(config, rank);
-                let stats = SegmentStats::compute(&seg, mode);
+                let stats = SegmentStats::compute_range(&tensor, mode, range);
                 let workload = self.workload(&stats, rank, cfg.block);
                 gpu.launch(stream, cfg, workload, label);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scalfrag_gpusim::DeviceSpec;
+
+    const MODE: usize = 1;
+    const RANK: usize = 8;
+
+    /// Output bits and simulated span durations of one launch over `range`.
+    fn launch(
+        kernel: KernelChoice,
+        tensor: &Arc<CooTensor>,
+        range: Range<usize>,
+        factors: &Arc<FactorSet>,
+        functional: bool,
+    ) -> (Vec<u32>, Vec<u64>) {
+        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+        let s = gpu.create_stream();
+        let out = Arc::new(AtomicF32Buffer::new(tensor.dims()[MODE] as usize * RANK));
+        let sink = functional.then(|| Arc::clone(&out));
+        let config = LaunchConfig::new(256, 128);
+        let (t, f) = (Arc::clone(tensor), Arc::clone(factors));
+        kernel.enqueue(&mut gpu, s, config, t, range, f, MODE, sink, "kernel".to_string());
+        let spans = gpu.synchronize().spans;
+        let bits = out.to_vec().iter().map(|x| x.to_bits()).collect();
+        (bits, spans.iter().map(|span| span.duration().to_bits()).collect())
+    }
+
+    #[test]
+    fn range_launches_match_launches_on_a_slice_copy() {
+        let dims = [60u32, 40, 30];
+        let t = scalfrag_tensor::gen::zipf_slices(&dims, 5_000, 0.9, 3).sorted_for_mode(MODE);
+        let t = Arc::new(t);
+        let factors = Arc::new(FactorSet::random(&dims, RANK, 4));
+        let kernels = [
+            KernelChoice::CooAtomic,
+            KernelChoice::Tiled,
+            KernelChoice::Balanced,
+            KernelChoice::ModeAgnostic,
+        ];
+        for kernel in kernels {
+            for range in [0..5_000, 700..3_100, 4_999..5_000] {
+                let copy = Arc::new(t.slice_range(range.start, range.end));
+                let block = kernel.full_config(LaunchConfig::new(256, 128), RANK as u32).block;
+                assert_eq!(
+                    kernel.workload(
+                        &SegmentStats::compute_range(&t, MODE, range.clone()),
+                        RANK as u32,
+                        block
+                    ),
+                    kernel.workload(&SegmentStats::compute(&copy, MODE), RANK as u32, block),
+                    "{kernel:?} {range:?}: cost-model workload"
+                );
+                for functional in [true, false] {
+                    assert_eq!(
+                        launch(kernel, &t, range.clone(), &factors, functional),
+                        launch(kernel, &copy, 0..copy.nnz(), &factors, functional),
+                        "{kernel:?} {range:?} functional={functional}"
+                    );
+                }
             }
         }
     }

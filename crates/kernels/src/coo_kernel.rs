@@ -12,6 +12,7 @@ use crate::workload::{coo_atomic_workload, SegmentStats};
 use crate::{partials, simd};
 use scalfrag_gpusim::{Gpu, KernelWorkload, LaunchConfig, OpId, StreamId};
 use scalfrag_tensor::CooTensor;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Entries per parallel unit. Fixed (never thread-derived) so the unit
@@ -32,18 +33,25 @@ impl CooAtomicKernel {
     }
 
     /// Functional body: computes `out[row·rank + f] += val · Π factor rows`
-    /// for every entry, in parallel, with atomic f32 adds — the exact
-    /// update the CUDA kernel performs.
+    /// for every entry in `range` of `seg`, in parallel, with atomic f32
+    /// adds — the exact update the CUDA kernel performs.
     ///
     /// `out` must have `dims[mode] * rank` elements.
-    pub fn execute(seg: &CooTensor, factors: &FactorSet, mode: usize, out: &AtomicF32Buffer) {
+    pub fn execute(
+        seg: &CooTensor,
+        range: Range<usize>,
+        factors: &FactorSet,
+        mode: usize,
+        out: &AtomicF32Buffer,
+    ) {
         let rank = factors.rank();
         assert_eq!(out.len(), seg.dims()[mode] as usize * rank, "output buffer shape mismatch");
+        assert!(range.end <= seg.nnz(), "range out of bounds");
         let order = seg.order();
-        let nnz = seg.nnz();
+        let nnz = range.len();
         let units = nnz.div_ceil(UNIT_LEN);
         partials::run_units(units, out, |u, list| {
-            for e in u * UNIT_LEN..((u + 1) * UNIT_LEN).min(nnz) {
+            for e in range.start + u * UNIT_LEN..range.start + ((u + 1) * UNIT_LEN).min(nnz) {
                 let mut acc = [0.0f32; 64];
                 let acc = &mut acc[..rank.min(64)];
                 simd::fill(acc, seg.values()[e]);
@@ -63,23 +71,25 @@ impl CooAtomicKernel {
         });
     }
 
-    /// Enqueues this kernel on the simulated GPU: the duration comes from
-    /// the cost model, the numeric work from [`CooAtomicKernel::execute`].
+    /// Enqueues this kernel over the entries `range` of `seg` on the
+    /// simulated GPU: the duration comes from the cost model, the numeric
+    /// work from [`CooAtomicKernel::execute`].
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue(
         gpu: &mut Gpu,
         stream: StreamId,
         config: LaunchConfig,
         seg: Arc<CooTensor>,
+        range: Range<usize>,
         factors: Arc<FactorSet>,
         mode: usize,
         out: Arc<AtomicF32Buffer>,
         label: impl Into<String>,
     ) -> OpId {
-        let stats = SegmentStats::compute(&seg, mode);
+        let stats = SegmentStats::compute_range(&seg, mode, range.clone());
         let workload = Self::workload(&stats, factors.rank() as u32);
         gpu.launch_exec(stream, config, workload, label, move || {
-            Self::execute(&seg, &factors, mode, &out);
+            Self::execute(&seg, range, &factors, mode, &out);
         })
     }
 }
@@ -94,7 +104,7 @@ mod tests {
     fn run_functional(t: &CooTensor, f: &FactorSet, mode: usize) -> Mat {
         let rank = f.rank();
         let out = AtomicF32Buffer::new(t.dims()[mode] as usize * rank);
-        CooAtomicKernel::execute(t, f, mode, &out);
+        CooAtomicKernel::execute(t, 0..t.nnz(), f, mode, &out);
         Mat::from_vec(t.dims()[mode] as usize, rank, out.to_vec())
     }
 
@@ -132,6 +142,7 @@ mod tests {
             s,
             LaunchConfig::new(64, 128),
             Arc::clone(&t),
+            0..400,
             Arc::clone(&f),
             0,
             Arc::clone(&out),
@@ -151,6 +162,6 @@ mod tests {
         let t = CooTensor::random_uniform(&[5, 5], 10, 0);
         let f = FactorSet::random(&[5, 5], 4, 0);
         let out = AtomicF32Buffer::new(3);
-        CooAtomicKernel::execute(&t, &f, 0, &out);
+        CooAtomicKernel::execute(&t, 0..t.nnz(), &f, 0, &out);
     }
 }

@@ -23,11 +23,10 @@ pub fn spttm_seq(tensor: &CooTensor, u: &Mat, mode: usize) -> SemiSparseTensor {
     let r = u.cols();
 
     // Group entries by their fiber (coordinates over modes != mode).
-    let mut sorted = tensor.clone();
     // Sorting with `mode` *last* groups fibers contiguously.
     let mut order: Vec<usize> = (0..tensor.order()).filter(|&m| m != mode).collect();
     order.push(mode);
-    sorted.sort_by_order(&order);
+    let sorted = tensor.sorted_by_order(&order);
 
     let mut out_dims: Vec<Idx> = tensor.dims().to_vec();
     out_dims[mode] = r as Idx;
@@ -64,10 +63,9 @@ pub fn spttm_par(tensor: &CooTensor, u: &Mat, mode: usize) -> SemiSparseTensor {
     assert_eq!(u.rows(), tensor.dims()[mode] as usize, "matrix rows != mode size");
     let r = u.cols();
 
-    let mut sorted = tensor.clone();
     let mut order: Vec<usize> = (0..tensor.order()).filter(|&m| m != mode).collect();
     order.push(mode);
-    sorted.sort_by_order(&order);
+    let sorted = tensor.sorted_by_order(&order);
 
     // Find fiber boundaries.
     let nnz = sorted.nnz();

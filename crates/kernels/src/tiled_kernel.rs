@@ -21,6 +21,7 @@ use crate::workload::{tiled_smem_bytes, tiled_workload, SegmentStats};
 use crate::{partials, simd};
 use scalfrag_gpusim::{Gpu, KernelWorkload, LaunchConfig, OpId, StreamId};
 use scalfrag_tensor::CooTensor;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The shared-memory tiled MTTKRP kernel — ScalFrag's compute contribution.
@@ -42,12 +43,14 @@ impl TiledKernel {
         LaunchConfig::with_shared(base.grid, base.block, tiled_smem_bytes(rank, base.block))
     }
 
-    /// Functional body. `seg` should be sorted for `mode` (the pipeline's
-    /// preprocessing guarantees it); unsorted input is still *correct*,
-    /// merely tile-ineffective — matching the real kernel, where sorting is
-    /// what makes same-row entries land in the same block.
+    /// Functional body over the entries `range` of `seg`. They should be
+    /// sorted for `mode` (the pipeline's preprocessing guarantees it);
+    /// unsorted input is still *correct*, merely tile-ineffective — matching
+    /// the real kernel, where sorting is what makes same-row entries land in
+    /// the same block.
     pub fn execute(
         seg: &CooTensor,
+        range: Range<usize>,
         factors: &FactorSet,
         mode: usize,
         block: u32,
@@ -55,8 +58,9 @@ impl TiledKernel {
     ) {
         let rank = factors.rank();
         assert_eq!(out.len(), seg.dims()[mode] as usize * rank, "output buffer shape mismatch");
+        assert!(range.end <= seg.nnz(), "range out of bounds");
         let order = seg.order();
-        let nnz = seg.nnz();
+        let nnz = range.len();
         if nnz == 0 {
             return;
         }
@@ -87,7 +91,7 @@ impl TiledKernel {
                 }
             };
 
-            for e in u * window..((u + 1) * window).min(nnz) {
+            for e in range.start + u * window..range.start + ((u + 1) * window).min(nnz) {
                 let row = seg.mode_indices(mode)[e] as usize;
                 if row != open_row {
                     flush(open_row, &mut mvals, list);
@@ -106,13 +110,15 @@ impl TiledKernel {
         });
     }
 
-    /// Enqueues this kernel on the simulated GPU.
+    /// Enqueues this kernel over the entries `range` of `seg` on the
+    /// simulated GPU.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue(
         gpu: &mut Gpu,
         stream: StreamId,
         base_config: LaunchConfig,
         seg: Arc<CooTensor>,
+        range: Range<usize>,
         factors: Arc<FactorSet>,
         mode: usize,
         out: Arc<AtomicF32Buffer>,
@@ -120,11 +126,11 @@ impl TiledKernel {
     ) -> OpId {
         let rank = factors.rank() as u32;
         let config = Self::config_with_smem(base_config, rank);
-        let stats = SegmentStats::compute(&seg, mode);
+        let stats = SegmentStats::compute_range(&seg, mode, range.clone());
         let workload = Self::workload(&stats, rank, config.block);
         let block = config.block;
         gpu.launch_exec(stream, config, workload, label, move || {
-            Self::execute(&seg, &factors, mode, block, &out);
+            Self::execute(&seg, range, &factors, mode, block, &out);
         })
     }
 }
@@ -138,7 +144,7 @@ mod tests {
     fn run_functional(t: &CooTensor, f: &FactorSet, mode: usize, block: u32) -> Mat {
         let rank = f.rank();
         let out = AtomicF32Buffer::new(t.dims()[mode] as usize * rank);
-        TiledKernel::execute(t, f, mode, block, &out);
+        TiledKernel::execute(t, 0..t.nnz(), f, mode, block, &out);
         Mat::from_vec(t.dims()[mode] as usize, rank, out.to_vec())
     }
 
@@ -182,7 +188,7 @@ mod tests {
         let t = CooTensor::new(&[5, 5, 5]);
         let f = FactorSet::random(&[5, 5, 5], 4, 0);
         let out = AtomicF32Buffer::new(5 * 4);
-        TiledKernel::execute(&t, &f, 0, 256, &out);
+        TiledKernel::execute(&t, 0..0, &f, 0, 256, &out);
         assert!(out.to_vec().iter().all(|&x| x == 0.0));
     }
 
@@ -209,6 +215,7 @@ mod tests {
             s,
             LaunchConfig::new(128, 128),
             Arc::clone(&t),
+            0..800,
             Arc::clone(&f),
             0,
             Arc::clone(&out),

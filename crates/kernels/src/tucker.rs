@@ -89,10 +89,9 @@ impl TuckerResult {
 fn mode_gram(tensor: &CooTensor, mode: usize) -> Mat {
     let dim = tensor.dims()[mode] as usize;
     assert!(dim <= MAX_GRAM_DIM, "mode {mode} too large ({dim}) for dense Gram");
-    let mut sorted = tensor.clone();
     let mut order: Vec<usize> = (0..tensor.order()).filter(|&m| m != mode).collect();
     order.push(mode);
-    sorted.sort_by_order(&order);
+    let sorted = tensor.sorted_by_order(&order);
 
     let key_at = |e: usize| -> Vec<Idx> {
         order[..order.len() - 1].iter().map(|&m| sorted.mode_indices(m)[e]).collect()

@@ -9,6 +9,7 @@
 
 use scalfrag_gpusim::KernelWorkload;
 use scalfrag_tensor::{CooTensor, Idx, Val};
+use std::ops::Range;
 
 /// Structural statistics of one tensor segment for a target mode.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,8 +30,18 @@ pub struct SegmentStats {
 impl SegmentStats {
     /// Computes statistics of `tensor` for `mode`.
     pub fn compute(tensor: &CooTensor, mode: usize) -> Self {
-        let nnz = tensor.nnz() as u64;
-        let hist = tensor.slice_nnz_histogram(mode);
+        Self::compute_range(tensor, mode, 0..tensor.nnz())
+    }
+
+    /// Computes statistics of the entries in `range` of `tensor` for
+    /// `mode` — what [`SegmentStats::compute`] gives on
+    /// `tensor.slice_range(range.start, range.end)`, without the copy.
+    pub fn compute_range(tensor: &CooTensor, mode: usize, range: Range<usize>) -> Self {
+        let nnz = range.len() as u64;
+        let mut hist = vec![0u32; tensor.dims()[mode] as usize];
+        for &i in &tensor.mode_indices(mode)[range] {
+            hist[i as usize] += 1;
+        }
         let mut hotness = 0.0f64;
         let mut nonempty = 0u64;
         for &c in &hist {
@@ -49,11 +60,10 @@ impl SegmentStats {
         }
     }
 
-    /// FLOPs of an MTTKRP over this segment at the given rank: per entry
-    /// and rank column, `order-1` multiplies + 1 multiply by the value +
-    /// 1 add.
+    /// FLOPs of an MTTKRP over this segment at the given rank
+    /// ([`mttkrp_flops`]).
     pub fn flops(&self, rank: u32) -> u64 {
-        self.nnz * rank as u64 * (self.order as u64 + 1)
+        mttkrp_flops(self.nnz, self.order, rank)
     }
 
     /// Bytes the kernel reads per entry: the COO indices and value, plus
@@ -76,6 +86,13 @@ impl SegmentStats {
     pub fn output_bytes(&self, rank: u32) -> u64 {
         self.mode_dim * rank as u64 * 4
     }
+}
+
+/// FLOPs of an MTTKRP over `nnz` entries of an order-`order` tensor at the
+/// given rank: per entry and rank column, `order-1` multiplies + 1
+/// multiply by the value + 1 add.
+pub fn mttkrp_flops(nnz: u64, order: u32, rank: u32) -> u64 {
+    nnz * rank as u64 * (order as u64 + 1)
 }
 
 /// Workload of the ParTI-style nnz-parallel COO kernel with per-element

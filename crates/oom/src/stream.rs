@@ -283,8 +283,7 @@ pub fn build_streaming_plan(
     let persistent = factors_bytes + out_bytes;
     let lay = layout(tensor.nnz() as u64, entry_bytes, budget, persistent)?;
 
-    let mut sorted = tensor.clone();
-    sorted.sort_for_mode(mode);
+    let sorted = tensor.sorted_for_mode(mode);
     let segments = if lay.k == 0 { Vec::new() } else { segment_by_nnz(sorted.nnz(), lay.k) };
     let units: Vec<WorkUnit> = segments
         .iter()

@@ -87,10 +87,23 @@ pub fn build_sync_plan(
 
 /// Lowers the segmented pipeline of §IV-C over a *mode-sorted* tensor:
 /// per-segment H2D + kernel spread over `plan.num_streams` streams, one
-/// event-ordered D2H at the end.
+/// event-ordered D2H at the end. The plan holds a copy of `tensor`;
+/// [`build_shared_pipelined_plan`] takes one the caller already shares.
 pub fn build_pipelined_plan(
     spec: &DeviceSpec,
     tensor: &CooTensor,
+    factors: &FactorSet,
+    plan: &PipelinePlan,
+    kernel: KernelChoice,
+) -> Plan {
+    build_shared_pipelined_plan(spec, Arc::new(tensor.clone()), factors, plan, kernel)
+}
+
+/// [`build_pipelined_plan`] over a shared *mode-sorted* tensor: the plan's
+/// one shard is `tensor` itself and every launch reads a range of it.
+pub fn build_shared_pipelined_plan(
+    spec: &DeviceSpec,
+    tensor: Arc<CooTensor>,
     factors: &FactorSet,
     plan: &PipelinePlan,
     kernel: KernelChoice,
@@ -128,7 +141,7 @@ pub fn build_pipelined_plan(
         kernel,
         factors: Arc::new(factors.clone()),
         factors_bytes,
-        shards: vec![ShardDesc { index: 0, tensor: Arc::new(tensor.clone()), rows: None }],
+        shards: vec![ShardDesc { index: 0, tensor, rows: None }],
         devices: vec![DeviceOps {
             device: 0,
             name: spec.name,
@@ -184,10 +197,9 @@ pub fn build_hybrid_plan(
     plan_streams: usize,
     kernel: KernelChoice,
 ) -> Plan {
-    let mut gpu_tensor = split.gpu_part.clone();
-    gpu_tensor.sort_for_mode(mode);
+    let gpu_tensor = Arc::new(split.gpu_part.sorted_for_mode(mode));
     let pipeline = PipelinePlan::new(&gpu_tensor, mode, config, plan_segments, plan_streams);
-    let mut plan = build_pipelined_plan(spec, &gpu_tensor, factors, &pipeline, kernel);
+    let mut plan = build_shared_pipelined_plan(spec, gpu_tensor, factors, &pipeline, kernel);
     plan.name = "scalfrag-hybrid";
     if split.cpu_part.nnz() > 0 {
         let rank = factors.rank() as u32;
@@ -368,9 +380,7 @@ pub fn build_batched_plan(
 pub fn batched_plan_builders() -> Vec<PlanBuilder> {
     let cfg = LaunchConfig::new(512, 256);
     vec![PlanBuilder::new("serve-batched", move |tensor, factors, mode| {
-        let mut t = tensor.clone();
-        t.sort_for_mode(mode);
-        let t = Arc::new(t);
+        let t = Arc::new(tensor.sorted_for_mode(mode));
         let jobs: Vec<BatchedJobSpec> =
             (0..3).map(|id| BatchedJobSpec { id, tensor: Arc::clone(&t) }).collect();
         build_batched_plan(
@@ -390,8 +400,7 @@ pub fn plan_builders() -> Vec<PlanBuilder> {
     let cfg = LaunchConfig::new(512, 256);
     vec![
         PlanBuilder::new("scalfrag-sync", move |tensor, factors, mode| {
-            let mut t = tensor.clone();
-            t.sort_for_mode(mode);
+            let t = tensor.sorted_for_mode(mode);
             build_sync_plan(&DeviceSpec::rtx3090(), &t, factors, mode, cfg, KernelChoice::Tiled)
         }),
         PlanBuilder::new("scalfrag-pipelined", move |tensor, factors, mode| {
@@ -417,8 +426,7 @@ pub fn balance_plan_builders() -> Vec<PlanBuilder> {
     let cfg = LaunchConfig::new(512, 256);
     vec![
         PlanBuilder::new("balance-segscan", move |tensor, factors, mode| {
-            let mut t = tensor.clone();
-            t.sort_for_mode(mode);
+            let t = tensor.sorted_for_mode(mode);
             build_balance_segscan_plan(&DeviceSpec::rtx3090(), &t, factors, mode, cfg)
         }),
         PlanBuilder::new("balance-flycoo", move |tensor, factors, mode| {

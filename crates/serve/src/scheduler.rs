@@ -26,7 +26,7 @@ use scalfrag_faults::{DeviceHealth, FaultInjector, OpClass, OpVerdict, RecoveryA
 use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig, SpanKind};
 use scalfrag_pipeline::plan::MAX_SEGMENTS;
 use scalfrag_pipeline::{
-    build_batched_plan, build_pipelined_plan, execute_hybrid, split_by_slice_population,
+    build_batched_plan, build_shared_pipelined_plan, execute_hybrid, split_by_slice_population,
     BatchedJobSpec, ExecMode, KernelChoice, PipelinePlan,
 };
 use scalfrag_tensor::{segment, CooTensor, FeatureKey, TensorFeatures};
@@ -114,13 +114,11 @@ impl PlannerMemo {
     }
 
     fn sorted_of(&mut self, job: &MttkrpJob) -> Arc<CooTensor> {
-        Arc::clone(self.sorted.entry((Arc::as_ptr(&job.tensor) as usize, job.mode)).or_insert_with(
-            || {
-                let mut sorted = (*job.tensor).clone();
-                sorted.sort_for_mode(job.mode);
-                Arc::new(sorted)
-            },
-        ))
+        Arc::clone(
+            self.sorted
+                .entry((Arc::as_ptr(&job.tensor) as usize, job.mode))
+                .or_insert_with(|| Arc::new(job.tensor.sorted_for_mode(job.mode))),
+        )
     }
 }
 
@@ -691,10 +689,10 @@ pub fn plan_builders() -> Vec<PlanBuilder> {
             MAX_SEGMENTS,
         )
         .clamp(4, MAX_SEGMENTS);
-        let mut sorted = tensor.clone();
-        sorted.sort_for_mode(mode);
+        let sorted = Arc::new(tensor.sorted_for_mode(mode));
         let pplan = PipelinePlan::new(&sorted, mode, config, segments, segments.min(4));
-        let mut p = build_pipelined_plan(&device, &sorted, factors, &pplan, KernelChoice::Tiled);
+        let mut p =
+            build_shared_pipelined_plan(&device, sorted, factors, &pplan, KernelChoice::Tiled);
         p.name = "serve-functional";
         p
     })]

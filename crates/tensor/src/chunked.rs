@@ -14,6 +14,7 @@
 //! makes the result bit-stable across chunk counts.
 
 use crate::{CooTensor, Idx, Val};
+use std::ops::Range;
 
 /// An output row cut by at least one chunk boundary, with the full
 /// (contiguous, mode-sorted) entry range it owns.
@@ -52,10 +53,14 @@ impl ChunkedTensor {
     /// # Panics
     /// Panics if `chunk_len == 0` or `mode` is out of range.
     pub fn from_coo(coo: &CooTensor, mode: usize, chunk_len: usize) -> Self {
+        Self::from_range(coo, 0..coo.nnz(), mode, chunk_len)
+    }
+
+    /// [`ChunkedTensor::from_coo`] of the entries in `range` alone.
+    pub fn from_range(coo: &CooTensor, range: Range<usize>, mode: usize, chunk_len: usize) -> Self {
         assert!(chunk_len > 0, "chunk length must be positive");
         assert!(mode < coo.order(), "mode out of range");
-        let mut sorted = coo.clone();
-        sorted.sort_for_mode(mode);
+        let sorted = coo.sorted_range(&coo.mode_order(mode), range);
 
         let nnz = sorted.nnz();
         let rows: Vec<Idx> = sorted.mode_indices(mode).to_vec();

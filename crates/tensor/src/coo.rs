@@ -5,8 +5,10 @@
 //! exactly the layout transferred to the device by ParTI and by ScalFrag's
 //! segmented pipeline, and the layout the simulated kernels read.
 
+use crate::bucket::BucketSort;
 use crate::{Idx, Val};
 use rand::Rng;
+use std::ops::Range;
 
 /// A sparse tensor in coordinate format.
 ///
@@ -144,34 +146,60 @@ impl CooTensor {
 
     /// Sorts entries lexicographically by the given mode ordering
     /// (e.g. `[1, 0, 2]` sorts by mode-1 index first). The sort is stable —
-    /// entries with equal coordinates keep their input order — and costs
-    /// O(order · (nnz + max dim)).
+    /// entries with equal coordinates keep their input order.
     pub fn sort_by_order(&mut self, order: &[usize]) {
-        assert_eq!(order.len(), self.order(), "ordering must mention every mode");
-        let keys: Vec<(&[Idx], Idx)> =
-            order.iter().map(|&m| (self.inds[m].as_slice(), self.dims[m])).collect();
-        let perm = radix_permutation(self.nnz(), &keys);
-        self.apply_permutation(&perm);
+        *self = self.sorted_by_order(order);
     }
 
     /// Sorts entries for mode-`n` processing: primary key mode `n`, then the
-    /// remaining modes ascending. Stable, O(order · (nnz + max dim)).
+    /// remaining modes ascending. Stable.
     pub fn sort_for_mode(&mut self, mode: usize) {
         let order = self.mode_order(mode);
         self.sort_by_order(&order);
     }
 
+    /// A sorted copy — what cloning and then [`CooTensor::sort_by_order`]
+    /// gives, without the clone. One bucket sort by the lead mode:
+    /// O(order · nnz + dim) for the scatter plus a cache-resident sort per
+    /// lead index; the index columns decode sequentially from the packed
+    /// words and only the values are gathered.
+    pub fn sorted_by_order(&self, order: &[usize]) -> CooTensor {
+        self.sorted_range(order, 0..self.nnz())
+    }
+
+    /// A copy sorted for mode-`n` processing ([`CooTensor::sort_for_mode`]
+    /// order), without a clone.
+    pub fn sorted_for_mode(&self, mode: usize) -> CooTensor {
+        self.sorted_by_order(&self.mode_order(mode))
+    }
+
+    /// The entries in `range` as their own tensor (same dims), sorted like
+    /// [`CooTensor::sorted_by_order`].
+    pub(crate) fn sorted_range(&self, order: &[usize], range: Range<usize>) -> CooTensor {
+        assert_eq!(order.len(), self.order(), "ordering must mention every mode");
+        assert!(range.end <= self.nnz(), "range out of bounds");
+        let keys = order.iter().map(|&m| (&self.inds[m][range.clone()], self.dims[m])).collect();
+        let sort = BucketSort::new(range.len(), keys);
+        let mut inds = vec![Vec::new(); self.order()];
+        for (k, &m) in order.iter().enumerate() {
+            inds[m] = sort.column(k);
+        }
+        CooTensor { dims: self.dims.clone(), inds, vals: sort.gather(&self.vals[range]) }
+    }
+
     /// True when entries are sorted by the given mode ordering.
     pub fn is_sorted_by_order(&self, order: &[usize]) -> bool {
-        (1..self.nnz()).all(|e| {
-            for &m in order {
-                match self.inds[m][e - 1].cmp(&self.inds[m][e]) {
-                    std::cmp::Ordering::Less => return true,
-                    std::cmp::Ordering::Greater => return false,
-                    std::cmp::Ordering::Equal => continue,
-                }
+        // One branch-free pass per mode: `tie[e]` says entries `e` and
+        // `e + 1` agree on every mode checked so far, so only those pairs
+        // must not descend in the next mode.
+        let mut tie = vec![true; self.nnz().saturating_sub(1)];
+        order.iter().all(|&m| {
+            let mut sorted = true;
+            for (t, w) in tie.iter_mut().zip(self.inds[m].windows(2)) {
+                sorted &= !(*t & (w[0] > w[1]));
+                *t &= w[0] == w[1];
             }
-            true
+            sorted
         })
     }
 
@@ -203,13 +231,6 @@ impl CooTensor {
             iv.truncate(new_len);
         }
         self.vals.truncate(new_len);
-    }
-
-    fn apply_permutation(&mut self, perm: &[u32]) {
-        for iv in &mut self.inds {
-            *iv = perm.iter().map(|&p| iv[p as usize]).collect();
-        }
-        self.vals = perm.iter().map(|&p| self.vals[p as usize]).collect();
     }
 
     /// Extracts the contiguous entry range `[start, end)` as its own tensor
@@ -250,25 +271,15 @@ impl CooTensor {
     /// index except mode `m`), in lexicographic fiber order — the raw
     /// material of the `maxFiberLength` imbalance features that drive the
     /// load-balanced kernel arm. `counts.len() == num_fibers(mode)` and
-    /// `counts.iter().sum() == nnz`. One stable radix sort over the other
-    /// modes plus a run count: O(order · (nnz + max dim)).
+    /// `counts.iter().sum() == nnz`. One bucket sort over the other modes,
+    /// the first as lead, plus a run count per bucket.
     pub fn fiber_nnz_counts(&self, mode: usize) -> Vec<u32> {
         assert!(mode < self.order(), "mode out of range");
-        let keys: Vec<(&[Idx], Idx)> = (0..self.order())
+        let keys = (0..self.order())
             .filter(|&m| m != mode)
             .map(|m| (self.inds[m].as_slice(), self.dims[m]))
             .collect();
-        let perm = radix_permutation(self.nnz(), &keys);
-        let mut counts: Vec<u32> = Vec::new();
-        for (k, &e) in perm.iter().enumerate() {
-            let same_fiber =
-                k > 0 && keys.iter().all(|(col, _)| col[e as usize] == col[perm[k - 1] as usize]);
-            match counts.last_mut() {
-                Some(run) if same_fiber => *run += 1,
-                _ => counts.push(1),
-            }
-        }
-        counts
+        BucketSort::new(self.nnz(), keys).runs()
     }
 
     /// A random tensor with `nnz` distinct uniform coordinates and values in
@@ -320,58 +331,6 @@ impl CooTensor {
             *v = rng.gen_range(0.0f32..1.0) + f32::EPSILON;
         }
     }
-}
-
-/// Widest key a single counting pass takes: columns with larger bounds are
-/// sorted in two passes, one per half of the key's bits.
-const RADIX_BITS: u32 = 16;
-
-/// Stable LSD counting-sort permutation: entry ids `0..nnz` ordered
-/// lexicographically by `keys` (most significant first), equal keys in
-/// input order. Each key is a column of `nnz` values below its bound. A
-/// column takes one counting pass when its bound is at most `2^16`, and
-/// otherwise one pass per half of its bits, so no pass has more than
-/// `2^16` buckets. Each column costs O(nnz + min(bound, 2^16)) time; the
-/// scratch is one more nnz-long permutation plus the bucket counts.
-pub(crate) fn radix_permutation(nnz: usize, keys: &[(&[Idx], Idx)]) -> Vec<u32> {
-    assert!(nnz <= u32::MAX as usize, "entry ids are u32");
-    let mut perm: Vec<u32> = (0..nnz as u32).collect();
-    let mut next = vec![0u32; nnz];
-    let mut counts: Vec<u32> = Vec::new();
-    for &(col, bound) in keys.iter().rev() {
-        assert_eq!(col.len(), nnz, "key column length != nnz");
-        // (shift, mask, digit bound) per pass, least significant digit first.
-        let passes = if bound <= 1 << RADIX_BITS {
-            vec![(0, Idx::MAX, bound)]
-        } else {
-            let half = (Idx::BITS - (bound - 1).leading_zeros()).div_ceil(2);
-            let low = (1 << half) - 1;
-            vec![(0, low, low + 1), (half, Idx::MAX, ((bound - 1) >> half) + 1)]
-        };
-        for (shift, mask, digit_bound) in passes {
-            let digit = |v: Idx| ((v >> shift) & mask) as usize;
-            // Digit counts do not depend on the entry order: one sequential
-            // sweep of the column, then exclusive prefix sums as bucket starts.
-            counts.clear();
-            counts.resize(digit_bound as usize, 0);
-            for &v in col {
-                counts[digit(v)] += 1;
-            }
-            let mut start = 0;
-            for c in &mut counts {
-                let n = *c;
-                *c = start;
-                start += n;
-            }
-            for &e in &perm {
-                let slot = &mut counts[digit(col[e as usize])];
-                next[*slot as usize] = e;
-                *slot += 1;
-            }
-            std::mem::swap(&mut perm, &mut next);
-        }
-    }
-    perm
 }
 
 #[cfg(test)]

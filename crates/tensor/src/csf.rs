@@ -33,8 +33,7 @@ impl CsfTensor {
     /// The input does not need to be pre-sorted; a sorted copy is taken.
     pub fn from_coo(coo: &CooTensor, mode: usize) -> Self {
         let order = coo.mode_order(mode);
-        let mut sorted = coo.clone();
-        sorted.sort_by_order(&order);
+        let mut sorted = coo.sorted_by_order(&order);
         sorted.dedup_sum(&order);
         Self::from_sorted_coo(&sorted, order)
     }

@@ -48,8 +48,7 @@ impl FCooTensor {
     pub fn from_coo(coo: &CooTensor, mode: usize, seg_len: usize) -> Self {
         assert!(seg_len > 0, "segment length must be positive");
         assert!(mode < coo.order(), "mode out of range");
-        let mut sorted = coo.clone();
-        sorted.sort_for_mode(mode);
+        let sorted = coo.sorted_for_mode(mode);
 
         let nnz = sorted.nnz();
         let rows: Vec<Idx> = sorted.mode_indices(mode).to_vec();

@@ -19,9 +19,10 @@
 //! kernel can fold every output row in one strict left-to-right pass and
 //! stay bit-stable across partition counts.
 
+use crate::bucket::BucketSort;
 use crate::chunked::BoundaryRow;
-use crate::coo::radix_permutation;
 use crate::{CooTensor, Idx, Val};
+use std::ops::Range;
 
 /// A sparse tensor in FLYCOO form: one entry copy + per-mode remap tables.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,15 +48,21 @@ impl FlycooTensor {
     /// # Panics
     /// Panics if `seg_len == 0`.
     pub fn from_coo(coo: &CooTensor, seg_len: usize) -> Self {
+        Self::from_range(coo, 0..coo.nnz(), seg_len)
+    }
+
+    /// [`FlycooTensor::from_coo`] of the entries in `range` alone.
+    pub fn from_range(coo: &CooTensor, range: Range<usize>, seg_len: usize) -> Self {
         assert!(seg_len > 0, "segment length must be positive");
-        let nnz = coo.nnz();
+        let nnz = range.len();
         assert!(nnz <= u32::MAX as usize, "remap tables are u32-indexed");
-        let inds: Vec<Vec<Idx>> = (0..coo.order()).map(|m| coo.mode_indices(m).to_vec()).collect();
+        let inds: Vec<Vec<Idx>> =
+            (0..coo.order()).map(|m| coo.mode_indices(m)[range.clone()].to_vec()).collect();
 
         let mut perms = Vec::with_capacity(coo.order());
         let mut boundary = Vec::with_capacity(coo.order());
         for (mode_inds, &dim) in inds.iter().zip(coo.dims()) {
-            let perm = radix_permutation(nnz, &[(mode_inds, dim)]);
+            let perm = BucketSort::new(nnz, vec![(mode_inds.as_slice(), dim)]).perm();
             // Runs of one output row in remap order; cut runs become
             // boundary rows exactly as in the chunked layout.
             let mut rows_boundary = Vec::new();
@@ -76,7 +83,7 @@ impl FlycooTensor {
         Self {
             dims: coo.dims().to_vec(),
             inds,
-            vals: coo.values().to_vec(),
+            vals: coo.values()[range].to_vec(),
             perms,
             seg_len,
             boundary,

@@ -8,7 +8,7 @@
 //! memory-footprint comparisons and as a compaction stage for clustered
 //! tensors.
 
-use crate::coo::radix_permutation;
+use crate::bucket::BucketSort;
 use crate::{CooTensor, Idx, Val};
 
 /// Block edge exponent limit: local offsets are stored as `u8`, so block
@@ -65,7 +65,7 @@ impl HiCooTensor {
             .map(|(col, &d)| (&col[..], ((d - 1) >> block_bits) + 1))
             .chain(local.iter().map(|col| (&col[..], mask + 1)))
             .collect();
-        let perm = radix_permutation(nnz, &keys);
+        let perm = BucketSort::new(nnz, keys).perm();
 
         let mut blocks: Vec<Block> = Vec::new();
         let mut offsets = Vec::with_capacity(nnz * n);

@@ -28,6 +28,7 @@
 //! * [`io`] — FROSTT `.tns` text format reader/writer so real datasets can
 //!   be dropped in.
 
+mod bucket;
 pub mod chunked;
 pub mod coo;
 pub mod csf;

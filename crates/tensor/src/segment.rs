@@ -111,12 +111,6 @@ pub fn mode_index_bounds(tensor: &CooTensor, mode: usize, seg: &Segment) -> Opti
     Some((idx[seg.start], idx[seg.end - 1]))
 }
 
-/// Materialises segments as independent [`CooTensor`] pieces (the host-side
-/// staging buffers of the pipeline).
-pub fn materialize_segments(tensor: &CooTensor, segs: &[Segment]) -> Vec<CooTensor> {
-    segs.iter().map(|s| tensor.slice_range(s.start, s.end)).collect()
-}
-
 /// Picks a segment count that fits each segment (plus factor matrices)
 /// within `device_bytes` of device memory, between 1 and `max_segments`.
 /// Mirrors the paper's "reasonably allocate storage space … according to
@@ -209,19 +203,6 @@ mod tests {
         let segs = segment_on_slice_boundaries(&t, 0, 4);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].nnz(), 30);
-    }
-
-    #[test]
-    fn materialize_preserves_entries() {
-        let mut t = CooTensor::random_uniform(&[20, 20, 20], 300, 2);
-        t.sort_for_mode(0);
-        let segs = segment_by_nnz(t.nnz(), 5);
-        let parts = materialize_segments(&t, &segs);
-        let total: usize = parts.iter().map(|p| p.nnz()).sum();
-        assert_eq!(total, 300);
-        let sum_vals: f32 = parts.iter().flat_map(|p| p.values()).sum();
-        let expect: f32 = t.values().iter().sum();
-        assert!((sum_vals - expect).abs() < 1e-3);
     }
 
     #[test]

@@ -236,8 +236,7 @@ fn cmd_trace(tensor: &CooTensor, args: &Args) {
     let r = ctx.mttkrp_dry(tensor, &factors, args.mode);
     println!("{}", r.summary());
     // Re-run through the pipeline to capture the timeline for export.
-    let mut sorted = tensor.clone();
-    sorted.sort_for_mode(args.mode);
+    let sorted = tensor.sorted_for_mode(args.mode);
     let plan = scalfrag::pipeline::PipelinePlan::new(
         &sorted,
         args.mode,

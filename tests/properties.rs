@@ -233,12 +233,21 @@ proptest! {
     }
 }
 
-/// A tensor of `nnz` independent uniform coordinates — duplicates kept —
-/// with values `0, 1, 2, …` so every reordering of entries is visible.
+/// A tensor of `nnz` uniform coordinates — duplicates kept — whose last
+/// `nnz / 3` entries repeat the coordinates of the first ones, so ties
+/// occur at any dims, with values `0, 1, 2, …` so every reordering of
+/// entries is visible.
 fn random_coo(dims: &[u32], nnz: usize, seed: u64) -> CooTensor {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
-    let inds = dims.iter().map(|&d| (0..nnz).map(|_| rng.gen_range(0..d)).collect()).collect();
+    let repeats = nnz / 3;
+    let inds = dims
+        .iter()
+        .map(|&d| {
+            let fresh: Vec<u32> = (0..nnz - repeats).map(|_| rng.gen_range(0..d)).collect();
+            [&fresh[..], &fresh[..repeats]].concat()
+        })
+        .collect();
     CooTensor::from_parts(dims, inds, (0..nnz).map(|v| v as f32).collect())
 }
 
@@ -274,8 +283,20 @@ fn btreemap_fiber_counts(t: &CooTensor, mode: usize) -> Vec<u32> {
     fibers.into_values().collect()
 }
 
+/// Checks every mode's sorted copy and fiber counts against the
+/// references.
+fn check_mode_sorts(t: &CooTensor) {
+    for mode in 0..t.order() {
+        let what = format!("dims {:?} nnz {} mode {mode}", t.dims(), t.nnz());
+        let sorted = t.sorted_for_mode(mode);
+        assert_eq!(sorted, stable_sorted_reference(t, &t.mode_order(mode)), "{what}");
+        assert_eq!(t.fiber_nnz_counts(mode), btreemap_fiber_counts(t, mode), "{what}");
+    }
+}
+
 /// Dims for a 3- or 4-way tensor: every mode in `1..=max_dim`, and mode 1
-/// widened to `wide` when that exceeds `2^16` (the digit-split path).
+/// widened to `wide` when that exceeds `2^16` (as the lead key, it is then
+/// bucketed by its high bits only).
 fn mixed_dims(order: usize, max_dim: u32, wide: u32, seed: u64) -> Vec<u32> {
     let mut dims: Vec<u32> =
         (0..order as u64).map(|m| 1 + ((seed >> (8 * m)) as u32 % max_dim)).collect();
@@ -283,6 +304,26 @@ fn mixed_dims(order: usize, max_dim: u32, wide: u32, seed: u64) -> Vec<u32> {
         dims[1] = wide;
     }
     dims
+}
+
+/// `dims` with modes 0 and 1 widened to 31–32 bits: with the entry id, a
+/// word of the bucket sort needs more than 64 bits whenever both are
+/// outside the lead's bucket index.
+fn packed_overflow_dims(dims: &[u32], seed: u64) -> Vec<u32> {
+    let mut dims = dims.to_vec();
+    dims[0] = u32::MAX - (seed as u32 >> 1);
+    dims[1] = u32::MAX - (seed >> 40) as u32;
+    dims
+}
+
+/// Non-zero counts below 300, a twelfth of them empty and a twelfth
+/// single-entry tensors.
+fn arb_nnz() -> impl Strategy<Value = usize> {
+    (0usize..360).prop_map(|n| match n {
+        0..30 => 0,
+        30..60 => 1,
+        n => n - 60,
+    })
 }
 
 proptest! {
@@ -293,19 +334,26 @@ proptest! {
         order in 3usize..5,
         max_dim in 1u32..12,
         wide in 0u32..4_000_000,
-        nnz in 0usize..300,
+        nnz in arb_nnz(),
         seed in any::<u64>(),
     ) {
-        // Small dims make the tensor duplicate-heavy: tied entries must keep
-        // their input order. Each case runs once with those dims and once
-        // with mode 1 widened to `wide`, which almost always exceeds 2^16
-        // and so is sorted in two passes, one per half of its bits.
-        for wide in [0, wide] {
-            let t = random_coo(&mixed_dims(order, max_dim, wide, seed), nnz, seed);
+        // Small dims make the tensor duplicate-heavy, and `random_coo`
+        // repeats coordinates at any dims: tied entries must keep their
+        // input order. Each case runs with those dims, with mode 1
+        // widened to `wide` (almost always past 2^16, so the lead bucket
+        // index drops its low bits when mode 1 leads), and with modes 0 and
+        // 1 at full width, where the packed words overflow 64 bits for most
+        // orderings. Every mode's sorted copy must match the same references.
+        let dims = mixed_dims(order, max_dim, wide, seed);
+        for dims in [mixed_dims(order, max_dim, 0, seed), packed_overflow_dims(&dims, seed), dims] {
+            let t = random_coo(&dims, nnz, seed);
             let modes = random_order(order, seed);
             let mut sorted = t.clone();
             sorted.sort_by_order(&modes);
-            prop_assert_eq!(sorted, stable_sorted_reference(&t, &modes));
+            prop_assert_eq!(&sorted, &stable_sorted_reference(&t, &modes));
+            prop_assert!(sorted.is_sorted_by_order(&modes));
+            prop_assert_eq!(t.is_sorted_by_order(&modes), sorted == t);
+            check_mode_sorts(&t);
         }
     }
 
@@ -314,7 +362,7 @@ proptest! {
         order in 3usize..5,
         max_dim in 1u32..10,
         wide in 0u32..131_072,
-        nnz in 0usize..300,
+        nnz in arb_nnz(),
         mode in 0usize..4,
         seed in any::<u64>(),
     ) {
@@ -323,12 +371,14 @@ proptest! {
         let counts = t.fiber_nnz_counts(mode);
         prop_assert_eq!(t.num_fibers(mode), counts.len());
         prop_assert_eq!(counts, btreemap_fiber_counts(&t, mode));
+        check_mode_sorts(&t);
     }
 }
 
 #[test]
 fn sorts_and_fiber_counts_on_empty_single_and_full_width_tensors() {
-    for dims in [vec![3u32, 4, 5], vec![2, 3, 4, 5], vec![u32::MAX, 2, 1 << 20]] {
+    let packed_overflow = vec![u32::MAX, 3, u32::MAX - 7, u32::MAX - 2];
+    for dims in [vec![3u32, 4, 5], vec![2, 3, 4, 5], vec![u32::MAX, 2, 1 << 20], packed_overflow] {
         for nnz in [0, 1, 40] {
             let t = random_coo(&dims, nnz, nnz as u64);
             for seed in 0..4 {
@@ -337,9 +387,7 @@ fn sorts_and_fiber_counts_on_empty_single_and_full_width_tensors() {
                 sorted.sort_by_order(&modes);
                 assert_eq!(sorted, stable_sorted_reference(&t, &modes), "dims {dims:?} nnz {nnz}");
             }
-            for mode in 0..dims.len() {
-                assert_eq!(t.fiber_nnz_counts(mode), btreemap_fiber_counts(&t, mode));
-            }
+            check_mode_sorts(&t);
         }
     }
 }
