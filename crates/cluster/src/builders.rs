@@ -17,7 +17,7 @@ use scalfrag_exec::{
     ShardDesc, ShardWork, WorkUnit,
 };
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
-use scalfrag_kernels::FactorSet;
+use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::segment::segment_by_nnz;
 use scalfrag_tensor::CooTensor;
 use std::sync::Arc;
@@ -98,13 +98,17 @@ pub fn build_cluster_plan(
                 units.push(WorkUnit {
                     shard: si,
                     segment: j,
-                    seg,
                     stream: None, // the device's round-robin counter places it
                     alloc: Some((bytes, "segment must fit")),
                     h2d_bytes: bytes,
                     h2d_label: format!("shard{si} seg{j} H2D"),
                     kernel_label: format!("shard{si} seg{j} kernel"),
-                    workload: None,
+                    stats: SegmentStats::compute_range(
+                        &shards[si].tensor,
+                        mode,
+                        seg.start..seg.end,
+                    ),
+                    seg,
                 });
             }
             shard_work.push(ShardWork {

@@ -10,7 +10,7 @@
 //! * **fiber-skewed** — skew concentrated on a non-leading mode, so the
 //!   sorted order for mode 0 interleaves hot fibers;
 //! * **degenerate** — empty tensor, single non-zero, duplicate
-//!   coordinates, every non-zero in one slice, rank 1;
+//!   coordinates, every non-zero in one slice, rank 1, rank 80;
 //! * **dense-ish** — nnz comparable to the index-space volume, exercising
 //!   block formats (HiCOO) at high occupancy.
 
@@ -198,6 +198,13 @@ pub fn corpus(seed: u64) -> Vec<TensorCase> {
     // A 4-way tensor: the kernels are order-generic; prove it.
     cases.push(TensorCase::new("four-way", gen::uniform(&[24, 20, 16, 12], 3_000, seed + 38), 6));
 
+    // Past 64 rank columns: wider than any register-sized accumulator.
+    cases.push(TensorCase::new(
+        "high-rank-r80",
+        gen::zipf_slices(&[40, 30, 24], 1_500, 0.9, seed + 42),
+        80,
+    ));
+
     assert!(cases.len() >= 20, "corpus shrank below the contract");
     cases
 }
@@ -230,6 +237,7 @@ mod tests {
             "dense-slice-among-empty",
             "rank-1",
             "four-way",
+            "high-rank",
         ] {
             assert!(names.iter().any(|n| n.contains(needle)), "missing family {needle}");
         }

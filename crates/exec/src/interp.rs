@@ -479,29 +479,22 @@ impl<'g> Device<'g> {
         label: &str,
     ) -> (Step, u32) {
         let plan = run.plan;
-        if let Some(workload) = u.workload {
-            // Virtual unit: analytic workload, no tensor data to slice —
-            // the schedule is real, the numerics absent.
-            assert!(
-                run.mode == ExecMode::Dry,
-                "plan {:?}: virtual work units are dry-only (no data to compute on)",
-                plan.name
-            );
-            let cfg = plan.kernel.full_config(plan.config, plan.rank as u32);
-            return self.attempt(faults, OpClass::Kernel, s, label, 0, |gpu, _| {
-                gpu.launch(s, cfg, workload, label);
-            });
-        }
-        let shard = &plan.shards[u.shard];
         let functional = run.mode == ExecMode::Functional;
+        assert!(
+            !(functional && plan.is_virtual(u)),
+            "plan {:?}: virtual work units are dry-only (no data to compute on)",
+            plan.name
+        );
+        let tensor = &plan.shards[u.shard].tensor;
         self.attempt(faults, OpClass::Kernel, s, label, 0, |gpu, ok| {
             plan.kernel.enqueue(
                 gpu,
                 s,
                 plan.config,
-                Arc::clone(&shard.tensor),
+                &u.stats,
+                tensor,
                 u.seg.start..u.seg.end,
-                Arc::clone(&plan.factors),
+                &plan.factors,
                 plan.mode,
                 (ok && functional).then(|| Arc::clone(&run.buffers[u.shard])),
                 label.to_string(),

@@ -15,8 +15,8 @@
 //! runs.
 
 use crate::kernel::KernelChoice;
-use scalfrag_gpusim::{DeviceSpec, HostSpec, KernelWorkload, LaunchConfig};
-use scalfrag_kernels::FactorSet;
+use scalfrag_gpusim::{DeviceSpec, HostSpec, LaunchConfig};
+use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::segment::Segment;
 use scalfrag_tensor::{CooTensor, Idx};
 use std::fmt::Write as _;
@@ -120,11 +120,13 @@ pub struct WorkUnit {
     pub h2d_label: String,
     /// Kernel span label.
     pub kernel_label: String,
-    /// Analytic cost-model workload for *virtual* units (synthetic
-    /// presets too large to materialise): the interpreter launches this
-    /// workload directly instead of slicing the shard tensor. Virtual
-    /// units are dry-only — a functional run panics.
-    pub workload: Option<KernelWorkload>,
+    /// Structural statistics of the unit's entries (`seg` of its shard)
+    /// for the plan's mode, computed once by the builder where it cuts
+    /// the segment. Every launch prices its cost-model workload from them
+    /// in O(1). A *virtual* unit (a synthetic preset too large to
+    /// materialise) carries the preset's analytic statistics instead; see
+    /// [`Plan::is_virtual`].
+    pub stats: SegmentStats,
 }
 
 /// One shard's slice of a device program: output allocation, units, and
@@ -307,6 +309,14 @@ impl Plan {
     /// Total work units across all devices.
     pub fn total_items(&self) -> usize {
         self.devices.iter().map(|d| d.units.len()).sum()
+    }
+
+    /// Whether `unit` is *virtual*: its range lies past its shard
+    /// tensor's entries, because a virtual plan carries a dims-only shard
+    /// and describes each segment by its statistics alone. Virtual units
+    /// are dry-only — a functional run panics.
+    pub fn is_virtual(&self, unit: &WorkUnit) -> bool {
+        unit.seg.end > self.shards[unit.shard].tensor.nnz()
     }
 
     /// Total op count across all device programs — the op-budget metric

@@ -48,59 +48,53 @@ impl KernelChoice {
     }
 
     /// Enqueues one segment's kernel launch on `stream` over the entries
-    /// `range` of its shard `tensor` — no copy of the segment: resolves the
-    /// launch configuration, cost-model workload and (when `out` is given)
-    /// the functional kernel body. The balance arms build their chunked /
-    /// remapped layouts from the range here, mirroring the device-side
-    /// format construction the real kernels would do at load time.
+    /// `range` of its shard `tensor`, whose statistics for `mode` are
+    /// `stats` — no copy of the segment, and no pass over it: the
+    /// cost-model workload comes from `stats` in O(1). A dry launch
+    /// (`out` is `None`) never reads `tensor`. A functional one runs the
+    /// kernel body over the range; the balance arms build their chunked /
+    /// remapped layouts from it here, mirroring the device-side format
+    /// construction the real kernels would do at load time.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue(
         &self,
         gpu: &mut Gpu,
         stream: StreamId,
         config: LaunchConfig,
-        tensor: Arc<CooTensor>,
+        stats: &SegmentStats,
+        tensor: &Arc<CooTensor>,
         range: Range<usize>,
-        factors: Arc<FactorSet>,
+        factors: &Arc<FactorSet>,
         mode: usize,
         out: Option<Arc<AtomicF32Buffer>>,
         label: String,
     ) {
-        match out {
-            Some(out) => match self {
-                KernelChoice::CooAtomic => {
-                    CooAtomicKernel::enqueue(
-                        gpu, stream, config, tensor, range, factors, mode, out, label,
-                    );
-                }
-                KernelChoice::Tiled => {
-                    TiledKernel::enqueue(
-                        gpu, stream, config, tensor, range, factors, mode, out, label,
-                    );
-                }
-                KernelChoice::Balanced => {
-                    let stats = SegmentStats::compute_range(&tensor, mode, range.clone());
-                    let chunked =
-                        Arc::new(ChunkedTensor::from_range(&tensor, range, mode, CHUNK_LEN));
-                    BalancedKernel::enqueue(
-                        gpu, stream, config, &stats, chunked, factors, out, label,
-                    );
-                }
-                KernelChoice::ModeAgnostic => {
-                    let stats = SegmentStats::compute_range(&tensor, mode, range.clone());
-                    let fly = Arc::new(FlycooTensor::from_range(&tensor, range, FLYCOO_SEG_LEN));
-                    FlycooKernel::enqueue(
-                        gpu, stream, config, &stats, fly, mode, factors, out, label,
-                    );
-                }
-            },
-            None => {
-                // Timing-only launch: same cost-model workload, no numerics.
-                let rank = factors.rank() as u32;
-                let cfg = self.full_config(config, rank);
-                let stats = SegmentStats::compute_range(&tensor, mode, range);
-                let workload = self.workload(&stats, rank, cfg.block);
-                gpu.launch(stream, cfg, workload, label);
+        let Some(out) = out else {
+            // Timing-only launch: same cost-model workload, no numerics.
+            let rank = factors.rank() as u32;
+            let cfg = self.full_config(config, rank);
+            gpu.launch(stream, cfg, self.workload(stats, rank, cfg.block), label);
+            return;
+        };
+        let (tensor, factors) = (Arc::clone(tensor), Arc::clone(factors));
+        match self {
+            KernelChoice::CooAtomic => {
+                CooAtomicKernel::enqueue(
+                    gpu, stream, config, stats, tensor, range, factors, mode, out, label,
+                );
+            }
+            KernelChoice::Tiled => {
+                TiledKernel::enqueue(
+                    gpu, stream, config, stats, tensor, range, factors, mode, out, label,
+                );
+            }
+            KernelChoice::Balanced => {
+                let chunked = Arc::new(ChunkedTensor::from_range(&tensor, range, mode, CHUNK_LEN));
+                BalancedKernel::enqueue(gpu, stream, config, stats, chunked, factors, out, label);
+            }
+            KernelChoice::ModeAgnostic => {
+                let fly = Arc::new(FlycooTensor::from_range(&tensor, range, FLYCOO_SEG_LEN));
+                FlycooKernel::enqueue(gpu, stream, config, stats, fly, mode, factors, out, label);
             }
         }
     }
@@ -109,62 +103,82 @@ impl KernelChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalfrag_conformance::{max_ulp, tolerance_for};
     use scalfrag_gpusim::DeviceSpec;
+    use scalfrag_kernels::reference::mttkrp_seq;
 
     const MODE: usize = 1;
-    const RANK: usize = 8;
+    const KERNELS: [KernelChoice; 4] = [
+        KernelChoice::CooAtomic,
+        KernelChoice::Tiled,
+        KernelChoice::Balanced,
+        KernelChoice::ModeAgnostic,
+    ];
 
-    /// Output bits and simulated span durations of one launch over `range`.
+    /// Output bits and simulated span durations of one launch over `range`
+    /// with the statistics `stats`.
     fn launch(
         kernel: KernelChoice,
         tensor: &Arc<CooTensor>,
         range: Range<usize>,
+        stats: &SegmentStats,
         factors: &Arc<FactorSet>,
         functional: bool,
     ) -> (Vec<u32>, Vec<u64>) {
         let mut gpu = Gpu::new(DeviceSpec::rtx3090());
         let s = gpu.create_stream();
-        let out = Arc::new(AtomicF32Buffer::new(tensor.dims()[MODE] as usize * RANK));
+        let rows = tensor.dims()[MODE] as usize;
+        let out = Arc::new(AtomicF32Buffer::new(rows * factors.rank()));
         let sink = functional.then(|| Arc::clone(&out));
         let config = LaunchConfig::new(256, 128);
-        let (t, f) = (Arc::clone(tensor), Arc::clone(factors));
-        kernel.enqueue(&mut gpu, s, config, t, range, f, MODE, sink, "kernel".to_string());
+        kernel.enqueue(&mut gpu, s, config, stats, tensor, range, factors, MODE, sink, "k".into());
         let spans = gpu.synchronize().spans;
         let bits = out.to_vec().iter().map(|x| x.to_bits()).collect();
         (bits, spans.iter().map(|span| span.duration().to_bits()).collect())
     }
 
+    /// Every kernel at ranks up to and past 64 rank columns: a
+    /// whole-tensor functional launch stays within the conformance ULP
+    /// budget of `mttkrp_seq` at 1, 2 and 4 threads, and a launch over a
+    /// range carrying the segment's statistics gives the output bits and
+    /// span durations of the same launch on a `slice_range` copy. (The
+    /// range's statistics equal the copy's; the `SegmentStats` tests pin
+    /// that.)
     #[test]
     fn range_launches_match_launches_on_a_slice_copy() {
         let dims = [60u32, 40, 30];
         let t = scalfrag_tensor::gen::zipf_slices(&dims, 5_000, 0.9, 3).sorted_for_mode(MODE);
         let t = Arc::new(t);
-        let factors = Arc::new(FactorSet::random(&dims, RANK, 4));
-        let kernels = [
-            KernelChoice::CooAtomic,
-            KernelChoice::Tiled,
-            KernelChoice::Balanced,
-            KernelChoice::ModeAgnostic,
-        ];
-        for kernel in kernels {
-            for range in [0..5_000, 700..3_100, 4_999..5_000] {
-                let copy = Arc::new(t.slice_range(range.start, range.end));
-                let block = kernel.full_config(LaunchConfig::new(256, 128), RANK as u32).block;
-                assert_eq!(
-                    kernel.workload(
-                        &SegmentStats::compute_range(&t, MODE, range.clone()),
-                        RANK as u32,
-                        block
-                    ),
-                    kernel.workload(&SegmentStats::compute(&copy, MODE), RANK as u32, block),
-                    "{kernel:?} {range:?}: cost-model workload"
-                );
-                for functional in [true, false] {
-                    assert_eq!(
-                        launch(kernel, &t, range.clone(), &factors, functional),
-                        launch(kernel, &copy, 0..copy.nnz(), &factors, functional),
-                        "{kernel:?} {range:?} functional={functional}"
+        let whole = SegmentStats::compute(&t, MODE);
+        let budget = tolerance_for(&t, MODE);
+        for rank in [8, 65, 100] {
+            let factors = Arc::new(FactorSet::random(&dims, rank, 4));
+            let reference = mttkrp_seq(&t, &factors, MODE);
+            for kernel in KERNELS {
+                for threads in [1, 2, 4] {
+                    let (bits, _) = scalfrag_host::with_threads(threads, || {
+                        launch(kernel, &t, 0..t.nnz(), &whole, &factors, true)
+                    });
+                    let got: Vec<f32> = bits.into_iter().map(f32::from_bits).collect();
+                    let worst = max_ulp(reference.as_slice(), &got);
+                    assert!(
+                        worst.max_ulp <= budget,
+                        "{kernel:?} rank {rank} at {threads} thread(s): {} ULP at {:?} \
+                         (budget {budget})",
+                        worst.max_ulp,
+                        worst.at
                     );
+                }
+                for range in [0..5_000, 700..3_100, 4_999..5_000] {
+                    let copy = Arc::new(t.slice_range(range.start, range.end));
+                    let stats = SegmentStats::compute(&copy, MODE);
+                    for functional in [true, false] {
+                        assert_eq!(
+                            launch(kernel, &t, range.clone(), &stats, &factors, functional),
+                            launch(kernel, &copy, 0..copy.nnz(), &stats, &factors, functional),
+                            "{kernel:?} rank {rank} {range:?} functional={functional}"
+                        );
+                    }
                 }
             }
         }

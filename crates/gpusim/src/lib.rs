@@ -24,9 +24,10 @@
 //! * [`Timeline`] — the per-span execution record used for the time
 //!   breakdowns of Fig. 5 and the overlap analysis of Fig. 10/11.
 //!
-//! Kernels are *functionally executed* on the host (optionally with rayon
-//! inside the kernel body) so numeric results are real and testable; the
-//! *simulated clock* is entirely analytic and therefore deterministic.
+//! Kernels are *functionally executed* on the host (their bodies run on
+//! the `scalfrag-host` work-stealing pool) so numeric results are real
+//! and testable; the *simulated clock* is entirely analytic and
+//! therefore deterministic.
 
 pub mod cost;
 pub mod device;

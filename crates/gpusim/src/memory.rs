@@ -170,7 +170,7 @@ pub fn size_class(bytes: u64) -> u64 {
 /// A capacity-tracked, size-classed exclusive pool over the device memory.
 ///
 /// Thread-safe: allocations may be requested from kernel closures running
-/// on the rayon pool.
+/// on the `scalfrag-host` pool.
 pub struct MemoryPool {
     capacity: u64,
     inner: Mutex<PoolInner>,

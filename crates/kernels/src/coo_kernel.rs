@@ -51,17 +51,14 @@ impl CooAtomicKernel {
         let nnz = range.len();
         let units = nnz.div_ceil(UNIT_LEN);
         partials::run_units(units, out, |u, list| {
+            let mut acc = vec![0.0f32; rank];
             for e in range.start + u * UNIT_LEN..range.start + ((u + 1) * UNIT_LEN).min(nnz) {
-                let mut acc = [0.0f32; 64];
-                let acc = &mut acc[..rank.min(64)];
-                simd::fill(acc, seg.values()[e]);
-                // Ranks above the 64-register budget fall back to a heap path.
-                debug_assert!(rank <= 64, "rank > 64 unsupported by the register kernel");
+                simd::fill(&mut acc, seg.values()[e]);
                 for m in 0..order {
                     if m == mode {
                         continue;
                     }
-                    simd::mul_assign(acc, factors.get(m).row(seg.mode_indices(m)[e] as usize));
+                    simd::mul_assign(&mut acc, factors.get(m).row(seg.mode_indices(m)[e] as usize));
                 }
                 let base = seg.mode_indices(mode)[e] as usize * rank;
                 for (f, &a) in acc.iter().enumerate() {
@@ -71,14 +68,16 @@ impl CooAtomicKernel {
         });
     }
 
-    /// Enqueues this kernel over the entries `range` of `seg` on the
-    /// simulated GPU: the duration comes from the cost model, the numeric
-    /// work from [`CooAtomicKernel::execute`].
+    /// Enqueues this kernel over the entries `range` of `seg`, whose
+    /// statistics for `mode` are `stats`, on the simulated GPU: the
+    /// duration comes from the cost model, the numeric work from
+    /// [`CooAtomicKernel::execute`].
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue(
         gpu: &mut Gpu,
         stream: StreamId,
         config: LaunchConfig,
+        stats: &SegmentStats,
         seg: Arc<CooTensor>,
         range: Range<usize>,
         factors: Arc<FactorSet>,
@@ -86,8 +85,7 @@ impl CooAtomicKernel {
         out: Arc<AtomicF32Buffer>,
         label: impl Into<String>,
     ) -> OpId {
-        let stats = SegmentStats::compute_range(&seg, mode, range.clone());
-        let workload = Self::workload(&stats, factors.rank() as u32);
+        let workload = Self::workload(stats, factors.rank() as u32);
         gpu.launch_exec(stream, config, workload, label, move || {
             Self::execute(&seg, range, &factors, mode, &out);
         })
@@ -111,11 +109,14 @@ mod tests {
     #[test]
     fn matches_reference_all_modes_3way() {
         let t = CooTensor::random_uniform(&[30, 20, 10], 1_000, 1);
-        let f = FactorSet::random(&[30, 20, 10], 16, 2);
-        for mode in 0..3 {
-            let a = run_functional(&t, &f, mode);
-            let b = mttkrp_seq(&t, &f, mode);
-            assert!(a.max_abs_diff(&b) < 1e-3, "mode {mode}: {}", a.max_abs_diff(&b));
+        for rank in [16, 65, 100] {
+            let f = FactorSet::random(&[30, 20, 10], rank, 2);
+            for mode in 0..3 {
+                let a = run_functional(&t, &f, mode);
+                let b = mttkrp_seq(&t, &f, mode);
+                let diff = a.max_abs_diff(&b);
+                assert!(diff < 1e-3, "rank {rank} mode {mode}: {diff}");
+            }
         }
     }
 
@@ -141,6 +142,7 @@ mod tests {
             &mut gpu,
             s,
             LaunchConfig::new(64, 128),
+            &SegmentStats::compute(&t, 0),
             Arc::clone(&t),
             0..400,
             Arc::clone(&f),

@@ -110,13 +110,14 @@ impl TiledKernel {
         });
     }
 
-    /// Enqueues this kernel over the entries `range` of `seg` on the
-    /// simulated GPU.
+    /// Enqueues this kernel over the entries `range` of `seg`, whose
+    /// statistics for `mode` are `stats`, on the simulated GPU.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue(
         gpu: &mut Gpu,
         stream: StreamId,
         base_config: LaunchConfig,
+        stats: &SegmentStats,
         seg: Arc<CooTensor>,
         range: Range<usize>,
         factors: Arc<FactorSet>,
@@ -126,8 +127,7 @@ impl TiledKernel {
     ) -> OpId {
         let rank = factors.rank() as u32;
         let config = Self::config_with_smem(base_config, rank);
-        let stats = SegmentStats::compute_range(&seg, mode, range.clone());
-        let workload = Self::workload(&stats, rank, config.block);
+        let workload = Self::workload(stats, rank, config.block);
         let block = config.block;
         gpu.launch_exec(stream, config, workload, label, move || {
             Self::execute(&seg, range, &factors, mode, block, &out);
@@ -214,6 +214,7 @@ mod tests {
             &mut gpu,
             s,
             LaunchConfig::new(128, 128),
+            &SegmentStats::compute(&t, 0),
             Arc::clone(&t),
             0..800,
             Arc::clone(&f),

@@ -203,6 +203,21 @@ mod tests {
     }
 
     #[test]
+    fn range_stats_equal_stats_of_a_slice_copy() {
+        let t = scalfrag_tensor::gen::zipf_slices(&[60, 40, 30], 5_000, 0.9, 3).sorted_for_mode(1);
+        for mode in 0..3 {
+            for range in [0..5_000, 700..3_100, 4_999..5_000, 2_000..2_000] {
+                let copy = t.slice_range(range.start, range.end);
+                assert_eq!(
+                    SegmentStats::compute_range(&t, mode, range.clone()),
+                    SegmentStats::compute(&copy, mode),
+                    "mode {mode} {range:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn skew_raises_hotness() {
         let u = uniform_stats();
         let z = skewed_stats();

@@ -20,8 +20,8 @@
 //! [`StreamError`] instead.
 //!
 //! [`SyntheticPreset`] scales the same machinery past what host memory
-//! can materialise (a ~1B-nnz tensor is ~16 GB): virtual plans carry the
-//! analytic kernel workload per segment and execute dry-only, with the
+//! can materialise (a ~1B-nnz tensor is ~16 GB): virtual plans carry
+//! analytic segment statistics per unit and execute dry-only, with the
 //! identical op schedule a materialised run would have.
 
 #![warn(missing_docs)]

@@ -5,9 +5,9 @@
 //! the streaming schedule works would be absurd. Instead a preset
 //! describes the tensor analytically (dims, nnz, rank, skew) and builds
 //! a **virtual** streaming plan: the identical op program a materialised
-//! run would lower to, with each segment's kernel carried as an analytic
-//! cost-model workload ([`scalfrag_gpusim::KernelWorkload`]) instead of
-//! sliced entry data. Virtual plans are dry-only; small presets can also
+//! run would lower to, with each segment described by analytic
+//! statistics ([`SegmentStats`]) instead of sliced entry data. Virtual
+//! plans are dry-only; small presets can also
 //! [`SyntheticPreset::materialize`] for functional differential checks.
 
 use crate::stream::{assemble_plan, layout, StreamError};
@@ -96,7 +96,7 @@ impl SyntheticPreset {
     /// Zipf-ish segment of `seg_nnz` entries would have: every entry of
     /// an output row lands in one segment (sorted order), and a segment
     /// cannot touch more distinct rows than it has entries.
-    fn segment_stats(&self, seg_nnz: u64) -> SegmentStats {
+    pub fn segment_stats(&self, seg_nnz: u64) -> SegmentStats {
         let mode_dim = self.dims[0] as u64;
         let nonempty = seg_nnz.min(mode_dim).max(1);
         SegmentStats {
@@ -110,9 +110,10 @@ impl SyntheticPreset {
 
     /// Builds the **virtual** streaming plan for a mode-0 MTTKRP under
     /// `budget` bytes: the exact double-buffered op program of
-    /// [`crate::build_streaming_plan`], with each segment's kernel as an
-    /// analytic workload. Dry-only — a functional run panics in the
-    /// interpreter (there is no entry data to compute on).
+    /// [`crate::build_streaming_plan`], with each segment carrying
+    /// [`SyntheticPreset::segment_stats`] of its length. Dry-only — a
+    /// functional run panics in the interpreter (there is no entry data
+    /// to compute on).
     pub fn virtual_plan(&self, budget: u64) -> Result<Plan, StreamError> {
         let config = LaunchConfig::new(512, 256);
         let kernel = KernelChoice::Tiled;
@@ -121,7 +122,6 @@ impl SyntheticPreset {
         let segments: Vec<Segment> =
             if lay.k == 0 { Vec::new() } else { segment_by_nnz(self.nnz as usize, lay.k) };
         let rank = self.rank;
-        let cfg = kernel.full_config(config, rank as u32);
         let units: Vec<WorkUnit> = segments
             .iter()
             .enumerate()
@@ -134,16 +134,13 @@ impl SyntheticPreset {
                 h2d_bytes: seg.byte_size(3) as u64,
                 h2d_label: format!("seg{i} H2D (prefetch)"),
                 kernel_label: format!("seg{i} kernel"),
-                workload: Some(kernel.workload(
-                    &self.segment_stats(seg.nnz() as u64),
-                    rank as u32,
-                    cfg.block,
-                )),
+                stats: self.segment_stats(seg.nnz() as u64),
             })
             .collect();
-        // The shard tensor carries dims only — virtual units never slice
-        // it, and the factor matrices are real (dry mode ignores them,
-        // but the plan type is uniform).
+        // The shard tensor carries dims only, so every unit's range lies
+        // past its entries — which is what marks it virtual
+        // (`Plan::is_virtual`). The factor matrices are real (dry mode
+        // ignores them, but the plan type is uniform).
         let shard = Arc::new(CooTensor::new(&self.dims));
         let factors = Arc::new(FactorSet::random(&self.dims, rank, self.seed));
         Ok(assemble_plan(

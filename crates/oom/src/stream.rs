@@ -6,7 +6,7 @@ use scalfrag_exec::{
     WorkUnit,
 };
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
-use scalfrag_kernels::FactorSet;
+use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::segment::{segment_by_nnz, Segment};
 use scalfrag_tensor::CooTensor;
 use std::sync::Arc;
@@ -297,7 +297,7 @@ pub fn build_streaming_plan(
             h2d_bytes: seg.byte_size(order) as u64,
             h2d_label: format!("seg{i} H2D (prefetch)"),
             kernel_label: format!("seg{i} kernel"),
-            workload: None,
+            stats: SegmentStats::compute_range(&sorted, mode, seg.start..seg.end),
         })
         .collect();
     Ok(assemble_plan(

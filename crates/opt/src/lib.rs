@@ -2,8 +2,8 @@
 //!
 //! The plan builders (`pipeline`, `cluster`, `serve`, `oom`, `core`)
 //! emit *correct* schedules; this crate makes them *fast* without
-//! touching the builders. Every optimization is a [`Pass`]: a pure
-//! `Plan -> Plan` rewrite over the op programs, carrying a
+//! touching the builders. Every optimization is a [`Pass`]: an in-place
+//! rewrite of the op programs, carrying a
 //! machine-checkable safety [`Contract`] the in-repo verifier
 //! ([`verify::check_pass`]) enforces by replaying raw and optimized
 //! plans through the one interpreter.
@@ -41,8 +41,8 @@ pub use verify::{check_commutation, check_pass, lowered_programs, Violation};
 
 use scalfrag_exec::Plan;
 
-/// Runs the default pass pipeline over `plan` — the entry point the
-/// conformance suite, the benchmarks and `plan_dump` use.
+/// Runs the default pass pipeline over a copy of `plan` — the entry
+/// point the conformance suite, the benchmarks and `plan_dump` use.
 pub fn optimize_default(plan: &Plan) -> Plan {
     default_pipeline().apply(plan)
 }

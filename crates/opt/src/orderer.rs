@@ -61,8 +61,8 @@ pub fn choose_pipeline_joint(
     let choice = joint_argmin(pipelines.len(), configs.len(), |pi, ci| {
         let mut candidate = plan.clone();
         candidate.config = configs[ci];
-        let optimized = pipelines[pi].apply(&candidate);
-        run_plan(&optimized, ExecMode::Dry).makespan()
+        pipelines[pi].rewrite(&mut candidate);
+        run_plan(&candidate, ExecMode::Dry).makespan()
     });
     OrderedChoice {
         pipeline: pipelines[choice.pipeline].clone(),

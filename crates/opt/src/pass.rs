@@ -1,12 +1,13 @@
 //! The pass framework: the [`Pass`] trait, its machine-checkable safety
 //! [`Contract`] and pass [`Pipeline`]s.
 //!
-//! A pass is a pure `Plan -> Plan` rewrite over the op programs the
-//! builders lowered (`DeviceOps::program`), so passes compose by editing
-//! op vectors. Every pass stamps its name into `PlanMeta::optimizer`, so
-//! an IR dump always says which rewrites produced the schedule — and the
-//! verifier (see [`crate::verify`]) can hold each pass to its declared
-//! contract mechanically.
+//! A pass rewrites, in place, the op programs the builders lowered
+//! (`DeviceOps::program`), so passes compose by editing op vectors and a
+//! pipeline of them copies the plan at most once. Every pass stamps its
+//! name into `PlanMeta::optimizer`, so an IR dump always says which
+//! rewrites produced the schedule — and the verifier (see
+//! [`crate::verify`]) can hold each pass to its declared contract
+//! mechanically.
 
 use scalfrag_exec::{Plan, PlanOp};
 use std::sync::Arc;
@@ -71,9 +72,16 @@ pub trait Pass: Send + Sync {
     /// The safety contract the verifier holds this pass to.
     fn contract(&self) -> Contract;
 
-    /// Rewrites `plan` and returns the optimized plan. Never mutates its
-    /// input.
-    fn apply(&self, plan: &Plan) -> Plan;
+    /// Rewrites `plan` in place.
+    fn rewrite(&self, plan: &mut Plan);
+
+    /// Returns a rewritten copy of `plan`, leaving it untouched — one
+    /// clone, then [`Pass::rewrite`].
+    fn apply(&self, plan: &Plan) -> Plan {
+        let mut p = plan.clone();
+        self.rewrite(&mut p);
+        p
+    }
 }
 
 /// Whether `name` is already stamped in the plan's optimizer provenance.
@@ -92,20 +100,24 @@ pub(crate) fn note_pass(plan: &mut Plan, name: &str) {
     plan.meta.optimizer.push_str(name);
 }
 
-/// The shared pass skeleton: rewrite each device's op program through
-/// `f(plan, device, ops)`, stamp provenance.
+/// The shared pass skeleton: rewrite each device's op program in place
+/// through `f(plan, device, ops)`, stamp provenance.
+///
+/// `f` sees the plan mid-rewrite: device `d`'s program is taken out
+/// (handed over as `ops`) and earlier devices' programs are already
+/// rewritten. A pass may read plan-level fields and `device`, but never
+/// another device's program through `plan`.
 pub(crate) fn rewrite_programs(
-    plan: &Plan,
+    plan: &mut Plan,
     name: &str,
     f: impl Fn(&Plan, &scalfrag_exec::DeviceOps, Vec<PlanOp>) -> Vec<PlanOp>,
-) -> Plan {
-    let mut p = plan.clone();
-    for d in 0..p.devices.len() {
-        let ops = std::mem::take(&mut p.devices[d].program);
-        p.devices[d].program = f(plan, &p.devices[d], ops);
+) {
+    for d in 0..plan.devices.len() {
+        let ops = std::mem::take(&mut plan.devices[d].program);
+        let ops = f(plan, &plan.devices[d], ops);
+        plan.devices[d].program = ops;
     }
-    note_pass(&mut p, name);
-    p
+    note_pass(plan, name);
 }
 
 /// An ordered pass sequence applied left to right.
@@ -141,9 +153,19 @@ impl Pipeline {
         }
     }
 
-    /// Runs every pass in order (the empty pipeline returns a copy).
+    /// Runs every pass in order over `plan` in place.
+    pub fn rewrite(&self, plan: &mut Plan) {
+        for pass in &self.passes {
+            pass.rewrite(plan);
+        }
+    }
+
+    /// Runs every pass in order over one copy of `plan` (the empty
+    /// pipeline returns the copy as is).
     pub fn apply(&self, plan: &Plan) -> Plan {
-        self.passes.iter().fold(plan.clone(), |p, pass| pass.apply(&p))
+        let mut p = plan.clone();
+        self.rewrite(&mut p);
+        p
     }
 }
 

@@ -48,7 +48,7 @@ impl Pass for BatchH2d {
         }
     }
 
-    fn apply(&self, plan: &Plan) -> Plan {
+    fn rewrite(&self, plan: &mut Plan) {
         rewrite_programs(plan, self.name(), |_plan, _dev, mut ops| {
             let Some(i) = ops.iter().position(|o| matches!(o, PlanOp::H2D { .. })) else {
                 return ops;

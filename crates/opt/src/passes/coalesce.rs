@@ -41,7 +41,7 @@ impl Pass for CoalesceH2d {
         }
     }
 
-    fn apply(&self, plan: &Plan) -> Plan {
+    fn rewrite(&self, plan: &mut Plan) {
         rewrite_programs(plan, self.name(), |_plan, _dev, mut ops| {
             let mut i = 0;
             while i < ops.len() {

@@ -32,13 +32,13 @@ impl Pass for DeadOpElim {
         }
     }
 
-    fn apply(&self, plan: &Plan) -> Plan {
-        rewrite_programs(plan, self.name(), |_plan, dev, ops| {
+    fn rewrite(&self, plan: &mut Plan) {
+        rewrite_programs(plan, self.name(), |plan, dev, ops| {
             ops.into_iter()
                 .filter_map(|op| match op {
                     PlanOp::H2D { bytes: 0, .. } | PlanOp::D2H { bytes: 0, .. } => None,
                     PlanOp::Launch { unit, .. }
-                        if dev.units[unit].workload.is_none() && dev.units[unit].seg.nnz() == 0 =>
+                        if dev.units[unit].seg.nnz() == 0 && !plan.is_virtual(&dev.units[unit]) =>
                     {
                         None
                     }

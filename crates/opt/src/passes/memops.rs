@@ -44,7 +44,7 @@ impl Pass for SinkEvictions {
         }
     }
 
-    fn apply(&self, plan: &Plan) -> Plan {
+    fn rewrite(&self, plan: &mut Plan) {
         rewrite_programs(plan, self.name(), |_plan, _dev, mut ops| {
             // Right to left, so a chain of evicts settles in one sweep
             // (each stops at the next allocation-like op or a later
@@ -101,7 +101,7 @@ impl Pass for HoistPrefetch {
         }
     }
 
-    fn apply(&self, plan: &Plan) -> Plan {
+    fn rewrite(&self, plan: &mut Plan) {
         rewrite_programs(plan, self.name(), |_plan, _dev, mut ops| {
             for i in 1..ops.len() {
                 let my_stream = match &ops[i] {

@@ -148,15 +148,13 @@ impl Pass for OverlapStreams {
         }
     }
 
-    fn apply(&self, plan: &Plan) -> Plan {
-        let mut p = plan.clone();
-        for d in 0..p.devices.len() {
-            if let Some((ops, streams)) = overlap_device(&p.devices[d]) {
-                p.devices[d].program = ops;
-                p.devices[d].worker_streams = streams;
+    fn rewrite(&self, plan: &mut Plan) {
+        for dev in &mut plan.devices {
+            if let Some((ops, streams)) = overlap_device(dev) {
+                dev.program = ops;
+                dev.worker_streams = streams;
             }
         }
-        note_pass(&mut p, self.name());
-        p
+        note_pass(plan, self.name());
     }
 }

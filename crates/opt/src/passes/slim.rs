@@ -38,9 +38,9 @@ impl Pass for SlimFactors {
         }
     }
 
-    fn apply(&self, plan: &Plan) -> Plan {
+    fn rewrite(&self, plan: &mut Plan) {
         if applied(plan, self.name()) {
-            return plan.clone();
+            return;
         }
         let mode_bytes = (plan.rows * plan.rank * 4) as u64;
         rewrite_programs(plan, self.name(), |plan, _dev, ops| {

@@ -92,10 +92,9 @@ fn span_multiset(trace: &PlanTrace) -> Vec<(usize, u32, String, u64, u64)> {
     v
 }
 
-/// Whether the plan can run functionally (virtual-workload units are
-/// dry-only).
+/// Whether the plan can run functionally (virtual units are dry-only).
 fn functional_capable(plan: &Plan) -> bool {
-    plan.devices.iter().all(|d| d.units.iter().all(|u| u.workload.is_none()))
+    plan.devices.iter().all(|d| d.units.iter().all(|u| !plan.is_virtual(u)))
 }
 
 /// Checks one pass against one plan:

@@ -39,7 +39,7 @@ pub fn build_sync_plan(
         h2d_bytes: tensor_bytes,
         h2d_label: "tensor H2D".to_string(),
         kernel_label: "kernel".to_string(),
-        workload: None,
+        stats: SegmentStats::compute(tensor, mode),
     }];
     Plan {
         name: "scalfrag-sync",
@@ -127,7 +127,7 @@ pub fn build_shared_pipelined_plan(
             h2d_bytes: seg.byte_size(order) as u64,
             h2d_label: format!("seg{i} H2D ({} nnz)", seg.nnz()),
             kernel_label: format!("seg{i} kernel"),
-            workload: None,
+            stats: SegmentStats::compute_range(&tensor, mode, seg.start..seg.end),
         })
         .collect();
     let unit_ids: Vec<usize> = (0..units.len()).collect();
@@ -280,6 +280,10 @@ pub struct BatchedJobSpec {
 /// `serve::batch` guarantees it); the per-job transient tensor buffers
 /// are recycled per stream by the lowering, so device memory holds the
 /// factors, N output buffers, and at most `streams` staged tensors.
+///
+/// Computes each job's whole-tensor [`SegmentStats`] and hands off to
+/// [`lower_batched_plan`]; a caller that already holds them (the serving
+/// scheduler memoizes them per tensor) calls that directly.
 pub fn build_batched_plan(
     spec: &DeviceSpec,
     jobs: &[BatchedJobSpec],
@@ -289,14 +293,32 @@ pub fn build_batched_plan(
     kernel: KernelChoice,
     streams: usize,
 ) -> Plan {
+    let jobs: Vec<(BatchedJobSpec, SegmentStats)> =
+        jobs.iter().map(|j| (j.clone(), SegmentStats::compute(&j.tensor, mode))).collect();
+    lower_batched_plan(spec, &jobs, factors, mode, config, kernel, streams)
+}
+
+/// The batched lowering behind [`build_batched_plan`]: each job comes
+/// with its tensor's whole-tensor statistics for `mode`
+/// (`SegmentStats::compute(&job.tensor, mode)`), which its one launch
+/// carries.
+pub fn lower_batched_plan(
+    spec: &DeviceSpec,
+    jobs: &[(BatchedJobSpec, SegmentStats)],
+    factors: Arc<FactorSet>,
+    mode: usize,
+    config: LaunchConfig,
+    kernel: KernelChoice,
+    streams: usize,
+) -> Plan {
     assert!(!jobs.is_empty(), "a batched plan needs at least one job");
-    let dims = jobs[0].tensor.dims().to_vec();
-    for j in &jobs[1..] {
-        assert_eq!(j.tensor.dims(), &dims[..], "batched jobs must share tensor dims");
+    let dims = jobs[0].0.tensor.dims();
+    for (j, _) in &jobs[1..] {
+        assert_eq!(j.tensor.dims(), dims, "batched jobs must share tensor dims");
     }
     let rank = factors.rank();
     let rows = dims[mode] as usize;
-    let order = jobs[0].tensor.order();
+    let order = dims.len();
     let factors_bytes = factors.byte_size() as u64;
     let out_bytes = (rows * rank * 4) as u64;
     let worker_streams = streams.max(1).min(jobs.len());
@@ -304,7 +326,7 @@ pub fn build_batched_plan(
     let mut units = Vec::with_capacity(jobs.len());
     let mut shard_work = Vec::with_capacity(jobs.len());
     let mut shards = Vec::with_capacity(jobs.len());
-    for (j, job) in jobs.iter().enumerate() {
+    for (j, (job, stats)) in jobs.iter().enumerate() {
         let seg = Segment { start: 0, end: job.tensor.nnz() };
         let tensor_bytes = job.tensor.byte_size() as u64;
         let s = j % worker_streams;
@@ -316,7 +338,7 @@ pub fn build_batched_plan(
             h2d_bytes: tensor_bytes,
             h2d_label: format!("job{} H2D ({} nnz)", job.id, seg.nnz()),
             kernel_label: format!("job{} kernel", job.id),
-            workload: None,
+            stats: *stats,
             seg,
         });
         shard_work.push(ShardWork {

@@ -33,7 +33,8 @@ pub mod plan;
 pub use builders::{
     balance_plan_builders, batched_plan_builders, build_balance_flycoo_plan,
     build_balance_segscan_plan, build_batched_plan, build_hybrid_plan, build_pipelined_plan,
-    build_shared_pipelined_plan, build_sync_plan, plan_builders, BatchedJobSpec,
+    build_shared_pipelined_plan, build_sync_plan, lower_batched_plan, plan_builders,
+    BatchedJobSpec,
 };
 pub use executor::{execute_pipelined, execute_sync, ExecMode, KernelChoice, PipelineRun};
 pub use hybrid::{execute_hybrid, split_by_slice_population, HybridSplit};

@@ -24,9 +24,10 @@ use scalfrag_core::PhaseTiming;
 use scalfrag_exec::{run_plan, PlanBuilder};
 use scalfrag_faults::{DeviceHealth, FaultInjector, OpClass, OpVerdict, RecoveryAction};
 use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig, SpanKind};
+use scalfrag_kernels::SegmentStats;
 use scalfrag_pipeline::plan::MAX_SEGMENTS;
 use scalfrag_pipeline::{
-    build_batched_plan, build_shared_pipelined_plan, execute_hybrid, split_by_slice_population,
+    build_shared_pipelined_plan, execute_hybrid, lower_batched_plan, split_by_slice_population,
     BatchedJobSpec, ExecMode, KernelChoice, PipelinePlan,
 };
 use scalfrag_tensor::{segment, CooTensor, FeatureKey, TensorFeatures};
@@ -95,15 +96,18 @@ impl DevicePool {
 }
 
 /// Memoized per-(tensor handle, mode) planning artifacts. Feature
-/// extraction and mode-sorting are O(nnz), and a serving workload cycles
-/// a small catalog of tensor handles over millions of jobs — the memo
-/// makes repeat planning O(1). Keys are raw `Arc` addresses, which is
-/// sound here because the job stream keeps every tensor alive for the
-/// whole run and the maps are only probed, never iterated.
+/// extraction, mode-sorting and segment statistics are O(nnz), and a
+/// serving workload cycles a small catalog of tensor handles over
+/// millions of jobs — the memo makes repeat planning O(1). Keys are raw
+/// `Arc` addresses, which is sound here because the job stream keeps
+/// every tensor alive for the whole run and the maps are only probed,
+/// never iterated.
 #[derive(Default)]
 struct PlannerMemo {
     features: HashMap<(usize, usize), TensorFeatures>,
-    sorted: HashMap<(usize, usize), Arc<CooTensor>>,
+    /// The mode-sorted copy and its whole-tensor statistics — what a
+    /// job's one launch in a fused plan covers and is priced from.
+    sorted: HashMap<(usize, usize), (Arc<CooTensor>, SegmentStats)>,
 }
 
 impl PlannerMemo {
@@ -113,12 +117,15 @@ impl PlannerMemo {
             .or_insert_with(|| TensorFeatures::extract(&job.tensor, job.mode))
     }
 
-    fn sorted_of(&mut self, job: &MttkrpJob) -> Arc<CooTensor> {
-        Arc::clone(
-            self.sorted
-                .entry((Arc::as_ptr(&job.tensor) as usize, job.mode))
-                .or_insert_with(|| Arc::new(job.tensor.sorted_for_mode(job.mode))),
-        )
+    /// The job's entry in a fused plan: its sorted copy plus statistics.
+    fn batched_job(&mut self, job: &MttkrpJob) -> (BatchedJobSpec, SegmentStats) {
+        let (tensor, stats) =
+            self.sorted.entry((Arc::as_ptr(&job.tensor) as usize, job.mode)).or_insert_with(|| {
+                let sorted = job.tensor.sorted_for_mode(job.mode);
+                let stats = SegmentStats::compute(&sorted, job.mode);
+                (Arc::new(sorted), stats)
+            });
+        (BatchedJobSpec { id: job.id, tensor: Arc::clone(tensor) }, *stats)
     }
 }
 
@@ -497,12 +504,14 @@ impl ScalFragServer {
     /// the device frees.
     ///
     /// The group becomes **one** fused ScheduleIR plan
-    /// ([`build_batched_plan`]): the shared factor set crosses PCIe once,
+    /// ([`lower_batched_plan`], with each member's sorted copy and
+    /// statistics from the memo): the shared factor set crosses PCIe once,
     /// then each member's tensor staging, kernel and output return run as
     /// independent `job{id}`-labelled spans cycling the worker streams.
-    /// The fused plan goes through the `scalfrag-opt` default pipeline
-    /// (bit-identical passes only) before interpretation, exactly like the
-    /// registered `serve-batched` builder the conformance suite pins.
+    /// The `scalfrag-opt` default pipeline (bit-identical passes only)
+    /// rewrites the fused plan in place before interpretation, exactly
+    /// like the registered `serve-batched` builder the conformance suite
+    /// pins.
     ///
     /// Per-member phase accounting reads the interpreted trace back:
     /// `job{id}`-labelled spans bill that member; the remaining H2D time —
@@ -574,21 +583,17 @@ impl ScalFragServer {
             return (vec![record], finish_s);
         }
 
-        let specs: Vec<BatchedJobSpec> = group
-            .members
-            .iter()
-            .map(|m| BatchedJobSpec { id: m.job.id, tensor: memo.sorted_of(&m.job) })
-            .collect();
-        let fused = build_batched_plan(
+        let jobs: Vec<_> = group.members.iter().map(|m| memo.batched_job(&m.job)).collect();
+        let mut fused = lower_batched_plan(
             device,
-            &specs,
+            &jobs,
             Arc::clone(&lead.factors),
             lead.mode,
             config,
             plan.kernel,
             plan.streams,
         );
-        let fused = scalfrag_opt::optimize_default(&fused);
+        scalfrag_opt::default_pipeline().rewrite(&mut fused);
         let exec = if self.config.functional { ExecMode::Functional } else { ExecMode::Dry };
         let outcome = run_plan(&fused, exec);
 
@@ -665,7 +670,7 @@ impl ScalFragServer {
 }
 
 /// Parses the member id out of a fused-plan op label — the `"job{id} …"`
-/// labelling contract of [`build_batched_plan`]. Labels without the
+/// labelling contract of [`lower_batched_plan`]. Labels without the
 /// prefix (the shared factor upload) return `None`.
 fn job_of_label(label: &str) -> Option<u64> {
     let rest = label.strip_prefix("job")?;

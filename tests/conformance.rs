@@ -13,7 +13,9 @@ use scalfrag::conformance::{
     Exactness,
 };
 use scalfrag::exec::run_plan;
-use scalfrag::kernels::{AtomicF32Buffer, BcsfKernel, HiCooKernel};
+use scalfrag::kernels::{AtomicF32Buffer, BcsfKernel, HiCooKernel, SegmentStats};
+use scalfrag::oom::SyntheticPreset;
+use scalfrag::opt::optimize_default;
 use scalfrag::prelude::*;
 use scalfrag::tensor::{gen, HiCooTensor, ModePermutation};
 
@@ -318,4 +320,43 @@ fn regression_resilient_retry_has_no_double_accumulation() {
     assert!(run.retries > 0, "the plan must actually force retries");
     let w = max_ulp(clean.as_slice(), run.report.output.as_slice());
     assert_eq!(w.max_ulp, 0, "retried output differs from fault-free bits by {} ulp", w.max_ulp);
+}
+
+/// The statistics every launch is priced from are exact. Each unit of
+/// every registered builder's plan, raw and after the default optimizer,
+/// carries `SegmentStats::compute_range` of its own shard, mode and
+/// range — at every mode, over dims that differ per mode, so statistics
+/// taken for the wrong mode or range disagree. Each unit of the virtual
+/// 1B-nnz plan carries the preset's synthetic statistics of its length.
+#[test]
+fn every_unit_carries_the_exact_statistics_of_its_range() {
+    let dims = [80u32, 56, 40];
+    let t = gen::zipf_slices(&dims, 6_000, 1.1, SEED ^ 11);
+    let f = FactorSet::random(&dims, 8, SEED ^ 12);
+    for b in all_plan_builders() {
+        for mode in 0..dims.len() {
+            let raw = (b.build)(&t, &f, mode);
+            for (plan, what) in [(optimize_default(&raw), "optimized"), (raw, "raw")] {
+                let units: Vec<_> = plan.devices.iter().flat_map(|d| &d.units).collect();
+                assert!(!units.is_empty(), "{} mode {mode}: no units", b.name);
+                for u in units {
+                    let shard = &plan.shards[u.shard].tensor;
+                    let want = SegmentStats::compute_range(shard, mode, u.seg.start..u.seg.end);
+                    assert_eq!(
+                        u.stats, want,
+                        "{} ({what}) mode {mode}: shard {} segment {} {:?}",
+                        b.name, u.shard, u.segment, u.seg
+                    );
+                }
+            }
+        }
+    }
+
+    let preset = SyntheticPreset::billion();
+    let plan = preset.virtual_plan(preset.footprint_bytes() / 8).expect("footprint/8 is feasible");
+    assert!(plan.total_items() > 1, "the virtual plan streams several segments");
+    for u in &plan.devices[0].units {
+        assert!(plan.is_virtual(u), "segment {}: a virtual plan's units are virtual", u.segment);
+        assert_eq!(u.stats, preset.segment_stats(u.seg.nnz() as u64), "segment {}", u.segment);
+    }
 }

@@ -4,7 +4,9 @@
 
 use scalfrag::conformance::{max_ulp, oracle_mttkrp, tolerance_for};
 use scalfrag::exec::{run_plan, KernelChoice, PlanOp};
-use scalfrag::oom::{build_streaming_plan, registry_budget, registry_plan, StreamError};
+use scalfrag::oom::{
+    build_streaming_plan, registry_budget, registry_plan, StreamError, SyntheticPreset,
+};
 use scalfrag::prelude::*;
 use scalfrag::tensor::gen;
 
@@ -195,4 +197,14 @@ fn dry_run_leak_check_catches_unfreed_transients() {
     let program = &mut plan.devices[0].program;
     program.retain(|op| !matches!(op, PlanOp::Free { .. }));
     run_plan(&plan, ExecMode::Dry);
+}
+
+/// The 1B-nnz plan's units are recognised as virtual from their data
+/// (ranges past the dims-only shard), so a functional run refuses them.
+#[test]
+#[should_panic(expected = "virtual work units are dry-only")]
+fn a_functional_run_of_the_virtual_plan_is_refused() {
+    let preset = SyntheticPreset::billion();
+    let plan = preset.virtual_plan(preset.footprint_bytes() / 8).expect("footprint/8 is feasible");
+    run_plan(&plan, ExecMode::Functional);
 }
