@@ -4,6 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The benchmark build may refresh the tracked perfbench/Cargo.lock, and the
+# smoke steps below rewrite the measured numbers in the tracked
+# results/BENCH_*.json files. Their tracked copies go back on exit, so the
+# gate leaves the tree as it found it; the `test -s` checks run before that.
+saved=$(mktemp -d)
+cp --parents perfbench/Cargo.lock results/BENCH_*.json "$saved"
+trap 'cp -r "$saved"/. .; rm -rf "$saved"' EXIT
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -32,11 +40,6 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> benchmark build (perfbench/ is its own workspace, outside --workspace)"
-# The build may refresh perfbench/Cargo.lock; the tracked file goes back on
-# exit so the gate leaves the benchmark as it found it.
-lock=$(mktemp)
-cp perfbench/Cargo.lock "$lock"
-trap 'cp "$lock" perfbench/Cargo.lock; rm -f "$lock"' EXIT
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
     cargo build --offline --release --manifest-path perfbench/Cargo.toml
 

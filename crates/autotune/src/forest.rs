@@ -6,7 +6,6 @@
 
 use crate::tree::DecisionTree;
 use crate::Regressor;
-use rayon::prelude::*;
 
 /// A bagged forest of CART trees.
 #[derive(Clone, Debug)]
@@ -55,24 +54,22 @@ impl Regressor for BaggingForest {
         assert!(!x.is_empty(), "cannot fit a forest on an empty dataset");
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
         let n = x.len();
-        let params: Vec<u64> = (0..self.n_trees)
-            .map(|t| self.seed.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(t as u64 + 1)))
-            .collect();
-        self.trees = params
-            .into_par_iter()
-            .map(|mut state| {
-                let mut bx = Vec::with_capacity(n);
-                let mut by = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let i = (xorshift(&mut state) % n as u64) as usize;
-                    bx.push(x[i].clone());
-                    by.push(y[i]);
-                }
-                let mut tree = DecisionTree::new(self.max_depth, self.min_samples_split);
-                tree.fit(&bx, &by);
-                tree
-            })
-            .collect();
+        // Each tree draws from its own seeded stream, so the trees come out
+        // the same, in the same order, at every pool size.
+        self.trees = scalfrag_host::par_map(self.n_trees, |t| {
+            let mut state =
+                self.seed.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(t as u64 + 1));
+            let mut bx = Vec::with_capacity(n);
+            let mut by = Vec::with_capacity(n);
+            for _ in 0..n {
+                let i = (xorshift(&mut state) % n as u64) as usize;
+                bx.push(x[i].clone());
+                by.push(y[i]);
+            }
+            let mut tree = DecisionTree::new(self.max_depth, self.min_samples_split);
+            tree.fit(&bx, &by);
+            tree
+        });
     }
 
     fn predict(&self, features: &[f64]) -> f64 {

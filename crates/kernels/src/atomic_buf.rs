@@ -4,7 +4,7 @@
 //! The buffer stores IEEE-754 bit patterns in `AtomicU32`s and implements
 //! add via a compare-exchange loop, exactly like `atomicAdd` is specified
 //! on hardware without native float atomics. This lets the simulated
-//! kernels run data-race-free under rayon while keeping the same update
+//! kernels run data-race-free on the host pool while keeping the same update
 //! semantics (including non-deterministic summation order, which the tests
 //! account for with tolerances).
 
@@ -69,7 +69,6 @@ impl AtomicF32Buffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn sequential_adds_accumulate() {
@@ -86,10 +85,15 @@ mod tests {
     #[test]
     fn concurrent_adds_do_not_lose_updates() {
         let buf = AtomicF32Buffer::new(8);
-        // 10_000 adds of 1.0 spread over 8 slots from many threads: integer
-        // values up to 10k are exact in f32, so the result must be exact.
-        (0..10_000u32).into_par_iter().for_each(|i| {
-            buf.add((i % 8) as usize, 1.0);
+        // 10_000 adds of 1.0 spread over 8 slots from four pool threads:
+        // integer values up to 10k are exact in f32, so the result must be
+        // exact.
+        scalfrag_host::with_threads(4, || {
+            scalfrag_host::par_for(10_000, 64, |s, e| {
+                for i in s..e {
+                    buf.add(i % 8, 1.0);
+                }
+            })
         });
         let total: f32 = buf.to_vec().iter().sum();
         assert_eq!(total, 10_000.0);

@@ -25,7 +25,7 @@ impl CsfFiberKernel {
         csf_fiber_workload(stats, rank, num_slices)
     }
 
-    /// Functional body: the rayon slice-parallel CSF walk, accumulated into
+    /// Functional body: the host-pool slice-parallel CSF walk, accumulated into
     /// the shared output buffer (adds are conflict-free because each slice
     /// owns its row, but the atomic buffer keeps the API uniform).
     pub fn execute(csf: &CsfTensor, factors: &FactorSet, out: &AtomicF32Buffer) {

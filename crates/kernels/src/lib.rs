@@ -6,7 +6,7 @@
 //! Three simulated GPU kernels (all functionally executed, all timed by the
 //! `scalfrag-gpusim` cost model) plus a CPU reference:
 //!
-//! * [`reference`] — sequential and rayon-parallel CPU MTTKRP over COO and
+//! * [`reference`] — sequential and host-pool-parallel CPU MTTKRP over COO and
 //!   CSF; the correctness oracle for everything else, validated on small
 //!   tensors against the dense Equation (4) (`X₍ₙ₎ · (⊙ factors)`).
 //! * [`coo_kernel`] — the ParTI-style nnz-parallel COO kernel: one thread

@@ -7,9 +7,9 @@
 //! records the `out.add(index, value)` calls it *would* have made into a
 //! private [`UpdateList`]. [`run_units`] executes the units on the
 //! `scalfrag-host` pool and then applies the lists **in unit order** from
-//! one thread. Because the sequential rayon shim also executed units in
-//! submission order, the applied add sequence is *identical* to the
-//! pre-pool sequential kernels — which is why the golden cluster output
+//! one thread. Because the pre-pool kernels also executed units
+//! sequentially in submission order, the applied add sequence is
+//! *identical* to theirs — which is why the golden cluster output
 //! checksum (a hash of output value bits) survives the pool at every
 //! thread count.
 

@@ -5,7 +5,7 @@
 //! `x(i₁,…,i_N)` and every rank column `f`,
 //! `M(i_n, f) += x · Π_{m≠n} A⁽ᵐ⁾(i_m, f)`.
 //!
-//! Three flavours: sequential over COO, rayon-parallel over COO (row-sharded
+//! Three flavours: sequential over COO, host-pool-parallel over COO (row-sharded
 //! to stay deterministic up to f32 association within a row), and a dense
 //! validator that literally materialises `X₍ₙ₎` and the Khatri-Rao chain
 //! for tiny tensors.
@@ -15,7 +15,7 @@ use scalfrag_linalg::{khatri_rao_chain, matmul, Mat};
 use scalfrag_tensor::{matricize, CooTensor, CsfTensor};
 
 /// Fixed partial count for [`mttkrp_par`]. Deliberately **not** derived
-/// from `rayon::current_num_threads()`: with the work-stealing pool the
+/// from `scalfrag_host::current_num_threads()`: with the work-stealing pool the
 /// thread count varies per call site, and a thread-dependent chunk count
 /// would change the partial fold order — and therefore the f32 bits —
 /// between pool sizes. 32 partials keep 8 workers busy (4 chunks each)
@@ -104,8 +104,8 @@ pub fn mttkrp_csf(csf: &CsfTensor, factors: &FactorSet) -> Mat {
     let rows = csf.dims()[mode] as usize;
     let mut out = Mat::zeros(rows, rank);
 
-    // Slice-parallel on the host pool; results land in slice order (the
-    // same order the sequential shim produced), so bits are pool-invariant.
+    // Slice-parallel on the host pool; results land in slice order, so
+    // bits are pool-invariant.
     let slice_results: Vec<(usize, Vec<f32>)> = scalfrag_host::par_map(csf.num_slices(), |s| {
         let mut acc = vec![0.0f32; rank];
         accumulate_subtree(csf, factors, 0, s, &mut acc);

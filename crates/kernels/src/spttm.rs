@@ -8,7 +8,6 @@
 
 use crate::factors::FactorSet;
 use crate::workload::SegmentStats;
-use rayon::prelude::*;
 use scalfrag_gpusim::KernelWorkload;
 use scalfrag_linalg::Mat;
 use scalfrag_tensor::{semisparse::SemiSparseTensor, CooTensor, Idx};
@@ -56,8 +55,9 @@ pub fn spttm_seq(tensor: &CooTensor, u: &Mat, mode: usize) -> SemiSparseTensor {
     out
 }
 
-/// Rayon-parallel SpTTM over fibers (the ParTI strategy: "parallelizing
-/// across fibers"). Produces the same fibers as [`spttm_seq`].
+/// Fiber-parallel SpTTM on the host pool (the ParTI strategy:
+/// "parallelizing across fibers"). Produces the same fibers as
+/// [`spttm_seq`].
 pub fn spttm_par(tensor: &CooTensor, u: &Mat, mode: usize) -> SemiSparseTensor {
     assert!(mode < tensor.order(), "mode out of range");
     assert_eq!(u.rows(), tensor.dims()[mode] as usize, "matrix rows != mode size");
@@ -80,23 +80,18 @@ pub fn spttm_par(tensor: &CooTensor, u: &Mat, mode: usize) -> SemiSparseTensor {
     }
     starts.push(nnz);
 
-    let fibers: Vec<(Vec<Idx>, Vec<f32>)> = starts
-        .windows(2)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|w| {
-            let (s, t) = (w[0], w[1]);
-            let mut fiber = vec![0.0f32; r];
-            for e in s..t {
-                let v = sorted.values()[e];
-                let urow = u.row(sorted.mode_indices(mode)[e] as usize);
-                for (f, &x) in fiber.iter_mut().zip(urow) {
-                    *f += v * x;
-                }
+    let fibers: Vec<(Vec<Idx>, Vec<f32>)> = scalfrag_host::par_map(starts.len() - 1, |i| {
+        let (s, t) = (starts[i], starts[i + 1]);
+        let mut fiber = vec![0.0f32; r];
+        for e in s..t {
+            let v = sorted.values()[e];
+            let urow = u.row(sorted.mode_indices(mode)[e] as usize);
+            for (f, &x) in fiber.iter_mut().zip(urow) {
+                *f += v * x;
             }
-            (key_at(s), fiber)
-        })
-        .collect();
+        }
+        (key_at(s), fiber)
+    });
 
     let mut out_dims: Vec<Idx> = tensor.dims().to_vec();
     out_dims[mode] = r as Idx;

@@ -264,7 +264,77 @@ impl CooTensor {
     /// mode `m`, so this is the number of distinct coordinate tuples over
     /// the other modes.
     pub fn num_fibers(&self, mode: usize) -> usize {
-        self.fiber_nnz_counts(mode).len()
+        self.fiber_count_and_max(mode).0
+    }
+
+    /// The number of distinct mode-`m` fibers and the largest fiber's
+    /// population — `(len, max)` of [`CooTensor::fiber_nnz_counts`], counted
+    /// without sorting. The widest other mode leads: one pass sizes a bucket
+    /// per lead index, one scatter writes each entry's remaining
+    /// coordinates, packed mixed-radix into a `u32`, into its bucket, and a
+    /// dense counter over the packed keys counts each bucket's distinct keys
+    /// and largest count; a second walk of the bucket resets the counter.
+    /// O(order · nnz + lead dim + key space), with one `u32` per entry of
+    /// scratch. Applies when the lead dim and the key space are both at
+    /// most `max(nnz, 2^16)`; any other tensor takes the sort.
+    pub fn fiber_count_and_max(&self, mode: usize) -> (usize, u32) {
+        assert!(mode < self.order(), "mode out of range");
+        let nnz = self.nnz();
+        let limit = nnz.max(1 << 16) as u64;
+        let others = || (0..self.order()).filter(|&m| m != mode);
+        let lead = others().max_by_key(|&m| self.dims[m]);
+        let rest: Vec<(&[Idx], Idx)> = others()
+            .filter(|&m| Some(m) != lead)
+            .map(|m| (self.inds[m].as_slice(), self.dims[m]))
+            .collect();
+        let keys = rest.iter().try_fold(1u64, |n, &(_, d)| n.checked_mul(d as u64));
+        let (lead, keys) = match (lead, keys) {
+            (Some(lead), Some(keys))
+                if keys.max(self.dims[lead] as u64) <= limit && nnz <= u32::MAX as usize =>
+            {
+                (lead, keys)
+            }
+            _ => {
+                let counts = self.fiber_nnz_counts(mode);
+                return (counts.len(), counts.iter().copied().max().unwrap_or(0));
+            }
+        };
+
+        // `ends[b]` starts as bucket b's first slot; the scatter leaves it
+        // one past the bucket's last.
+        let lead_col = &self.inds[lead];
+        let mut ends = vec![0u32; self.dims[lead] as usize];
+        for &v in lead_col {
+            ends[v as usize] += 1;
+        }
+        let mut start = 0;
+        for end in &mut ends {
+            (*end, start) = (start, start + *end);
+        }
+        // Every partial mixed-radix key is below the key space, so no step
+        // overflows.
+        let mut packed = vec![0u32; nnz];
+        for (e, &v) in lead_col.iter().enumerate() {
+            let slot = &mut ends[v as usize];
+            packed[*slot as usize] = rest.iter().fold(0, |k, &(col, d)| k * d + col[e]);
+            *slot += 1;
+        }
+        let mut seen = vec![0u32; keys as usize];
+        let (mut fibers, mut max, mut begin) = (0, 0, 0);
+        for &end in &ends {
+            let bucket = &packed[begin..end as usize];
+            for &k in bucket {
+                let count = &mut seen[k as usize];
+                *count += 1;
+                fibers += (*count == 1) as usize;
+                max = max.max(*count);
+            }
+            for &k in bucket {
+                seen[k as usize] = 0;
+            }
+            begin = end as usize;
+        }
+        (fibers, max)
     }
 
     /// Non-zero counts per distinct mode-`m` fiber (a fiber fixes every

@@ -107,10 +107,8 @@ impl TensorFeatures {
                 / num_slices as f64
         };
 
-        let fiber_counts = tensor.fiber_nnz_counts(mode);
-        let num_fibers = fiber_counts.len();
+        let (num_fibers, max_nnz_per_fiber) = tensor.fiber_count_and_max(mode);
         let avg_nnz_per_fiber = if num_fibers == 0 { 0.0 } else { nnz as f64 / num_fibers as f64 };
-        let max_nnz_per_fiber = fiber_counts.iter().copied().max().unwrap_or(0);
 
         // Gini of the non-empty slice populations: sort ascending, then
         // G = 2·Σᵢ i·xᵢ / (n·Σx) − (n+1)/n with 1-based ranks — 0 for an

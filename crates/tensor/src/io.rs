@@ -83,11 +83,18 @@ pub fn read_tns(reader: impl Read) -> Result<CooTensor, TnsError> {
             if one_based == 0 {
                 return Err(TnsError::Parse(lineno, "indices are 1-based; found 0".into()));
             }
-            inds[m].push((one_based - 1) as Idx);
+            // The mode size is at least `one_based`, which must fit `Idx`.
+            let Ok(one_based) = Idx::try_from(one_based) else {
+                return Err(TnsError::Parse(lineno, format!("index {f} exceeds {}", Idx::MAX)));
+            };
+            inds[m].push(one_based - 1);
         }
         let v: Val = fields[n]
             .parse()
             .map_err(|_| TnsError::Parse(lineno, format!("bad value '{}'", fields[n])))?;
+        if !v.is_finite() {
+            return Err(TnsError::Parse(lineno, format!("non-finite value '{}'", fields[n])));
+        }
         vals.push(v);
     }
 
@@ -172,6 +179,27 @@ mod tests {
     fn rejects_garbage_value() {
         let err = read_tns("1 1 abc\n".as_bytes()).unwrap_err();
         assert!(matches!(err, TnsError::Parse(1, _)));
+    }
+
+    #[test]
+    fn rejects_indices_past_the_index_range_and_non_finite_values() {
+        let ok = "1 1 1.5\n";
+        let bad_lines = [
+            "4294967296 1 1.5",
+            "4294967297 1 1.5",
+            "1 4294967297 1.5",
+            "1 1 nan",
+            "1 1 inf",
+            "1 1 -inf",
+        ];
+        for bad in bad_lines {
+            let err = read_tns(format!("# header\n{ok}{bad}\n{ok}").as_bytes()).unwrap_err();
+            assert!(matches!(err, TnsError::Parse(3, _)), "{bad}: {err}");
+        }
+        // The widest index the reader accepts gives mode size `Idx::MAX`.
+        let t = read_tns("4294967295 1 1.5\n".as_bytes()).unwrap();
+        assert_eq!(t.dims(), &[Idx::MAX, 1]);
+        assert_eq!(t.coord(0), vec![Idx::MAX - 1, 0]);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! single-GPU stack and the CPU reference — bitwise where the design
 //! promises it.
 //!
-//! The bitwise claims lean on two facts: the rayon shim executes
-//! sequentially (entry-order adds, like `mttkrp_seq`), and the cluster
-//! executor keeps partial outputs per *shard* and folds them in shard
-//! order, independent of device count and scheduler.
+//! The bitwise claims lean on two facts: the COO kernel applies its adds
+//! in entry order at every host-pool size (units fold in submission
+//! order, like `mttkrp_seq`), and the cluster executor keeps partial
+//! outputs per *shard* and folds them in shard order, independent of
+//! device count and scheduler.
 
 use scalfrag::cluster::{shard_tensor, DeviceScheduler, NodeSpec, ShardPolicy};
 use scalfrag::kernels::reference::mttkrp_seq;
@@ -28,8 +29,8 @@ fn cluster(n: usize, policy: ShardPolicy) -> ClusterScalFrag {
         // across device counts.
         .shards(4)
         .shard_policy(policy)
-        // The atomic COO kernel accumulates in entry order under the
-        // sequential rayon shim — the bitwise-comparable configuration.
+        // The atomic COO kernel accumulates in entry order at every pool
+        // size — the bitwise-comparable configuration.
         .tiled_kernel(false)
         .build()
 }

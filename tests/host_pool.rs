@@ -143,15 +143,3 @@ fn reference_par_chunking_is_thread_independent() {
         mttkrp_par(&t, &f, 0).as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
     });
 }
-
-/// The rayon shim's thread count now reflects the host pool (it used to
-/// be hardwired to 1); inside `with_threads` the two agree.
-#[test]
-fn rayon_shim_thread_count_tracks_the_host_pool() {
-    for &threads in &check::INVARIANCE_THREADS {
-        host::with_threads(threads, || {
-            assert_eq!(rayon::current_num_threads(), threads);
-            assert_eq!(rayon::current_num_threads(), host::current_num_threads());
-        });
-    }
-}

@@ -283,14 +283,20 @@ fn btreemap_fiber_counts(t: &CooTensor, mode: usize) -> Vec<u32> {
     fibers.into_values().collect()
 }
 
-/// Checks every mode's sorted copy and fiber counts against the
-/// references.
+/// Checks every mode's sorted copy, fiber counts and fiber statistics
+/// against the references. The statistics count when the lead dim and the
+/// packed key space fit `max(nnz, 2^16)` and sort otherwise: small dims
+/// count, and a widened or full-width mode sends the other modes to the
+/// sort.
 fn check_mode_sorts(t: &CooTensor) {
     for mode in 0..t.order() {
         let what = format!("dims {:?} nnz {} mode {mode}", t.dims(), t.nnz());
         let sorted = t.sorted_for_mode(mode);
         assert_eq!(sorted, stable_sorted_reference(t, &t.mode_order(mode)), "{what}");
-        assert_eq!(t.fiber_nnz_counts(mode), btreemap_fiber_counts(t, mode), "{what}");
+        let counts = btreemap_fiber_counts(t, mode);
+        assert_eq!(t.fiber_nnz_counts(mode), counts, "{what}");
+        let max = counts.iter().copied().max().unwrap_or(0);
+        assert_eq!(t.fiber_count_and_max(mode), (counts.len(), max), "{what}");
     }
 }
 
