@@ -19,20 +19,22 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> unused dependency declarations"
-# Every [dependencies] entry of a workspace crate must be named (as its
-# underscore identifier) on a non-comment line somewhere in that crate's
-# src, tests or benches; a mention in a `//` comment does not count.
+# Every [dependencies] and [dev-dependencies] entry of a workspace crate
+# must be named (as its underscore identifier) on a non-comment line
+# somewhere in that crate's src, tests, benches or examples; a mention in
+# a `//` comment does not count.
 unused=0
 for toml in crates/*/Cargo.toml; do
     dir=$(dirname "$toml")
-    for dep in $(awk '/^\[/ { section = $0; next }
-                      section == "[dependencies]" && /^[A-Za-z0-9_-]+ *[.=]/ { split($0, a, /[ .=]/); print a[1] }' "$toml"); do
-        uses=$(grep -rhw --include='*.rs' "${dep//-/_}" "$dir/src" "$dir/tests" "$dir/benches" 2>/dev/null || true)
+    while read -r section dep; do
+        uses=$(grep -rhw --include='*.rs' "${dep//-/_}" "$dir/src" "$dir/tests" "$dir/benches" "$dir/examples" 2>/dev/null || true)
         if ! grep -qvE '^[[:space:]]*(//|$)' <<<"$uses"; then
-            echo "$toml: [dependencies] entry '$dep' is never named in the crate outside comments"
+            echo "$toml: $section entry '$dep' is never named in the crate outside comments"
             unused=1
         fi
-    done
+    done < <(awk '/^\[/ { section = $0; next }
+                  (section == "[dependencies]" || section == "[dev-dependencies]") &&
+                  /^[A-Za-z0-9_-]+ *[.=]/ { split($0, a, /[ .=]/); print section, a[1] }' "$toml")
 done
 test "$unused" -eq 0
 

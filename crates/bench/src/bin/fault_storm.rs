@@ -22,9 +22,9 @@
 //! demonstrably lose work, and the fault log must be deterministic.
 
 use scalfrag_cluster::{
-    build_cluster_plan, execute_cluster, ClusterOptions, ExecMode, FaultRecoveryPolicy, NodeSpec,
+    build_cluster_plan, ClusterOptions, ExecMode, FaultRecoveryPolicy, NodeSpec,
 };
-use scalfrag_exec::{run_plan_faulted, ExecOutcome};
+use scalfrag_exec::{run_plan, run_plan_faulted, ExecOutcome};
 use scalfrag_faults::{mat_checksum, FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
@@ -180,7 +180,8 @@ fn serve_demo() {
 fn main() {
     let smoke_mode = std::env::args().any(|a| a == "--smoke");
     let (tensor, factors) = workload();
-    let clean = execute_cluster(&node(), &tensor, &factors, 0, &opts(), ExecMode::Functional);
+    let plan = build_cluster_plan(&node(), &tensor, &factors, 0, &opts());
+    let clean = run_plan(&plan, ExecMode::Functional);
     let clean_sum = mat_checksum(&clean.output);
     println!(
         "ScalFrag fault storm: {} nnz, rank {RANK}, {DEVICES}x {} | fault-free makespan {:.3}ms, checksum {clean_sum:#018x}\n",

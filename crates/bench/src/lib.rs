@@ -15,8 +15,9 @@
 //! | §IV-B    | `model_eval`            | model zoo MAPE / train / infer times    |
 //! | Fig. 12  | `fig12_multi_gpu`       | multi-GPU scaling + scheduling (ext.)   |
 //!
-//! Criterion benches (`cargo bench`) measure the wall-clock hot paths of
-//! the implementation itself (kernels, models, tensor ops, scheduling).
+//! The smoke benches CI runs (`host_bench`, `opt_bench`, `serve_load`,
+//! `balance_bench`, `oom_stream`, `fault_storm`, `conformance`,
+//! `plan_dump`) check the implementation itself.
 
 pub mod svg;
 

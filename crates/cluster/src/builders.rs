@@ -7,9 +7,22 @@
 //! re-placement of orphaned work and the analytic reduction cost —
 //! travels with the plan as a [`ClusterPolicy`] implementation
 //! ([`NodePlacement`]).
+//!
+//! Partial outputs are kept **per shard**, not per device, and folded on
+//! the host in shard-index order — so the numeric result is bitwise
+//! invariant to the device count and the scheduler, which only move work
+//! between timelines.
+//!
+//! The reduction stage depends on the shard policy:
+//!
+//! * slice-aligned shards own disjoint output rows; each device returns
+//!   exactly its final row block and the merge costs nothing;
+//! * nnz-balanced shards overlap on rows; every shard's full partial
+//!   output returns D2H and the host pays one add per extra shard — or,
+//!   with peer links, partials gather device-to-device and only the merged
+//!   result crosses PCIe.
 
-use crate::executor::{reduction_seconds, shard_output_bytes, ClusterOptions};
-use crate::node::NodeSpec;
+use crate::node::{Interconnect, NodeSpec};
 use crate::schedule::{assign_shards, DeviceScheduler};
 use crate::shard::{shard_tensor, Shard, ShardPolicy};
 use scalfrag_exec::{
@@ -21,6 +34,44 @@ use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::segment::segment_by_nnz;
 use scalfrag_tensor::CooTensor;
 use std::sync::Arc;
+
+/// Execution knobs of one cluster MTTKRP.
+#[derive(Clone, Copy, Debug)]
+pub struct ClusterOptions {
+    /// Kernel launched per segment (tiled or ParTI-style atomic COO).
+    pub kernel: KernelChoice,
+    /// How the tensor is cut into shards.
+    pub policy: ShardPolicy,
+    /// How shards are placed on devices.
+    pub scheduler: DeviceScheduler,
+    /// Shard count. Fixing this independently of the device count keeps
+    /// the numeric output bitwise identical across node sizes.
+    pub num_shards: usize,
+    /// Pipeline segments per shard (transfer/compute overlap within a
+    /// device).
+    pub segments_per_shard: usize,
+    /// Streams per device.
+    pub streams_per_device: usize,
+    /// Kernel launch configuration (shared by all devices).
+    pub config: LaunchConfig,
+}
+
+impl ClusterOptions {
+    /// Paper-style defaults: tiled kernel, slice-aligned shards, LPT
+    /// placement, 2 segments per shard on 2 streams.
+    pub fn new(config: LaunchConfig, num_shards: usize) -> Self {
+        assert!(num_shards > 0, "need at least one shard");
+        Self {
+            kernel: KernelChoice::Tiled,
+            policy: ShardPolicy::SliceAligned,
+            scheduler: DeviceScheduler::Lpt,
+            num_shards,
+            segments_per_shard: 2,
+            streams_per_device: 2,
+            config,
+        }
+    }
+}
 
 /// The placement callbacks a cluster plan carries: the re-placement
 /// strategy, the per-device speed proxy and the analytic reduction cost.
@@ -171,6 +222,57 @@ pub fn build_cluster_plan(
     .lowered()
 }
 
+/// Bytes of one shard's D2H result: its owned row block when slice-aligned,
+/// the full partial output otherwise.
+fn shard_output_bytes(shard: &Shard, rank: usize, full_out_bytes: u64) -> u64 {
+    match shard.rows {
+        Some((lo, hi)) => ((hi - lo + 1) as u64) * rank as u64 * 4,
+        None => full_out_bytes,
+    }
+}
+
+/// Analytic cost of the cross-shard reduction stage.
+fn reduction_seconds(
+    node: &NodeSpec,
+    shards: &[Shard],
+    assignment: &[Vec<usize>],
+    rows: usize,
+    rank: usize,
+) -> f64 {
+    let num_shards = shards.len();
+    if num_shards <= 1 {
+        return 0.0;
+    }
+    // Slice-aligned shards own disjoint rows: the per-shard D2H copies in
+    // the device timelines already returned the final rows.
+    if shards.iter().all(|s| s.rows.is_some()) {
+        return 0.0;
+    }
+    let bytes = (rows * rank * 4) as f64;
+    let extra = (num_shards - 1) as f64;
+    match node.interconnect {
+        Interconnect::PerLinkPcie | Interconnect::SharedHost { .. } => {
+            // Host sums S partial matrices: one add per extra shard,
+            // streaming two operands in and one result out.
+            extra * node.host.task_duration_s((rows * rank) as u64, 3 * (rows * rank * 4) as u64)
+        }
+        Interconnect::PeerLinks { peer_gbs } => {
+            // Gather on the device owning shard 0: off-root partials hop
+            // one peer link each, every extra shard costs one device-side
+            // add, and the merged matrix crosses PCIe once.
+            let root = assignment.iter().position(|list| list.contains(&0)).unwrap_or(0);
+            let off_root =
+                shards.iter().skip(1).filter(|s| !assignment[root].contains(&s.index)).count()
+                    as f64;
+            let gather = off_root * bytes / (peer_gbs * 1e9);
+            let root_spec = node.effective_device(root);
+            let adds = extra * 3.0 * bytes / (root_spec.mem_bandwidth_gbs * 1e9);
+            let d2h = root_spec.pcie_latency_us * 1e-6 + bytes / (root_spec.pcie_d2h_gbs * 1e9);
+            gather + adds + d2h
+        }
+    }
+}
+
 /// The cluster crate's registered plan builders (mirroring the
 /// conformance path backends).
 pub fn plan_builders() -> Vec<PlanBuilder> {
@@ -202,4 +304,147 @@ pub fn plan_builders() -> Vec<PlanBuilder> {
             p
         }),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scalfrag_exec::{run_plan, ExecMode, ExecOutcome};
+    use scalfrag_kernels::reference::mttkrp_seq;
+
+    fn setup() -> (CooTensor, FactorSet) {
+        let dims = [120u32, 90, 70];
+        let t = scalfrag_tensor::gen::zipf_slices(&dims, 9_000, 0.8, 41);
+        let f = FactorSet::random(&dims, 8, 42);
+        (t, f)
+    }
+
+    fn run(
+        node: &NodeSpec,
+        t: &CooTensor,
+        f: &FactorSet,
+        o: &ClusterOptions,
+        exec: ExecMode,
+    ) -> ExecOutcome {
+        run_plan(&build_cluster_plan(node, t, f, 0, o), exec)
+    }
+
+    fn opts(policy: ShardPolicy, kernel: KernelChoice) -> ClusterOptions {
+        let mut o = ClusterOptions::new(LaunchConfig::new(512, 256), 4);
+        o.policy = policy;
+        o.kernel = kernel;
+        o
+    }
+
+    #[test]
+    fn slice_aligned_output_matches_reference() {
+        let (t, f) = setup();
+        let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 2);
+        let o = opts(ShardPolicy::SliceAligned, KernelChoice::Tiled);
+        let run = run(&node, &t, &f, &o, ExecMode::Functional);
+        let mut sorted = t.clone();
+        sorted.sort_for_mode(0);
+        let expect = mttkrp_seq(&sorted, &f, 0);
+        assert!(run.output.max_abs_diff(&expect) < 1e-2);
+        assert_eq!(run.reduction_s, 0.0, "slice-aligned reduce is free");
+        for timeline in &run.device_timelines {
+            assert!(timeline.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn nnz_balanced_pays_for_reduction() {
+        let (t, f) = setup();
+        let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 2);
+        let o = opts(ShardPolicy::NnzBalanced, KernelChoice::Tiled);
+        let run = run(&node, &t, &f, &o, ExecMode::Functional);
+        let mut sorted = t.clone();
+        sorted.sort_for_mode(0);
+        let expect = mttkrp_seq(&sorted, &f, 0);
+        assert!(run.output.max_abs_diff(&expect) < 1e-2);
+        assert!(run.reduction_s > 0.0, "cross-shard rows must cost a reduction");
+    }
+
+    #[test]
+    fn output_is_bitwise_invariant_to_device_count() {
+        let (t, f) = setup();
+        let o = opts(ShardPolicy::SliceAligned, KernelChoice::CooAtomic);
+        let outputs: Vec<Vec<f32>> = [1usize, 2, 3]
+            .iter()
+            .map(|&n| {
+                let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), n);
+                run(&node, &t, &f, &o, ExecMode::Functional).output.into_vec()
+            })
+            .collect();
+        assert_eq!(outputs[0], outputs[1]);
+        assert_eq!(outputs[1], outputs[2]);
+    }
+
+    #[test]
+    fn dry_run_matches_functional_timing_and_computes_nothing() {
+        let (t, f) = setup();
+        let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 2);
+        let o = opts(ShardPolicy::SliceAligned, KernelChoice::Tiled);
+        let wet = run(&node, &t, &f, &o, ExecMode::Functional);
+        let dry = run(&node, &t, &f, &o, ExecMode::Dry);
+        assert_eq!(wet.makespan(), dry.makespan());
+        assert_eq!(dry.output.frob_norm(), 0.0);
+    }
+
+    #[test]
+    fn peer_links_cheapen_the_nnz_balanced_reduction() {
+        // Output large enough for bandwidth (not PCIe latency) to dominate
+        // the reduction: 4000 rows × rank 32 ≈ 512 KB of partial output.
+        let dims = [4_000u32, 90, 70];
+        let t = scalfrag_tensor::gen::zipf_slices(&dims, 20_000, 0.8, 41);
+        let f = FactorSet::random(&dims, 32, 42);
+        let base = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 2)
+            .with_interconnect(Interconnect::PerLinkPcie);
+        let peered = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 2)
+            .with_interconnect(Interconnect::PeerLinks { peer_gbs: 300.0 });
+        let o = opts(ShardPolicy::NnzBalanced, KernelChoice::Tiled);
+        let host_path = run(&base, &t, &f, &o, ExecMode::Dry);
+        let peer_path = run(&peered, &t, &f, &o, ExecMode::Dry);
+        assert!(
+            peer_path.reduction_s < host_path.reduction_s,
+            "peer gather {} should beat host adds {}",
+            peer_path.reduction_s,
+            host_path.reduction_s
+        );
+        // Peer reduction also drops the per-shard D2H hops from the device
+        // timelines, so the end-to-end makespan improves as well.
+        assert!(peer_path.makespan() < host_path.makespan());
+    }
+
+    #[test]
+    fn devices_beyond_shard_count_stay_idle() {
+        let (t, f) = setup();
+        let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 6);
+        let mut o = opts(ShardPolicy::SliceAligned, KernelChoice::Tiled);
+        o.num_shards = 2;
+        let run = run(&node, &t, &f, &o, ExecMode::Dry);
+        let idle: Vec<usize> = (0..6).filter(|&d| run.device_shards[d].is_empty()).collect();
+        assert!(idle.len() >= 4, "only 2 shards: at least 4 of 6 devices idle");
+        for d in idle {
+            assert_eq!(run.device_timelines[d].makespan(), 0.0);
+        }
+    }
+
+    #[test]
+    fn cluster_plan_renders_a_typed_ir_dump() {
+        let (t, f) = setup();
+        let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 2);
+        let p = build_cluster_plan(
+            &node,
+            &t,
+            &f,
+            0,
+            &opts(ShardPolicy::SliceAligned, KernelChoice::Tiled),
+        );
+        let dump = p.render();
+        assert!(dump.contains("device 0"), "dump:\n{dump}");
+        assert!(dump.contains("device 1"), "dump:\n{dump}");
+        assert!(dump.contains("shard0 seg0 H2D"), "dump:\n{dump}");
+        assert!(dump.contains("D2H"), "dump:\n{dump}");
+    }
 }

@@ -17,9 +17,11 @@
 //!    together instead of waiting on the slow card).
 //! 4. **Plan building** ([`builders`]) — the schedule lowers to a
 //!    multi-device [`scalfrag_exec::Plan`], carrying the node-aware
-//!    placement callbacks as a [`scalfrag_exec::ClusterPolicy`].
-//! 5. **Execution** ([`executor`]) — a thin wrapper hands the plan to
-//!    the single interpreter in `scalfrag-exec`; dry runs are its
+//!    placement callbacks and the reduction cost model as a
+//!    [`scalfrag_exec::ClusterPolicy`].
+//! 5. **Execution** — callers hand the plan to the one interpreter in
+//!    `scalfrag-exec`: [`scalfrag_exec::run_plan`] instantiates one
+//!    simulated GPU per device; dry runs are its
 //!    [`scalfrag_exec::ExecMode::Dry`]. Fault injection runs the same plan
 //!    through [`scalfrag_exec::run_plan_faulted`], which moves a dead
 //!    device's work onto survivors through the plan's placement policy.
@@ -29,13 +31,11 @@
 //! result is bitwise identical across device counts and schedulers.
 
 pub mod builders;
-pub mod executor;
 pub mod node;
 pub mod schedule;
 pub mod shard;
 
-pub use builders::{build_cluster_plan, plan_builders, NodePlacement};
-pub use executor::{execute_cluster, ClusterOptions, ClusterRun, DeviceRun};
+pub use builders::{build_cluster_plan, plan_builders, ClusterOptions, NodePlacement};
 pub use node::{Interconnect, NodeSpec};
 pub use scalfrag_exec::{ExecMode, FaultRecoveryPolicy, RecoveryMode};
 pub use schedule::{assign_shards, DeviceScheduler};

@@ -11,10 +11,9 @@
 //!   units move onto the survivors.
 
 use scalfrag_cluster::{
-    build_cluster_plan, execute_cluster, ClusterOptions, ExecMode, FaultRecoveryPolicy, NodeSpec,
-    ShardPolicy,
+    build_cluster_plan, ClusterOptions, ExecMode, FaultRecoveryPolicy, NodeSpec, ShardPolicy,
 };
-use scalfrag_exec::{run_plan_faulted, ExecOutcome, KernelChoice};
+use scalfrag_exec::{run_plan, run_plan_faulted, ExecOutcome, KernelChoice};
 use scalfrag_faults::{FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
@@ -54,9 +53,13 @@ fn faulted(
     (run, inj)
 }
 
-fn clean_output(o: &ClusterOptions) -> Mat {
+fn clean(o: &ClusterOptions) -> ExecOutcome {
     let (t, f) = setup();
-    execute_cluster(&node(), &t, &f, 0, o, ExecMode::Functional).output
+    run_plan(&build_cluster_plan(&node(), &t, &f, 0, o), ExecMode::Functional)
+}
+
+fn clean_output(o: &ClusterOptions) -> Mat {
+    clean(o).output
 }
 
 fn dead_at_op2(device: usize) -> FaultPlan {
@@ -65,8 +68,7 @@ fn dead_at_op2(device: usize) -> FaultPlan {
 
 #[test]
 fn fault_free_faulted_run_is_bit_identical_to_cluster() {
-    let (t, f) = setup();
-    let base = execute_cluster(&node(), &t, &f, 0, &opts(), ExecMode::Functional);
+    let base = clean(&opts());
     let (run, _) = faulted(&opts(), FaultPlan::new(), FaultRecoveryPolicy::retry_reshard());
     assert!(run.all_complete());
     assert_eq!(run.retries, 0);

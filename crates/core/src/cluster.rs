@@ -1,13 +1,13 @@
 //! The multi-GPU ScalFrag facade: the [`ScalFrag`](crate::ScalFrag)
 //! builder pattern lifted onto a [`NodeSpec`] of simulated devices.
 
-use crate::report::PhaseTiming;
+use crate::report::{call_flops, PhaseTiming};
 use scalfrag_autotune::TrainedPredictor;
 use scalfrag_cluster::{
-    build_cluster_plan, execute_cluster, ClusterOptions, ClusterRun, DeviceScheduler, ExecMode,
-    FaultRecoveryPolicy, NodeSpec, ShardPolicy,
+    build_cluster_plan, ClusterOptions, DeviceScheduler, ExecMode, FaultRecoveryPolicy, NodeSpec,
+    ShardPolicy,
 };
-use scalfrag_exec::{run_plan_faulted, ExecOutcome};
+use scalfrag_exec::{run_plan, run_plan_faulted, ExecOutcome, Plan};
 use scalfrag_faults::FaultInjector;
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
@@ -216,6 +216,14 @@ impl ClusterScalFrag {
         }
     }
 
+    /// The plan one multi-device MTTKRP runs: the cluster schedule under
+    /// the active configuration, with the launch configuration
+    /// [`ClusterScalFrag::select_config`] picks.
+    pub fn plan(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> Plan {
+        let cfg = self.select_config(tensor, mode, factors.rank() as u32);
+        build_cluster_plan(&self.node, tensor, factors, mode, &self.options(cfg))
+    }
+
     /// Runs one end-to-end multi-device MTTKRP (functional).
     pub fn mttkrp(
         &self,
@@ -223,7 +231,7 @@ impl ClusterScalFrag {
         factors: &FactorSet,
         mode: usize,
     ) -> ClusterMttkrpReport {
-        self.run(tensor, factors, mode, true)
+        self.run(tensor, factors, mode, ExecMode::Functional)
     }
 
     /// Timing-only variant for benchmark sweeps.
@@ -233,7 +241,7 @@ impl ClusterScalFrag {
         factors: &FactorSet,
         mode: usize,
     ) -> ClusterMttkrpReport {
-        self.run(tensor, factors, mode, false)
+        self.run(tensor, factors, mode, ExecMode::Dry)
     }
 
     /// Runs one multi-device MTTKRP under injected faults, recovering per
@@ -249,26 +257,16 @@ impl ClusterScalFrag {
         injector: &mut FaultInjector,
         policy: &FaultRecoveryPolicy,
     ) -> ResilientClusterMttkrpReport {
-        let rank = factors.rank();
-        let cfg = self.select_config(tensor, mode, rank as u32);
-        let opts = self.options(cfg);
-        let stats = scalfrag_kernels::SegmentStats::compute(tensor, mode);
-        let plan = build_cluster_plan(&self.node, tensor, factors, mode, &opts);
+        let plan = self.plan(tensor, factors, mode);
         let run = run_plan_faulted(&plan, ExecMode::Functional, injector, policy);
-        let report = ClusterMttkrpReport {
-            mode,
-            rank,
-            config: opts.kernel.full_config(cfg, rank as u32),
-            num_shards: plan.shards.len(),
-            per_device: run.device_timelines.iter().map(PhaseTiming::from_timeline).collect(),
-            device_names: plan.devices.iter().map(|d| d.name).collect(),
-            assignments: run.device_shards.clone(),
-            reduction_s: run.reduction_s,
-            total_s: run.makespan(),
-            flops: stats.flops(rank as u32),
-            output: run.output.clone(),
-        };
-        ResilientClusterMttkrpReport::new(report, &run)
+        ResilientClusterMttkrpReport {
+            failed_segments: run.lost_items(),
+            completed_segments: run.completed_items,
+            replaced_segments: run.replaced_items,
+            retries: run.retries,
+            dead_devices: run.dead_devices.clone(),
+            report: ClusterMttkrpReport::from_run(&plan, run, call_flops(tensor, factors)),
+        }
     }
 
     fn run(
@@ -276,21 +274,11 @@ impl ClusterScalFrag {
         tensor: &CooTensor,
         factors: &FactorSet,
         mode: usize,
-        functional: bool,
+        exec: ExecMode,
     ) -> ClusterMttkrpReport {
-        let rank = factors.rank();
-        let cfg = self.select_config(tensor, mode, rank as u32);
-        let opts = self.options(cfg);
-        let stats = scalfrag_kernels::SegmentStats::compute(tensor, mode);
-        let exec = if functional { ExecMode::Functional } else { ExecMode::Dry };
-        let run = execute_cluster(&self.node, tensor, factors, mode, &opts, exec);
-        ClusterMttkrpReport::new(
-            &run,
-            mode,
-            rank,
-            opts.kernel.full_config(cfg, rank as u32),
-            stats.flops(rank as u32),
-        )
+        let plan = self.plan(tensor, factors, mode);
+        let run = run_plan(&plan, exec);
+        ClusterMttkrpReport::from_run(&plan, run, call_flops(tensor, factors))
     }
 }
 
@@ -323,23 +311,22 @@ pub struct ClusterMttkrpReport {
 }
 
 impl ClusterMttkrpReport {
-    fn new(run: &ClusterRun, mode: usize, rank: usize, config: LaunchConfig, flops: u64) -> Self {
+    /// The report of one run of a cluster `plan`, in any run mode: the
+    /// node shape comes from the plan; the timings, the shards each
+    /// device completed and the output (moved, not copied) from the run.
+    pub(crate) fn from_run(plan: &Plan, run: ExecOutcome, flops: u64) -> Self {
         Self {
-            mode,
-            rank,
-            config,
-            num_shards: run.num_shards,
-            per_device: run
-                .devices
-                .iter()
-                .map(|d| PhaseTiming::from_timeline(&d.timeline))
-                .collect(),
-            device_names: run.devices.iter().map(|d| d.device_name).collect(),
-            assignments: run.devices.iter().map(|d| d.shard_indices.clone()).collect(),
-            reduction_s: run.reduction_s,
+            mode: plan.mode,
+            rank: plan.rank,
+            config: plan.kernel.full_config(plan.config, plan.rank as u32),
+            num_shards: plan.shards.len(),
+            per_device: run.device_timelines.iter().map(PhaseTiming::from_timeline).collect(),
+            device_names: plan.devices.iter().map(|d| d.name).collect(),
             total_s: run.makespan(),
+            reduction_s: run.reduction_s,
+            assignments: run.device_shards,
             flops,
-            output: run.output.clone(),
+            output: run.output,
         }
     }
 
@@ -393,17 +380,6 @@ pub struct ResilientClusterMttkrpReport {
 }
 
 impl ResilientClusterMttkrpReport {
-    fn new(report: ClusterMttkrpReport, run: &ExecOutcome) -> Self {
-        Self {
-            report,
-            failed_segments: run.lost_items(),
-            completed_segments: run.completed_items,
-            replaced_segments: run.replaced_items,
-            retries: run.retries,
-            dead_devices: run.dead_devices.clone(),
-        }
-    }
-
     /// True when every segment completed despite the faults.
     pub fn all_complete(&self) -> bool {
         self.failed_segments == 0

@@ -7,12 +7,12 @@
 //! kernel on the same simulated device as ScalFrag — making the Fig. 9/10
 //! comparisons strategy-vs-strategy on identical hardware.
 
-use crate::report::{MttkrpReport, PhaseTiming};
-use scalfrag_exec::PlanBuilder;
-use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig};
-use scalfrag_kernels::{FactorSet, MttkrpBackend, SegmentStats};
+use crate::report::{call_flops, MttkrpReport};
+use scalfrag_exec::{run_plan, PlanBuilder};
+use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
+use scalfrag_kernels::{FactorSet, MttkrpBackend};
 use scalfrag_linalg::Mat;
-use scalfrag_pipeline::{build_sync_plan, execute_sync, ExecMode, KernelChoice};
+use scalfrag_pipeline::{build_sync_plan, ExecMode, KernelChoice};
 use scalfrag_tensor::CooTensor;
 
 /// The ParTI baseline framework.
@@ -43,12 +43,12 @@ impl Parti {
 
     /// Runs one end-to-end MTTKRP (functional).
     pub fn mttkrp(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> MttkrpReport {
-        self.run(tensor, factors, mode, true)
+        self.run(tensor, factors, mode, ExecMode::Functional)
     }
 
     /// Timing-only variant for sweeps.
     pub fn mttkrp_dry(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> MttkrpReport {
-        self.run(tensor, factors, mode, false)
+        self.run(tensor, factors, mode, ExecMode::Dry)
     }
 
     fn run(
@@ -56,25 +56,13 @@ impl Parti {
         tensor: &CooTensor,
         factors: &FactorSet,
         mode: usize,
-        functional: bool,
+        exec: ExecMode,
     ) -> MttkrpReport {
         let cfg = Self::launch_config(tensor);
-        let mut gpu = Gpu::new(self.device.clone());
-        let stats = SegmentStats::compute(tensor, mode);
-        let exec = if functional { ExecMode::Functional } else { ExecMode::Dry };
-        let run = execute_sync(&mut gpu, tensor, factors, mode, cfg, KernelChoice::CooAtomic, exec);
-        MttkrpReport {
-            backend: "parti",
-            mode,
-            rank: factors.rank(),
-            config: cfg,
-            segments: 1,
-            streams: 1,
-            flops: stats.flops(factors.rank() as u32),
-            timing: PhaseTiming::from_timeline(&run.timeline),
-            overlap_ratio: run.timeline.overlap_ratio(),
-            output: run.output,
-        }
+        let plan =
+            build_sync_plan(&self.device, tensor, factors, mode, cfg, KernelChoice::CooAtomic);
+        let outcome = run_plan(&plan, exec);
+        MttkrpReport::from_run("parti", &plan, outcome, call_flops(tensor, factors))
     }
 
     /// An [`MttkrpBackend`] view (for CPD-ALS comparisons).

@@ -1,8 +1,17 @@
 //! End-to-end MTTKRP execution reports — the measurements every figure of
 //! the evaluation section is drawn from.
 
+use scalfrag_exec::{ExecOutcome, Plan};
 use scalfrag_gpusim::{LaunchConfig, Timeline};
+use scalfrag_kernels::workload::mttkrp_flops;
+use scalfrag_kernels::FactorSet;
 use scalfrag_linalg::Mat;
+use scalfrag_tensor::CooTensor;
+
+/// FLOPs of one MTTKRP over `tensor` at the rank of `factors`.
+pub(crate) fn call_flops(tensor: &CooTensor, factors: &FactorSet) -> u64 {
+    mttkrp_flops(tensor.nnz() as u64, tensor.order() as u32, factors.rank() as u32)
+}
 
 /// Per-phase busy times of one MTTKRP execution (the Fig. 5 bars).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -139,6 +148,25 @@ pub struct MttkrpReport {
 }
 
 impl MttkrpReport {
+    /// The report of one run of a single-device `plan`, in any run mode:
+    /// the launch shape comes from the plan, the timing and the output
+    /// (moved, not copied) from the run.
+    pub fn from_run(backend: &'static str, plan: &Plan, run: ExecOutcome, flops: u64) -> Self {
+        let device = &plan.devices[0];
+        Self {
+            backend,
+            mode: plan.mode,
+            rank: plan.rank,
+            config: plan.kernel.full_config(plan.config, plan.rank as u32),
+            segments: device.units.len(),
+            streams: device.worker_streams,
+            flops,
+            timing: PhaseTiming::from_timeline(&run.timeline),
+            overlap_ratio: run.timeline.overlap_ratio(),
+            output: run.output,
+        }
+    }
+
     /// Kernel-only achieved GFLOP/s (the Fig. 9 metric).
     pub fn kernel_gflops(&self) -> f64 {
         if self.timing.kernel_s <= 0.0 {

@@ -1,15 +1,14 @@
 //! The ScalFrag framework facade (Fig. 6).
 
-use crate::report::{MttkrpReport, PhaseTiming};
+use crate::report::{call_flops, MttkrpReport};
 use scalfrag_autotune::TrainedPredictor;
-use scalfrag_exec::run_plan_on;
-use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig};
-use scalfrag_kernels::workload::mttkrp_flops;
+use scalfrag_exec::{run_plan, Plan};
+use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, MttkrpBackend};
 use scalfrag_linalg::Mat;
 use scalfrag_pipeline::{
-    build_shared_pipelined_plan, execute_hybrid, execute_sync, split_by_slice_population, ExecMode,
-    KernelChoice, PipelinePlan, PipelineRun,
+    build_hybrid_plan, build_shared_pipelined_plan, build_sync_plan, split_by_slice_population,
+    ExecMode, KernelChoice, PipelinePlan,
 };
 use scalfrag_tensor::{CooTensor, TensorFeatures};
 use std::sync::Arc;
@@ -242,12 +241,50 @@ impl ScalFrag {
     /// Runs one end-to-end MTTKRP (functional: the output is numerically
     /// real and validated against the CPU reference in the test suite).
     pub fn mttkrp(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> MttkrpReport {
-        self.run(tensor, factors, mode, true)
+        self.run(tensor, factors, mode, ExecMode::Functional)
     }
 
     /// Timing-only variant for large benchmark sweeps.
     pub fn mttkrp_dry(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> MttkrpReport {
-        self.run(tensor, factors, mode, false)
+        self.run(tensor, factors, mode, ExecMode::Dry)
+    }
+
+    /// The plan one MTTKRP runs under the active configuration: the
+    /// hybrid split, the segmented pipeline, or the synchronous schedule,
+    /// with the launch configuration [`ScalFrag::select_config`] picks.
+    ///
+    /// # Panics
+    /// Panics if a pipelined or hybrid facade has a stream override of 0.
+    pub fn plan(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> Plan {
+        let cfg = self.select_config(tensor, mode, factors.rank() as u32);
+        let kernel = self.kernel_choice();
+        if self.config.hybrid {
+            let split = split_by_slice_population(tensor, mode, self.config.hybrid_threshold);
+            let segs = self.config.segments.unwrap_or(4);
+            let strs = self.config.streams.unwrap_or(4.min(segs.max(1)));
+            build_hybrid_plan(&self.device, &split, factors, mode, cfg, segs, strs, kernel)
+        } else if self.config.pipelined {
+            // The sorted copy is the plan's shard, shared rather than cloned.
+            let sorted = Arc::new(tensor.sorted_for_mode(mode));
+            let streams = self.config.streams;
+            let plan = match self.config.segments {
+                Some(segs) => {
+                    PipelinePlan::new(&sorted, mode, cfg, segs, streams.unwrap_or(segs.min(4)))
+                }
+                None => {
+                    let mut plan =
+                        PipelinePlan::auto(&sorted, mode, cfg, &self.device, factors.byte_size());
+                    if let Some(streams) = streams {
+                        assert!(streams > 0, "need at least one stream");
+                        plan.num_streams = streams;
+                    }
+                    plan
+                }
+            };
+            build_shared_pipelined_plan(&self.device, sorted, factors, &plan, kernel)
+        } else {
+            build_sync_plan(&self.device, tensor, factors, mode, cfg, kernel)
+        }
     }
 
     fn run(
@@ -255,57 +292,11 @@ impl ScalFrag {
         tensor: &CooTensor,
         factors: &FactorSet,
         mode: usize,
-        functional: bool,
+        exec: ExecMode,
     ) -> MttkrpReport {
-        let rank = factors.rank();
-        let cfg = self.select_config(tensor, mode, rank as u32);
-        let kernel = self.kernel_choice();
-        let mut gpu = Gpu::new(self.device.clone());
-        let exec = if functional { ExecMode::Functional } else { ExecMode::Dry };
-
-        let (run, segments, streams) = if self.config.hybrid {
-            let split = split_by_slice_population(tensor, mode, self.config.hybrid_threshold);
-            let segs = self.config.segments.unwrap_or(4);
-            let strs = self.config.streams.unwrap_or(4.min(segs.max(1)));
-            let run =
-                execute_hybrid(&mut gpu, &split, factors, mode, cfg, segs, strs, kernel, exec);
-            (run, segs, strs)
-        } else if self.config.pipelined {
-            // The sorted copy is the plan's shard, shared rather than cloned.
-            let sorted = Arc::new(tensor.sorted_for_mode(mode));
-            let plan = match (self.config.segments, self.config.streams) {
-                (Some(segs), streams) => {
-                    PipelinePlan::new(&sorted, mode, cfg, segs, streams.unwrap_or(segs.min(4)))
-                }
-                (None, _) => {
-                    PipelinePlan::auto(&sorted, mode, cfg, &self.device, factors.byte_size())
-                }
-            };
-            let program = build_shared_pipelined_plan(&self.device, sorted, factors, &plan, kernel);
-            let outcome = run_plan_on(&mut gpu, &program, exec);
-            let run = PipelineRun {
-                output: outcome.output,
-                timeline: outcome.timeline,
-                trace: outcome.trace,
-            };
-            (run, plan.num_segments(), plan.num_streams)
-        } else {
-            let run = execute_sync(&mut gpu, tensor, factors, mode, cfg, kernel, exec);
-            (run, 1, 1)
-        };
-
-        MttkrpReport {
-            backend: "scalfrag",
-            mode,
-            rank,
-            config: kernel.full_config(cfg, rank as u32),
-            segments,
-            streams,
-            flops: mttkrp_flops(tensor.nnz() as u64, tensor.order() as u32, rank as u32),
-            timing: PhaseTiming::from_timeline(&run.timeline),
-            overlap_ratio: run.timeline.overlap_ratio(),
-            output: run.output,
-        }
+        let plan = self.plan(tensor, factors, mode);
+        let outcome = run_plan(&plan, exec);
+        MttkrpReport::from_run("scalfrag", &plan, outcome, call_flops(tensor, factors))
     }
 
     /// An [`MttkrpBackend`] view of this framework (for CPD-ALS), which
@@ -449,6 +440,68 @@ mod tests {
         assert_eq!(res.iters, 2);
         assert!(res.final_fit().is_finite());
         assert!(backend.simulated_seconds > 0.0);
+    }
+
+    #[test]
+    fn run_is_the_facade_plan_run_and_reported() {
+        let (t, f) = small();
+        let handle =
+            TrainedPredictor::train_once(&DeviceSpec::rtx3090(), 0x5ca1, Some(vec![3_000, 12_000]));
+        let facades = [
+            ScalFrag::builder().predictor(handle.clone()).build(),
+            ScalFrag::builder().predictor(handle.clone()).pipelined(false).build(),
+            ScalFrag::builder().predictor(handle).hybrid(true).hybrid_threshold(30).build(),
+        ];
+        for ctx in &facades {
+            let plan = ctx.plan(&t, &f, 0);
+            let run = run_plan(&plan, ExecMode::Functional);
+            let report = ctx.mttkrp(&t, &f, 0);
+            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&run.output), bits(&report.output), "{}", plan.name);
+            assert_eq!(
+                crate::PhaseTiming::from_timeline(&run.timeline),
+                report.timing,
+                "{}",
+                plan.name
+            );
+            let dev = &plan.devices[0];
+            assert_eq!((dev.units.len(), dev.worker_streams), (report.segments, report.streams));
+        }
+    }
+
+    #[test]
+    fn report_shows_the_launched_segments_and_streams() {
+        // Three dense slices of 100 entries and 37 one-entry slices: the
+        // hybrid split keeps the dense ones on the device, where at most
+        // one segment per slice can be cut.
+        let mut entries = Vec::new();
+        for s in 0..3u32 {
+            entries.extend((0..100u32).map(|k| (vec![s, k % 50, k / 50], 1.0)));
+        }
+        entries.extend((3..40u32).map(|s| (vec![s, s % 50, s % 7], 1.0)));
+        let t = CooTensor::from_entries(&[40, 50, 7], &entries);
+        let f = FactorSet::random(t.dims(), 4, 7);
+        let cfg = LaunchConfig::new(256, 128);
+        let hybrid = ScalFrag::builder()
+            .fixed_config(cfg)
+            .hybrid(true)
+            .hybrid_threshold(4)
+            .segments(8)
+            .build()
+            .mttkrp_dry(&t, &f, 0);
+        assert_eq!((hybrid.segments, hybrid.streams), (3, 4));
+        // A stream override applies to the automatic segment count too.
+        let streams =
+            ScalFrag::builder().fixed_config(cfg).streams(2).build().mttkrp_dry(&t, &f, 0);
+        assert_eq!(streams.streams, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one stream")]
+    fn zero_streams_are_rejected() {
+        let (t, f) = small();
+        let ctx = ScalFrag::builder().fixed_config(LaunchConfig::new(256, 128)).streams(0).build();
+        let _ = ctx.plan(&t, &f, 0);
     }
 
     #[test]

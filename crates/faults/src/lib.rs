@@ -15,7 +15,7 @@
 //!   device by simulated time ([`FaultTrigger::AtTime`]) or by operation
 //!   count ([`FaultTrigger::AtOp`]); [`FaultPlan::seeded_storm`] draws a
 //!   whole MTBF-controlled storm from one seed.
-//! * **The injector** ([`injector`]) — executors poll
+//! * **The injector** ([`injector`]) — the plan interpreter polls
 //!   [`FaultInjector::on_op`] before each simulated H2D/D2H/kernel and get
 //!   a typed [`OpVerdict`]; schedulers poll [`FaultInjector::health_at`]
 //!   for device state ([`DeviceHealth`]). Same plan + same execution ⇒

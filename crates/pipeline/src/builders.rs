@@ -457,3 +457,152 @@ pub fn balance_plan_builders() -> Vec<PlanBuilder> {
         }),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scalfrag_exec::{run_plan, run_plan_on, ExecMode};
+    use scalfrag_gpusim::Gpu;
+    use scalfrag_kernels::reference::mttkrp_seq;
+
+    fn setup(nnz: usize) -> (CooTensor, FactorSet) {
+        let dims = [300u32, 200, 150];
+        let mut t = scalfrag_tensor::gen::zipf_slices(&dims, nnz, 0.7, 11);
+        t.sort_for_mode(0);
+        let f = FactorSet::random(&dims, 16, 12);
+        (t, f)
+    }
+
+    fn pipelined(t: &CooTensor, f: &FactorSet, plan: &PipelinePlan) -> Plan {
+        build_pipelined_plan(&DeviceSpec::rtx3090(), t, f, plan, KernelChoice::Tiled)
+    }
+
+    #[test]
+    fn pipelined_output_matches_reference() {
+        let (t, f) = setup(20_000);
+        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+        let plan = PipelinePlan::new(&t, 0, LaunchConfig::new(1024, 256), 4, 4);
+        let run = run_plan_on(&mut gpu, &pipelined(&t, &f, &plan), ExecMode::Functional);
+        let expect = mttkrp_seq(&t, &f, 0);
+        assert!(
+            run.output.max_abs_diff(&expect) < 1e-2,
+            "diff {}",
+            run.output.max_abs_diff(&expect)
+        );
+        assert!(run.timeline.validate().is_ok());
+        // Memory fully released.
+        assert_eq!(gpu.memory().used(), 0);
+    }
+
+    #[test]
+    fn sync_output_matches_reference() {
+        let (t, f) = setup(10_000);
+        let cfg = LaunchConfig::parti_default(t.nnz());
+        let p = build_sync_plan(&DeviceSpec::rtx3090(), &t, &f, 0, cfg, KernelChoice::CooAtomic);
+        let run = run_plan(&p, ExecMode::Functional);
+        let expect = mttkrp_seq(&t, &f, 0);
+        assert!(run.output.max_abs_diff(&expect) < 1e-2);
+    }
+
+    #[test]
+    fn pipelining_beats_sync_end_to_end() {
+        // At paper-like scale the transfer and kernel times are comparable,
+        // so overlap pays; timing-only execution keeps the test fast.
+        let dims = [2_000u32, 1_500, 1_000];
+        let mut t = scalfrag_tensor::gen::uniform(&dims, 400_000, 31);
+        t.sort_for_mode(0);
+        let f = FactorSet::random(&dims, 16, 32);
+        let cfg = LaunchConfig::new(2048, 256);
+
+        let p = build_sync_plan(&DeviceSpec::rtx3090(), &t, &f, 0, cfg, KernelChoice::Tiled);
+        let sync = run_plan(&p, ExecMode::Dry);
+
+        let plan = PipelinePlan::new(&t, 0, cfg, 4, 4);
+        let piped = run_plan(&pipelined(&t, &f, &plan), ExecMode::Dry);
+
+        assert!(
+            piped.makespan() < sync.makespan(),
+            "pipelined {} should beat sync {}",
+            piped.makespan(),
+            sync.makespan()
+        );
+        let overlap = piped.timeline.overlap_ratio();
+        assert!(overlap > 0.1, "overlap {overlap}");
+    }
+
+    #[test]
+    fn dry_and_functional_runs_report_identical_times_and_traces() {
+        // The dry-mode regression contract: for a fault-free plan, a dry
+        // run must report exactly the simulated times (and therefore the
+        // trace fingerprint) of the functional run.
+        let (t, f) = setup(10_000);
+        let cfg = LaunchConfig::new(1024, 256);
+        let p = pipelined(&t, &f, &PipelinePlan::new(&t, 0, cfg, 4, 2));
+        let wet = run_plan(&p, ExecMode::Functional);
+        let dry = run_plan(&p, ExecMode::Dry);
+        assert_eq!(wet.makespan(), dry.makespan());
+        assert!(!wet.trace.is_empty() && !dry.trace.is_empty());
+        assert_eq!(
+            wet.trace.fingerprint(),
+            dry.trace.fingerprint(),
+            "dry and functional runs must execute the identical schedule"
+        );
+        assert_eq!(dry.output.frob_norm(), 0.0, "dry runs compute nothing");
+    }
+
+    #[test]
+    fn single_segment_single_stream_degenerates_to_sync_shape() {
+        let (t, f) = setup(5_000);
+        let plan = PipelinePlan::new(&t, 0, LaunchConfig::new(512, 256), 1, 1);
+        let run = run_plan(&pipelined(&t, &f, &plan), ExecMode::Functional);
+        // One segment: H2D factors, H2D seg, kernel, D2H = 4 spans.
+        assert_eq!(run.timeline.spans.len(), 4);
+        assert!(run.timeline.overlap_ratio() < 0.05);
+    }
+
+    #[test]
+    fn works_for_every_mode_and_4way() {
+        let dims = [40u32, 30, 20, 10];
+        let f = FactorSet::random(&dims, 8, 5);
+        for mode in 0..4 {
+            let mut t = scalfrag_tensor::gen::uniform(&dims, 3_000, 9);
+            t.sort_for_mode(mode);
+            let plan = PipelinePlan::new(&t, mode, LaunchConfig::new(256, 128), 3, 2);
+            let run = run_plan(&pipelined(&t, &f, &plan), ExecMode::Functional);
+            let expect = mttkrp_seq(&t, &f, mode);
+            assert!(run.output.max_abs_diff(&expect) < 1e-2, "mode {mode}");
+        }
+    }
+
+    #[test]
+    fn more_streams_help_until_engines_saturate() {
+        // Fig. 11's mechanism: with 8 segments, 1 stream serialises
+        // everything, 4 streams overlap; beyond that gains flatten because
+        // there is one H2D engine and one compute engine.
+        let dims = [2_000u32, 1_500, 1_000];
+        let mut t = scalfrag_tensor::gen::uniform(&dims, 400_000, 33);
+        t.sort_for_mode(0);
+        let f = FactorSet::random(&dims, 16, 34);
+        let cfg = LaunchConfig::new(2048, 256);
+        let mut times = Vec::new();
+        for streams in [1usize, 2, 4, 8] {
+            let plan = PipelinePlan::new(&t, 0, cfg, 8, streams);
+            times.push(run_plan(&pipelined(&t, &f, &plan), ExecMode::Dry).makespan());
+        }
+        assert!(times[1] < times[0], "2 streams should beat 1: {times:?}");
+        let gain_12 = times[0] / times[1];
+        let gain_48 = times[2] / times[3];
+        assert!(gain_48 < gain_12, "stream gains should flatten: {times:?}");
+    }
+
+    #[test]
+    fn plan_renders_a_typed_ir_dump() {
+        let (t, f) = setup(5_000);
+        let plan = PipelinePlan::new(&t, 0, LaunchConfig::new(512, 256), 4, 2);
+        let dump = pipelined(&t, &f, &plan).render();
+        assert!(dump.contains("H2D"), "dump:\n{dump}");
+        assert!(dump.contains("Launch"), "dump:\n{dump}");
+        assert!(dump.contains("Barrier"), "dump:\n{dump}");
+        assert!(dump.contains("output D2H"), "dump:\n{dump}");
+    }
+}

@@ -8,15 +8,12 @@
 //! can fold them in for free while the PCIe transfer of the bulk is in
 //! flight.
 //!
-//! The host fold is a first-class `HostResidue` op of the lowered plan:
-//! it appears in the plan trace and, under fault injection, polls,
-//! retries and waits out outages like any device op.
+//! [`split_by_slice_population`] cuts the tensor;
+//! [`build_hybrid_plan`](crate::build_hybrid_plan) lowers the split. The
+//! host fold is a first-class `HostResidue` op of that plan: it appears
+//! in the plan trace and, under fault injection, polls, retries and waits
+//! out outages like any device op.
 
-use crate::builders::build_hybrid_plan;
-use crate::executor::{ExecMode, KernelChoice, PipelineRun};
-use scalfrag_exec::run_plan_on;
-use scalfrag_gpusim::{Gpu, LaunchConfig};
-use scalfrag_kernels::FactorSet;
 use scalfrag_tensor::CooTensor;
 
 /// A tensor split into a GPU part (dense slices) and a host part (the
@@ -65,46 +62,28 @@ pub fn split_by_slice_population(tensor: &CooTensor, mode: usize, threshold: u32
     HybridSplit { gpu_part, cpu_part, threshold }
 }
 
-/// Executes an MTTKRP with the hybrid schedule: the dense-slice bulk runs
-/// through the segmented GPU pipeline while the sparse-slice tail runs as
-/// a `HostResidue` op in parallel; the two partial outputs are summed.
-///
-/// `split.gpu_part` is sorted internally; `plan_segments`/`plan_streams`
-/// configure the GPU-side pipeline.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_hybrid(
-    gpu: &mut Gpu,
-    split: &HybridSplit,
-    factors: &FactorSet,
-    mode: usize,
-    config: LaunchConfig,
-    plan_segments: usize,
-    plan_streams: usize,
-    kernel: KernelChoice,
-    exec: ExecMode,
-) -> PipelineRun {
-    let spec = gpu.spec().clone();
-    let p =
-        build_hybrid_plan(&spec, split, factors, mode, config, plan_segments, plan_streams, kernel);
-    let outcome = run_plan_on(gpu, &p, exec);
-    PipelineRun {
-        output: outcome.output,
-        timeline: gpu.full_timeline().clone(),
-        trace: outcome.trace,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalfrag_gpusim::DeviceSpec;
+    use crate::builders::build_hybrid_plan;
+    use scalfrag_exec::{run_plan, ExecMode, ExecOutcome, KernelChoice};
+    use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
     use scalfrag_kernels::reference::mttkrp_seq;
+    use scalfrag_kernels::FactorSet;
 
     fn skewed() -> (CooTensor, FactorSet) {
         let dims = [200u32, 100, 100];
         let t = scalfrag_tensor::gen::zipf_slices(&dims, 15_000, 1.1, 21);
         let f = FactorSet::random(&dims, 8, 22);
         (t, f)
+    }
+
+    /// Runs the hybrid plan (4 segments on 4 streams) functionally.
+    fn run_hybrid(split: &HybridSplit, f: &FactorSet) -> ExecOutcome {
+        let cfg = LaunchConfig::new(1024, 256);
+        let p =
+            build_hybrid_plan(&DeviceSpec::rtx3090(), split, f, 0, cfg, 4, 4, KernelChoice::Tiled);
+        run_plan(&p, ExecMode::Functional)
     }
 
     #[test]
@@ -134,18 +113,7 @@ mod tests {
     fn hybrid_output_matches_reference() {
         let (t, f) = skewed();
         let split = split_by_slice_population(&t, 0, 8);
-        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-        let run = execute_hybrid(
-            &mut gpu,
-            &split,
-            &f,
-            0,
-            LaunchConfig::new(1024, 256),
-            4,
-            4,
-            KernelChoice::Tiled,
-            ExecMode::Functional,
-        );
+        let run = run_hybrid(&split, &f);
         let expect = mttkrp_seq(&t, &f, 0);
         assert!(
             run.output.max_abs_diff(&expect) < 1e-2,
@@ -158,18 +126,7 @@ mod tests {
     fn host_work_overlaps_device_work() {
         let (t, f) = skewed();
         let split = split_by_slice_population(&t, 0, 8);
-        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-        let run = execute_hybrid(
-            &mut gpu,
-            &split,
-            &f,
-            0,
-            LaunchConfig::new(1024, 256),
-            4,
-            4,
-            KernelChoice::Tiled,
-            ExecMode::Functional,
-        );
+        let run = run_hybrid(&split, &f);
         let host_span = run
             .timeline
             .spans
@@ -184,18 +141,7 @@ mod tests {
     fn host_residue_appears_in_the_plan_trace() {
         let (t, f) = skewed();
         let split = split_by_slice_population(&t, 0, 8);
-        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-        let run = execute_hybrid(
-            &mut gpu,
-            &split,
-            &f,
-            0,
-            LaunchConfig::new(1024, 256),
-            4,
-            4,
-            KernelChoice::Tiled,
-            ExecMode::Functional,
-        );
+        let run = run_hybrid(&split, &f);
         assert!(
             run.trace.events.iter().any(|e| e.label == "host tail MTTKRP"),
             "the residue must be a first-class traced op"

@@ -13,20 +13,21 @@
 //!    adapts to what fits ([`PipelinePlan::auto`]).
 //! 3. **Streamed transfer + compute** — each segment's H2D copy and kernel
 //!    launch are issued on one of `num_streams` CUDA-style streams, so
-//!    segment *k+1* transfers while segment *k* computes ([`executor`]).
+//!    segment *k+1* transfers while segment *k* computes
+//!    ([`build_pipelined_plan`]).
 //! 4. **Result synchronisation** — a single D2H copy, ordered after every
 //!    kernel through events, returns the output matrix.
 //! 5. **Hybrid execution** — optionally, the low-parallelism slices run on
 //!    the host CPU while the device processes the bulk ([`hybrid`]).
 //!
-//! Since the ScheduleIR refactor this crate is a *plan builder*: every
-//! schedule lowers to a [`scalfrag_exec::Plan`] ([`builders`]) and the
-//! single interpreter in `scalfrag-exec` executes it. Dry runs are the
+//! This crate only builds plans: every schedule lowers to a
+//! [`scalfrag_exec::Plan`] ([`builders`]) and callers hand it to the one
+//! interpreter in `scalfrag-exec` — [`scalfrag_exec::run_plan`], or
+//! [`scalfrag_exec::run_plan_on`] on a caller's GPU. Dry runs are the
 //! interpreter's [`ExecMode::Dry`]; fault injection runs the same plan
 //! through [`scalfrag_exec::run_plan_faulted`].
 
 pub mod builders;
-pub mod executor;
 pub mod hybrid;
 pub mod plan;
 
@@ -36,6 +37,6 @@ pub use builders::{
     build_shared_pipelined_plan, build_sync_plan, lower_batched_plan, plan_builders,
     BatchedJobSpec,
 };
-pub use executor::{execute_pipelined, execute_sync, ExecMode, KernelChoice, PipelineRun};
-pub use hybrid::{execute_hybrid, split_by_slice_population, HybridSplit};
+pub use hybrid::{split_by_slice_population, HybridSplit};
 pub use plan::PipelinePlan;
+pub use scalfrag_exec::{ExecMode, KernelChoice};

@@ -20,8 +20,6 @@ pub struct PipelinePlan {
     pub num_streams: usize,
     /// Slice-aligned entry ranges (over the mode-sorted tensor).
     pub segments: Vec<Segment>,
-    /// Explicit segment→stream assignment; `None` = round-robin.
-    assignment: Option<Vec<usize>>,
 }
 
 impl PipelinePlan {
@@ -39,7 +37,7 @@ impl PipelinePlan {
     ) -> Self {
         assert!(num_streams > 0, "need at least one stream");
         let segments = segment::segment_on_slice_boundaries(tensor, mode, num_segments);
-        Self { mode, config, num_streams, segments, assignment: None }
+        Self { mode, config, num_streams, segments }
     }
 
     /// Auto mode: picks the segment count from the device memory budget
@@ -75,42 +73,11 @@ impl PipelinePlan {
         self.segments.iter().map(Segment::nnz).sum()
     }
 
-    /// The stream index segment `i` is assigned to (round-robin by default,
-    /// as in the paper's "each stream is responsible for … one or more
-    /// specific data segments"; [`PipelinePlan::balance_streams`] switches
-    /// to a size-balanced assignment).
+    /// The stream segment `segment_idx` is issued on: round-robin, as in
+    /// the paper's "each stream is responsible for … one or more specific
+    /// data segments".
     pub fn stream_of(&self, segment_idx: usize) -> usize {
-        match &self.assignment {
-            Some(a) => a[segment_idx],
-            None => segment_idx % self.num_streams,
-        }
-    }
-
-    /// Replaces round-robin with an LPT (longest-processing-time-first)
-    /// size-balanced assignment: segments are sorted by nnz descending and
-    /// each goes to the currently lightest stream. With slice-aligned cuts
-    /// on skewed tensors, segment sizes can differ a lot; balancing evens
-    /// the per-stream byte totals so no stream becomes the straggler.
-    pub fn balance_streams(&mut self) {
-        let mut order: Vec<usize> = (0..self.segments.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.segments[i].nnz()));
-        let mut load = vec![0usize; self.num_streams];
-        let mut assignment = vec![0usize; self.segments.len()];
-        for i in order {
-            let s = (0..self.num_streams).min_by_key(|&s| load[s]).unwrap_or(0);
-            assignment[i] = s;
-            load[s] += self.segments[i].nnz();
-        }
-        self.assignment = Some(assignment);
-    }
-
-    /// Per-stream total nnz under the current assignment.
-    pub fn stream_loads(&self) -> Vec<usize> {
-        let mut load = vec![0usize; self.num_streams];
-        for (i, s) in self.segments.iter().enumerate() {
-            load[self.stream_of(i)] += s.nnz();
-        }
-        load
+        segment_idx % self.num_streams
     }
 }
 
@@ -151,30 +118,6 @@ mod tests {
         d.global_mem_bytes = (t.byte_size() / 3) as u64;
         let p = PipelinePlan::auto(&t, 0, LaunchConfig::new(1024, 256), &d, 0);
         assert!(p.num_segments() > 4, "got {}", p.num_segments());
-    }
-
-    #[test]
-    fn balanced_assignment_evens_stream_loads() {
-        // A heavily skewed tensor with slice-aligned cuts produces very
-        // uneven segments; LPT must beat round-robin on max stream load.
-        let mut t = scalfrag_tensor::gen::zipf_slices(&[60, 80, 80], 8_000, 1.3, 9);
-        t.sort_for_mode(0);
-        let mut p = PipelinePlan::new(&t, 0, LaunchConfig::new(512, 256), 8, 3);
-        let rr_loads = p.stream_loads();
-        let rr_max = *rr_loads.iter().max().unwrap();
-        p.balance_streams();
-        let lpt_loads = p.stream_loads();
-        let lpt_max = *lpt_loads.iter().max().unwrap();
-        assert_eq!(
-            rr_loads.iter().sum::<usize>(),
-            lpt_loads.iter().sum::<usize>(),
-            "total work must be preserved"
-        );
-        assert!(lpt_max <= rr_max, "LPT {lpt_max} must not exceed round-robin {rr_max}");
-        // Every segment still maps to a valid stream.
-        for i in 0..p.num_segments() {
-            assert!(p.stream_of(i) < p.num_streams);
-        }
     }
 
     #[test]

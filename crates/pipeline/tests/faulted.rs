@@ -7,12 +7,11 @@ use scalfrag_exec::{
     run_plan, run_plan_faulted, ExecMode, ExecOutcome, FaultRecoveryPolicy, Plan, RetryPolicy,
 };
 use scalfrag_faults::{FaultInjector, FaultKind, FaultPlan, FaultTrigger};
-use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig};
+use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
 use scalfrag_linalg::Mat;
 use scalfrag_pipeline::{
-    build_hybrid_plan, build_pipelined_plan, execute_pipelined, split_by_slice_population,
-    KernelChoice, PipelinePlan,
+    build_hybrid_plan, build_pipelined_plan, split_by_slice_population, KernelChoice, PipelinePlan,
 };
 use scalfrag_tensor::CooTensor;
 
@@ -33,8 +32,7 @@ fn plan(t: &CooTensor, f: &FactorSet) -> Plan {
 }
 
 fn baseline(t: &CooTensor, f: &FactorSet) -> Mat {
-    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-    execute_pipelined(&mut gpu, t, f, &pplan(t), KernelChoice::Tiled, ExecMode::Functional).output
+    run_plan(&plan(t, f), ExecMode::Functional).output
 }
 
 fn faulted(p: &Plan, faults: FaultPlan, retry: RetryPolicy) -> (ExecOutcome, FaultInjector) {

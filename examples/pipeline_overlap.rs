@@ -4,10 +4,7 @@
 //!
 //! Run with `cargo run --release --example pipeline_overlap`.
 
-use scalfrag::exec::ExecMode;
-use scalfrag::gpusim::{DeviceSpec, Gpu};
-use scalfrag::kernels::FactorSet;
-use scalfrag::pipeline::{execute_pipelined, execute_sync, KernelChoice, PipelinePlan};
+use scalfrag::pipeline::{build_pipelined_plan, build_sync_plan, KernelChoice, PipelinePlan};
 use scalfrag::prelude::*;
 
 fn main() {
@@ -18,25 +15,27 @@ fn main() {
     let factors = FactorSet::random(tensor.dims(), 16, 5);
     println!("tensor: {} ({} nnz), factors rank {}\n", preset.name, tensor.nnz(), factors.rank());
     let cfg = LaunchConfig::new(4096, 256);
+    let device = DeviceSpec::rtx3090();
+    let pipelined = |plan: &PipelinePlan| {
+        let p = build_pipelined_plan(&device, &tensor, &factors, plan, KernelChoice::Tiled);
+        run_plan(&p, ExecMode::Dry)
+    };
 
     // --- The ParTI-style synchronous schedule (§III-B). ---
-    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-    let sync =
-        execute_sync(&mut gpu, &tensor, &factors, 0, cfg, KernelChoice::Tiled, ExecMode::Dry);
+    let p = build_sync_plan(&device, &tensor, &factors, 0, cfg, KernelChoice::Tiled);
+    let sync = run_plan(&p, ExecMode::Dry);
     println!("synchronous schedule ({}):", scalfrag_fmt(sync.makespan()));
     println!("{}", sync.timeline.ascii_gantt(90));
 
     // --- The ScalFrag pipeline: 4 segments on 4 streams. ---
     let plan = PipelinePlan::new(&tensor, 0, cfg, 4, 4);
-    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-    let piped =
-        execute_pipelined(&mut gpu, &tensor, &factors, &plan, KernelChoice::Tiled, ExecMode::Dry);
+    let piped = pipelined(&plan);
     println!(
         "pipelined schedule, {} segments / {} streams ({}; overlap {:.0}%):",
         plan.num_segments(),
         plan.num_streams,
         scalfrag_fmt(piped.makespan()),
-        piped.overlap_ratio() * 100.0
+        piped.timeline.overlap_ratio() * 100.0
     );
     println!("{}", piped.timeline.ascii_gantt(90));
     println!("speedup over the synchronous schedule: {:.2}x\n", sync.makespan() / piped.makespan());
@@ -52,16 +51,7 @@ fn main() {
         print!("{segments:>10}");
         for streams in [1usize, 2, 4, 8] {
             let plan = PipelinePlan::new(&tensor, 0, cfg, segments, streams);
-            let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-            let run = execute_pipelined(
-                &mut gpu,
-                &tensor,
-                &factors,
-                &plan,
-                KernelChoice::Tiled,
-                ExecMode::Dry,
-            );
-            print!("{:>11}", scalfrag_fmt(run.makespan()));
+            print!("{:>11}", scalfrag_fmt(pipelined(&plan).makespan()));
         }
         println!();
     }

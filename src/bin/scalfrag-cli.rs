@@ -15,6 +15,7 @@
 use scalfrag::autotune::tuner::{tune, TuningStrategy};
 use scalfrag::autotune::LaunchPredictor;
 use scalfrag::gpusim::{trace, DeviceSpec};
+use scalfrag::kernels::workload::mttkrp_flops;
 use scalfrag::kernels::{cpd_als, CpdOptions, CpuParallelBackend, MttkrpBackend};
 use scalfrag::prelude::*;
 
@@ -233,29 +234,14 @@ fn cmd_tune(tensor: &CooTensor, args: &Args) {
 fn cmd_trace(tensor: &CooTensor, args: &Args) {
     let factors = FactorSet::random(tensor.dims(), args.rank, 42);
     let ctx = ScalFrag::builder().fixed_config(LaunchConfig::new(4096, 256)).build();
-    let r = ctx.mttkrp_dry(tensor, &factors, args.mode);
-    println!("{}", r.summary());
-    // Re-run through the pipeline to capture the timeline for export.
-    let sorted = tensor.sorted_for_mode(args.mode);
-    let plan = scalfrag::pipeline::PipelinePlan::new(
-        &sorted,
-        args.mode,
-        LaunchConfig::new(4096, 256),
-        4,
-        4,
-    );
-    let mut gpu = scalfrag::gpusim::Gpu::new(DeviceSpec::rtx3090());
-    let run = scalfrag::pipeline::execute_pipelined(
-        &mut gpu,
-        &sorted,
-        &factors,
-        &plan,
-        scalfrag::pipeline::KernelChoice::Tiled,
-        scalfrag::exec::ExecMode::Dry,
-    );
+    let plan = ctx.plan(tensor, &factors, args.mode);
+    let run = run_plan(&plan, ExecMode::Dry);
+    let timeline = run.timeline.clone();
+    let flops = mttkrp_flops(tensor.nnz() as u64, tensor.order() as u32, args.rank as u32);
+    println!("{}", MttkrpReport::from_run("scalfrag", &plan, run, flops).summary());
     let path = args.out.clone().unwrap_or_else(|| "scalfrag_trace.json".into());
     let file = std::fs::File::create(&path).expect("create trace file");
-    trace::write_chrome_trace(&run.timeline, file).expect("write trace");
+    trace::write_chrome_trace(&timeline, file).expect("write trace");
     println!("wrote Chrome trace to {path} (open at chrome://tracing or ui.perfetto.dev)");
-    println!("{}", run.timeline.ascii_gantt(90));
+    println!("{}", timeline.ascii_gantt(90));
 }

@@ -5,7 +5,7 @@
 //! produce the identical fault log.
 
 use proptest::prelude::*;
-use scalfrag::cluster::{build_cluster_plan, execute_cluster, ClusterOptions};
+use scalfrag::cluster::{build_cluster_plan, ClusterOptions};
 use scalfrag::faults::mat_checksum;
 use scalfrag::kernels::{
     cpd_als, cpd_als_checkpointed, CheckpointConfig, CpuSequentialBackend, ScriptedFailureBackend,
@@ -42,7 +42,8 @@ proptest! {
         mtbf in 3u64..10,
     ) {
         let (tensor, factors) = workload(data_seed);
-        let clean = execute_cluster(&node(), &tensor, &factors, 0, &opts(), ExecMode::Functional);
+        let cluster = build_cluster_plan(&node(), &tensor, &factors, 0, &opts());
+        let clean = run_plan(&cluster, ExecMode::Functional);
 
         let plan = FaultPlan::seeded_storm(seed, DEVICES, mtbf, 24, /* recoverable_only */ true);
         // Every scheduled fault costs at most one attempt, so this budget
@@ -50,7 +51,6 @@ proptest! {
         let policy = FaultRecoveryPolicy::retry_reshard()
             .with_retry(RetryPolicy::with_attempts(plan.len() as u32 + 4));
 
-        let cluster = build_cluster_plan(&node(), &tensor, &factors, 0, &opts());
         let mut inj = FaultInjector::new(plan.clone());
         let run = run_plan_faulted(&cluster, ExecMode::Functional, &mut inj, &policy);
         prop_assert!(

@@ -2,7 +2,7 @@
 //! slice reordering and the tooling layer (profiler, Chrome trace) through
 //! the facade crate.
 
-use scalfrag::gpusim::{profiler, trace, DeviceSpec, Gpu};
+use scalfrag::gpusim::{profiler, trace, DeviceSpec};
 use scalfrag::kernels::reference::mttkrp_seq;
 use scalfrag::kernels::{spttm, AtomicF32Buffer, FCooKernel, HiCooKernel};
 use scalfrag::prelude::*;
@@ -84,15 +84,9 @@ fn profiler_and_trace_cover_a_real_pipeline_run() {
     t.sort_for_mode(0);
     let f = FactorSet::random(t.dims(), 8, 81);
     let plan = scalfrag::pipeline::PipelinePlan::new(&t, 0, LaunchConfig::new(1024, 256), 4, 4);
-    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-    let run = scalfrag::pipeline::execute_pipelined(
-        &mut gpu,
-        &t,
-        &f,
-        &plan,
-        scalfrag::pipeline::KernelChoice::Tiled,
-        scalfrag::exec::ExecMode::Dry,
-    );
+    let kernel = scalfrag::pipeline::KernelChoice::Tiled;
+    let p = scalfrag::pipeline::build_pipelined_plan(&DeviceSpec::rtx3090(), &t, &f, &plan, kernel);
+    let run = run_plan(&p, ExecMode::Dry);
 
     let p = profiler::profile(&run.timeline);
     assert_eq!(p.by_label.iter().filter(|(l, _)| l.contains("kernel")).count(), 4);

@@ -2,7 +2,8 @@
 //! auto-segmentation under pressure, degenerate tensors, and hostile
 //! configurations must fail loudly or adapt — never silently corrupt.
 
-use scalfrag::gpusim::{DeviceSpec, Gpu, MemoryPool};
+use scalfrag::gpusim::{DeviceSpec, MemoryPool};
+use scalfrag::pipeline::{build_hybrid_plan, build_sync_plan, KernelChoice};
 use scalfrag::prelude::*;
 
 #[test]
@@ -43,16 +44,9 @@ fn sync_execution_panics_when_the_tensor_cannot_fit() {
     let f = FactorSet::random(t.dims(), 8, 3);
     let mut spec = DeviceSpec::rtx3090();
     spec.global_mem_bytes = 1_000; // absurdly small device
-    let mut gpu = Gpu::new(spec);
-    let _ = scalfrag::pipeline::execute_sync(
-        &mut gpu,
-        &t,
-        &f,
-        0,
-        LaunchConfig::new(256, 128),
-        scalfrag::pipeline::KernelChoice::Tiled,
-        ExecMode::Functional,
-    );
+    let cfg = LaunchConfig::new(256, 128);
+    let plan = build_sync_plan(&spec, &t, &f, 0, cfg, KernelChoice::Tiled);
+    let _ = run_plan(&plan, ExecMode::Functional);
 }
 
 #[test]
@@ -108,18 +102,10 @@ fn hybrid_with_everything_on_cpu_matches() {
     let f = FactorSet::random(t.dims(), 4, 9);
     let split = scalfrag::pipeline::split_by_slice_population(&t, 0, u32::MAX);
     assert_eq!(split.gpu_part.nnz(), 0);
-    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-    let run = scalfrag::pipeline::execute_hybrid(
-        &mut gpu,
-        &split,
-        &f,
-        0,
-        LaunchConfig::new(64, 64),
-        2,
-        2,
-        scalfrag::pipeline::KernelChoice::Tiled,
-        ExecMode::Functional,
-    );
+    let cfg = LaunchConfig::new(64, 64);
+    let plan =
+        build_hybrid_plan(&DeviceSpec::rtx3090(), &split, &f, 0, cfg, 2, 2, KernelChoice::Tiled);
+    let run = run_plan(&plan, ExecMode::Functional);
     let expect = scalfrag::kernels::reference::mttkrp_seq(&t, &f, 0);
     assert!(run.output.max_abs_diff(&expect) < 1e-3);
 }
