@@ -19,15 +19,19 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> unused dependency declarations"
-# Every [dependencies] and [dev-dependencies] entry of a workspace crate
-# must be named (as its underscore identifier) on a non-comment line
-# somewhere in that crate's src, tests, benches or examples; a mention in
-# a `//` comment does not count.
+# Every [dependencies] entry of a workspace crate must be named (as its
+# underscore identifier) on a non-comment line somewhere in that crate's
+# src, and every [dev-dependencies] entry somewhere in its src, tests,
+# benches or examples; a mention in a `//` comment does not count.
 unused=0
 for toml in crates/*/Cargo.toml; do
     dir=$(dirname "$toml")
     while read -r section dep; do
-        uses=$(grep -rhw --include='*.rs' "${dep//-/_}" "$dir/src" "$dir/tests" "$dir/benches" "$dir/examples" 2>/dev/null || true)
+        dirs=("$dir/src")
+        if [ "$section" = "[dev-dependencies]" ]; then
+            dirs+=("$dir/tests" "$dir/benches" "$dir/examples")
+        fi
+        uses=$(grep -rhw --include='*.rs' "${dep//-/_}" "${dirs[@]}" 2>/dev/null || true)
         if ! grep -qvE '^[[:space:]]*(//|$)' <<<"$uses"; then
             echo "$toml: $section entry '$dep' is never named in the crate outside comments"
             unused=1

@@ -32,7 +32,6 @@ pub mod importance;
 pub mod knn;
 pub mod metrics;
 pub mod persist;
-pub mod planspace;
 pub mod predictor;
 pub mod ridge;
 pub mod sweep;
@@ -50,7 +49,6 @@ pub use forest::BaggingForest;
 pub use importance::{tree_importance, FeatureImportance};
 pub use knn::KnnRegressor;
 pub use metrics::{mae, mape, r2, rmse};
-pub use planspace::{joint_argmin, JointChoice};
 pub use predictor::{LaunchPredictor, TrainedPredictor};
 pub use ridge::RidgeRegression;
 pub use sweep::{sweep_tensor, SweepResult};

@@ -32,7 +32,7 @@ use scalfrag_exec::{
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::segment::segment_by_nnz;
-use scalfrag_tensor::CooTensor;
+use scalfrag_tensor::{CooTensor, Idx};
 use std::sync::Arc;
 
 /// Execution knobs of one cluster MTTKRP.
@@ -77,7 +77,8 @@ impl ClusterOptions {
 /// strategy, the per-device speed proxy and the analytic reduction cost.
 pub struct NodePlacement {
     node: NodeSpec,
-    shards: Vec<Shard>,
+    /// Each shard's owned row bounds, in shard-index order.
+    shard_rows: Vec<Option<(Idx, Idx)>>,
     scheduler: DeviceScheduler,
     rank: usize,
     rows: usize,
@@ -96,7 +97,7 @@ impl ClusterPolicy for NodePlacement {
     }
 
     fn reduction_s(&self, assignment: &[Vec<usize>]) -> f64 {
-        reduction_seconds(&self.node, &self.shards, assignment, self.rows, self.rank)
+        reduction_seconds(&self.node, &self.shard_rows, assignment, self.rows, self.rank)
     }
 }
 
@@ -128,11 +129,6 @@ pub fn build_cluster_plan(
     let peer_reduce =
         opts.policy == ShardPolicy::NnzBalanced && node.peer_bandwidth_gbs().is_some();
 
-    let shard_descs: Vec<ShardDesc> = shards
-        .iter()
-        .map(|s| ShardDesc { index: s.index, tensor: Arc::new(s.tensor.clone()), rows: s.rows })
-        .collect();
-
     let mut devices = Vec::with_capacity(node.num_devices());
     for (d, shard_indices) in assignment.iter().enumerate() {
         let spec = node.effective_device(d);
@@ -144,14 +140,11 @@ pub fn build_cluster_plan(
             for (j, seg) in
                 segment_by_nnz(shards[si].nnz(), opts.segments_per_shard).into_iter().enumerate()
             {
-                let bytes = seg.byte_size(order) as u64;
                 unit_ids.push(units.len());
                 units.push(WorkUnit {
                     shard: si,
                     segment: j,
-                    stream: None, // the device's round-robin counter places it
-                    alloc: Some((bytes, "segment must fit")),
-                    h2d_bytes: bytes,
+                    alloc: Some("segment must fit"),
                     h2d_label: format!("shard{si} seg{j} H2D"),
                     kernel_label: format!("shard{si} seg{j} kernel"),
                     stats: SegmentStats::compute_range(
@@ -171,7 +164,6 @@ pub fn build_cluster_plan(
         }
         devices.push(DeviceOps {
             device: d,
-            name: spec.name,
             spec,
             host: Some(node.host.clone()),
             worker_streams: opts.streams_per_device,
@@ -181,15 +173,19 @@ pub fn build_cluster_plan(
             units,
             shard_work,
             final_d2h: None,
-            shard_list: shard_indices.clone(),
-            skip_if_idle: true,
             program: Vec::new(),
         });
     }
 
-    let reduction_s = reduction_seconds(node, &shards, &assignment, rows, rank);
+    let shard_rows: Vec<Option<(Idx, Idx)>> = shards.iter().map(|s| s.rows).collect();
+    // Each shard's entries move into its descriptor, uncopied.
+    let shard_descs: Vec<ShardDesc> = shards
+        .into_iter()
+        .map(|s| ShardDesc { index: s.index, tensor: Arc::new(s.tensor), rows: s.rows })
+        .collect();
+    let reduction_s = reduction_seconds(node, &shard_rows, &assignment, rows, rank);
     let policy =
-        NodePlacement { node: node.clone(), shards, scheduler: opts.scheduler, rank, rows };
+        NodePlacement { node: node.clone(), shard_rows, scheduler: opts.scheduler, rank, rows };
     Plan {
         name: "scalfrag-cluster",
         mode,
@@ -214,7 +210,6 @@ pub fn build_cluster_plan(
                 opts.scheduler,
                 node.num_devices(),
             ),
-            predictor: "fixed config".to_string(),
             optimizer: String::new(),
             batch_jobs: 0,
         },
@@ -231,21 +226,22 @@ fn shard_output_bytes(shard: &Shard, rank: usize, full_out_bytes: u64) -> u64 {
     }
 }
 
-/// Analytic cost of the cross-shard reduction stage.
+/// Analytic cost of the cross-shard reduction stage over shards with
+/// owned row bounds `shard_rows` (in shard-index order).
 fn reduction_seconds(
     node: &NodeSpec,
-    shards: &[Shard],
+    shard_rows: &[Option<(Idx, Idx)>],
     assignment: &[Vec<usize>],
     rows: usize,
     rank: usize,
 ) -> f64 {
-    let num_shards = shards.len();
+    let num_shards = shard_rows.len();
     if num_shards <= 1 {
         return 0.0;
     }
     // Slice-aligned shards own disjoint rows: the per-shard D2H copies in
     // the device timelines already returned the final rows.
-    if shards.iter().all(|s| s.rows.is_some()) {
+    if shard_rows.iter().all(Option::is_some) {
         return 0.0;
     }
     let bytes = (rows * rank * 4) as f64;
@@ -261,9 +257,7 @@ fn reduction_seconds(
             // one peer link each, every extra shard costs one device-side
             // add, and the merged matrix crosses PCIe once.
             let root = assignment.iter().position(|list| list.contains(&0)).unwrap_or(0);
-            let off_root =
-                shards.iter().skip(1).filter(|s| !assignment[root].contains(&s.index)).count()
-                    as f64;
+            let off_root = (1..num_shards).filter(|s| !assignment[root].contains(s)).count() as f64;
             let gather = off_root * bytes / (peer_gbs * 1e9);
             let root_spec = node.effective_device(root);
             let adds = extra * 3.0 * bytes / (root_spec.mem_bandwidth_gbs * 1e9);

@@ -321,7 +321,7 @@ impl ClusterMttkrpReport {
             config: plan.kernel.full_config(plan.config, plan.rank as u32),
             num_shards: plan.shards.len(),
             per_device: run.device_timelines.iter().map(PhaseTiming::from_timeline).collect(),
-            device_names: plan.devices.iter().map(|d| d.name).collect(),
+            device_names: plan.devices.iter().map(|d| d.spec.name).collect(),
             total_s: run.makespan(),
             reduction_s: run.reduction_s,
             assignments: run.device_shards,

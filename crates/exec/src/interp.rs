@@ -667,7 +667,7 @@ fn execute(
     let mut orphans: Vec<WorkUnit> = Vec::new();
     let mut fail_clock = 0.0f64;
     for (dev, state) in plan.devices.iter().zip(devs.iter_mut()) {
-        if dev.skip_if_idle && dev.units.is_empty() {
+        if plan.cluster.is_some() && dev.units.is_empty() {
             continue;
         }
         if faults.as_ref().is_some_and(|f| f.down_at_start[state.id]) {
@@ -694,8 +694,8 @@ fn execute(
     // survivors, which start them no earlier than the failure was seen.
     let mut owner: Vec<Option<usize>> = vec![None; plan.shards.len()];
     for (d, dev) in plan.devices.iter().enumerate() {
-        for &si in &dev.shard_list {
-            owner[si] = Some(d);
+        for w in &dev.shard_work {
+            owner[w.shard] = Some(d);
         }
     }
     let mut moved = false;
@@ -710,7 +710,9 @@ fn execute(
         }
         let clocks: Vec<f64> = devs.iter().map(|s| s.gpu.clock().max(fail_clock)).collect();
         let mut extra: BTreeMap<usize, Vec<WorkUnit>> = BTreeMap::new();
-        for (target, si, units) in place(cluster.as_ref(), &survivors, &clocks, by_shard) {
+        for (target, si, units) in
+            place(cluster.as_ref(), &survivors, &clocks, plan.order, by_shard)
+        {
             if let Some(f) = faults.as_mut() {
                 let from_device = owner[si].unwrap_or(target);
                 let action = RecoveryAction::ReShard { shard: si, from_device, to_device: target };
@@ -790,12 +792,13 @@ fn execute(
 
 /// Places orphaned shard groups onto the survivors by the cluster
 /// policy's strategy: round-robin, or LPT on the projected finish
-/// (current clock + group bytes / speed proxy). Returns `(device, shard,
-/// units)` triples.
+/// (current clock + group H2D bytes of an order-`order` tensor / speed
+/// proxy). Returns `(device, shard, units)` triples.
 fn place(
     cluster: &dyn ClusterPolicy,
     survivors: &[usize],
     clocks: &[f64],
+    order: usize,
     by_shard: BTreeMap<usize, Vec<WorkUnit>>,
 ) -> Vec<(usize, usize, Vec<WorkUnit>)> {
     match cluster.strategy() {
@@ -808,7 +811,9 @@ fn place(
             let speeds: Vec<f64> =
                 survivors.iter().map(|&d| cluster.speed_proxy(d) * 1e9).collect();
             let mut load: Vec<f64> = survivors.iter().map(|&d| clocks[d]).collect();
-            let bytes = |units: &[WorkUnit]| units.iter().map(|u| u.h2d_bytes).sum::<u64>() as f64;
+            let bytes = |units: &[WorkUnit]| {
+                units.iter().map(|u| u.seg.byte_size(order)).sum::<usize>() as f64
+            };
             let mut groups: Vec<(usize, Vec<WorkUnit>)> = by_shard.into_iter().collect();
             groups.sort_by(|a, b| bytes(&b.1).total_cmp(&bytes(&a.1)).then(a.0.cmp(&b.0)));
             groups
@@ -843,7 +848,7 @@ fn rescue_ops(plan: &Plan, target: &DeviceOps, units: Vec<WorkUnit>) -> DeviceOp
     let mut rescue = DeviceOps {
         residue: None,
         prologue_allocs: vec![(plan.factors_bytes, "factor matrices must fit")],
-        units: units.into_iter().map(|u| WorkUnit { stream: None, ..u }).collect(),
+        units,
         shard_work,
         final_d2h: None,
         program: Vec::new(),

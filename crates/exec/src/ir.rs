@@ -106,16 +106,14 @@ pub struct WorkUnit {
     pub shard: usize,
     /// Segment ordinal within the shard.
     pub segment: usize,
-    /// The nnz range this unit covers.
+    /// The nnz range this unit covers; its H2D payload is
+    /// `seg.byte_size(order)` bytes, and the lowering places it on the
+    /// device's next round-robin worker stream.
     pub seg: Segment,
-    /// Static worker-stream placement; `None` = the device's round-robin
-    /// stream counter assigns one at lowering time.
-    pub stream: Option<usize>,
-    /// Per-unit segment-buffer allocation (skip when the prologue already
+    /// Failure message of the per-unit segment-buffer allocation, which
+    /// charges the payload's bytes (`None` when the prologue already
     /// charged it, as the sync plan does for the whole tensor).
-    pub alloc: Option<(u64, &'static str)>,
-    /// H2D payload bytes.
-    pub h2d_bytes: u64,
+    pub alloc: Option<&'static str>,
     /// H2D span label.
     pub h2d_label: String,
     /// Kernel span label.
@@ -162,8 +160,6 @@ pub struct ResidueWork {
 pub struct DeviceOps {
     /// Device index within the plan (names it to the fault injector).
     pub device: usize,
-    /// Marketing name of the simulated device.
-    pub name: &'static str,
     /// Device model the interpreter instantiates (ignored when the caller
     /// supplies its own [`scalfrag_gpusim::Gpu`]).
     pub spec: DeviceSpec,
@@ -184,11 +180,6 @@ pub struct DeviceOps {
     /// Final whole-output D2H `(bytes, label)` on worker stream 0, ordered
     /// after all kernels (single-device plans).
     pub final_d2h: Option<(u64, &'static str)>,
-    /// Global indices of the shards this device executes.
-    pub shard_list: Vec<usize>,
-    /// Skip the device entirely (empty timeline) when it has no units —
-    /// cluster semantics; single-device plans always run their prologue.
-    pub skip_if_idle: bool,
     /// The op program the interpreter runs. Builders fill it once, from
     /// the declarative fields above ([`Plan::lowered`]) or explicitly
     /// where the generic lowering cannot express the schedule (the
@@ -243,8 +234,6 @@ pub trait ClusterPolicy: Send + Sync {
 pub struct PlanMeta {
     /// Human-readable segment map (counts, streams, split).
     pub segment_map: String,
-    /// Predictor verdict (or "fixed config" when none ran).
-    pub predictor: String,
     /// Comma-separated names of the optimizer passes applied to this plan
     /// (empty = raw builder output). Stamped by `scalfrag-opt`; rendered
     /// so an IR dump always says where its schedule came from.
@@ -286,7 +275,9 @@ pub struct Plan {
     pub reduce: Reduce,
     /// Analytic reduction seconds for the static placement.
     pub reduction_s: f64,
-    /// Placement callbacks (multi-device plans only).
+    /// Placement callbacks (multi-device plans only). A device of a plan
+    /// that carries them is skipped entirely (empty timeline) when it has
+    /// no units; single-device plans always run their prologue.
     pub cluster: Option<Arc<dyn ClusterPolicy>>,
     /// Plan metadata.
     pub meta: PlanMeta,
@@ -376,18 +367,13 @@ impl Plan {
             let mut used: Vec<usize> = Vec::new();
             for &ui in &sw.units {
                 let u = &dev.units[ui];
-                let s = match u.stream {
-                    Some(s) => s,
-                    None => {
-                        let s = next_stream % dev.worker_streams;
-                        next_stream += 1;
-                        s
-                    }
-                };
+                let s = next_stream % dev.worker_streams;
+                next_stream += 1;
                 if !used.contains(&s) {
                     used.push(s);
                 }
-                if let Some((bytes, what)) = u.alloc {
+                let bytes = u.seg.byte_size(self.order) as u64;
+                if let Some(what) = u.alloc {
                     if let Some(prev) = live_seg[s].take() {
                         ops.push(PlanOp::Free { slot: prev });
                     }
@@ -397,7 +383,7 @@ impl Plan {
                 }
                 ops.push(PlanOp::H2D {
                     stream: StreamRef::Worker(s),
-                    bytes: u.h2d_bytes,
+                    bytes,
                     label: u.h2d_label.clone(),
                 });
                 ops.push(PlanOp::Launch {
@@ -457,9 +443,6 @@ impl Plan {
         if !self.meta.segment_map.is_empty() {
             let _ = writeln!(s, "  segment map: {}", self.meta.segment_map);
         }
-        if !self.meta.predictor.is_empty() {
-            let _ = writeln!(s, "  predictor: {}", self.meta.predictor);
-        }
         if !self.meta.optimizer.is_empty() {
             let _ = writeln!(s, "  optimizer: {}", self.meta.optimizer);
         }
@@ -471,7 +454,7 @@ impl Plan {
                 s,
                 "  device {} ({}): {} worker stream(s){}",
                 dev.device,
-                dev.name,
+                dev.spec.name,
                 dev.worker_streams,
                 if dev.dedicated_d2h { " + d2h stream" } else { "" },
             );

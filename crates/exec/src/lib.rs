@@ -2,8 +2,8 @@
 //!
 //! A [`Plan`] is a schedule: per-device programs of typed ops (`H2D`,
 //! `Launch`, `Reduce`, `D2H`, `HostResidue`, `Barrier`, memory ops) with
-//! stream placement, plus plan-level metadata (segment map, predictor
-//! verdict, optimizer provenance). The `pipeline`, `cluster`, `serve`,
+//! stream placement, plus plan-level metadata (segment map, optimizer
+//! provenance, batch size). The `pipeline`, `cluster`, `serve`,
 //! `oom` and `core` crates are pure plan *builders*; this crate owns the
 //! single interpreter that executes any plan over the simulated GPU —
 //! fault-free or under fault injection, functional or dry — and emits a

@@ -129,9 +129,7 @@ impl SyntheticPreset {
                 shard: 0,
                 segment: i,
                 seg: seg.clone(),
-                stream: Some(i % 2),
                 alloc: None,
-                h2d_bytes: seg.byte_size(3) as u64,
                 h2d_label: format!("seg{i} H2D (prefetch)"),
                 kernel_label: format!("seg{i} kernel"),
                 stats: self.segment_stats(seg.nnz() as u64),

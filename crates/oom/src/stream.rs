@@ -217,7 +217,6 @@ pub(crate) fn assemble_plan(
         shards: vec![ShardDesc { index: 0, tensor: shard, rows: None }],
         devices: vec![DeviceOps {
             device: 0,
-            name: spec.name,
             spec: capped,
             host: None,
             worker_streams: 2,
@@ -235,8 +234,6 @@ pub(crate) fn assemble_plan(
             }],
             units,
             final_d2h: Some((out_bytes, "output D2H")),
-            shard_list: vec![0],
-            skip_if_idle: false,
             program,
         }],
         reduce: Reduce::Single,
@@ -248,7 +245,6 @@ pub(crate) fn assemble_plan(
                  (budget {budget} B, persistent {} B)",
                 layout.entries_per_slot, layout.slot_bytes, layout.persistent_bytes
             ),
-            predictor: "fixed config".to_string(),
             optimizer: String::new(),
             batch_jobs: 0,
         },
@@ -292,9 +288,7 @@ pub fn build_streaming_plan(
             shard: 0,
             segment: i,
             seg: seg.clone(),
-            stream: Some(i % 2),
             alloc: None, // the explicit program stages via Prefetch/Evict
-            h2d_bytes: seg.byte_size(order) as u64,
             h2d_label: format!("seg{i} H2D (prefetch)"),
             kernel_label: format!("seg{i} kernel"),
             stats: SegmentStats::compute_range(&sorted, mode, seg.start..seg.end),

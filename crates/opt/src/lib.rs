@@ -8,24 +8,22 @@
 //! ([`verify::check_pass`]) enforces by replaying raw and optimized
 //! plans through the one interpreter.
 //!
-//! The initial pass set:
+//! The pass set — each pass rewrites the program of some registered
+//! builder's plan (`tests/opt.rs` keeps it that way):
 //!
 //! | pass | what it does |
 //! |------|--------------|
 //! | [`passes::DeadOpElim`] | drops zero-byte copies, empty-segment launches, degenerate barrier edges |
-//! | [`passes::SinkEvictions`] | sinks clean evictions to the allocation that needs their page |
 //! | [`passes::HoistPrefetch`] | hoists prefetches over other-stream compute/readback |
 //! | [`passes::CoalesceH2d`] | merges adjacent same-stream H2D copies (one PCIe latency each) |
 //! | [`passes::BatchH2d`] | folds the first copy wave into the factor upload, cross-stream |
 //! | [`passes::SlimFactors`] | drops the write-only output-mode factor from the upload |
-//! | [`passes::OverlapStreams`] | re-streams single-stream segment chains into copy/compute overlap |
 //!
 //! Passes compose into [`Pipeline`]s; [`optimize_default`] runs the
 //! always-profitable subset, and the cost-model orderer
 //! ([`choose_pipeline`]) dry-runs every candidate pipeline through the
 //! interpreter — the same analytic workload model the autotuner trains
-//! on — and keeps the cheapest schedule, jointly with the launch
-//! configuration ([`choose_pipeline_joint`]).
+//! on — and keeps the cheapest schedule.
 
 #![warn(missing_docs)]
 
@@ -34,8 +32,8 @@ pub mod pass;
 pub mod passes;
 pub mod verify;
 
-pub use orderer::{choose_pipeline, choose_pipeline_joint, OrderedChoice};
-pub use pass::{applied, Contract, NumericsEffect, Pass, Pipeline, TraceEffect};
+pub use orderer::{choose_pipeline, OrderedChoice};
+pub use pass::{applied, Contract, Pass, Pipeline, TraceEffect};
 pub use passes::{all_passes, candidate_pipelines, default_pipeline};
 pub use verify::{check_commutation, check_pass, lowered_programs, Violation};
 

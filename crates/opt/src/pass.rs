@@ -14,14 +14,10 @@ use std::sync::Arc;
 
 /// How a pass is allowed to change the fault-free execution trace.
 ///
-/// The lattice is ordered weakest-claim-last; the verifier enforces each
-/// level with a different check (fingerprint equality, span-multiset
+/// The verifier enforces each level with a different check (span-multiset
 /// equality, or no trace check at all).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEffect {
-    /// The dry-run trace fingerprint is unchanged: same spans, same
-    /// submission order, same simulated times.
-    Identical,
     /// The same set of spans at the same simulated times, but submission
     /// order (and hence the order-sensitive fingerprint) may differ.
     SameSpans,
@@ -30,27 +26,15 @@ pub enum TraceEffect {
     Reschedules,
 }
 
-/// How a pass is allowed to change the functional (numeric) output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NumericsEffect {
-    /// The output matrix is bit-for-bit identical to the raw plan's.
-    /// Every current pass claims this: none reorders kernel *submission*,
-    /// and the interpreter folds partials in submission order.
-    BitIdentical,
-    /// The output may differ within the conformance ULP tolerance.
-    UlpBounded,
-}
-
 /// A pass's machine-checkable safety contract.
 ///
-/// `crate::verify::check_pass` enforces `trace` and `numerics` by
-/// replaying raw and optimized plans through the interpreter;
-/// `crate::verify::check_commutation` enforces `commutes_with` by
-/// program equality of both application orders.
+/// `crate::verify::check_pass` enforces `trace` — and, for every pass,
+/// a bit-identical functional output — by replaying raw and optimized
+/// plans through the interpreter; `crate::verify::check_commutation`
+/// enforces `commutes_with` by program equality of both application
+/// orders.
 #[derive(Clone, Copy, Debug)]
 pub struct Contract {
-    /// Functional-output guarantee.
-    pub numerics: NumericsEffect,
     /// Trace guarantee.
     pub trace: TraceEffect,
     /// Names of passes this one commutes with (program-identical result
@@ -62,8 +46,11 @@ pub struct Contract {
 /// One plan-optimizer pass.
 ///
 /// Implementations must be *idempotent* (`apply(apply(p))` has the same
-/// programs as `apply(p)`) and must uphold their [`Contract`]; both
-/// are enforced in-repo by [`crate::verify::check_pass`].
+/// programs as `apply(p)`), must keep the functional output bit-for-bit
+/// identical (no pass reorders kernel *submission*, and the interpreter
+/// folds partials in submission order) and must uphold their
+/// [`Contract`]; all three are enforced in-repo by
+/// [`crate::verify::check_pass`].
 pub trait Pass: Send + Sync {
     /// Stable pass name (used for provenance stamps and commutation
     /// declarations).

@@ -1,7 +1,7 @@
 //! Cross-stream H2D batching: absorb the first wave of staging copies
 //! into the factor upload, paying one PCIe latency for the lot.
 
-use crate::pass::{rewrite_programs, Contract, NumericsEffect, Pass, TraceEffect};
+use crate::pass::{rewrite_programs, Contract, Pass, TraceEffect};
 use scalfrag_exec::{Plan, PlanOp, StreamRef};
 
 /// The aggressive sibling of `coalesce-h2d`: starting from the first
@@ -41,11 +41,7 @@ impl Pass for BatchH2d {
     }
 
     fn contract(&self) -> Contract {
-        Contract {
-            numerics: NumericsEffect::BitIdentical,
-            trace: TraceEffect::Reschedules,
-            commutes_with: &["slim-factors"],
-        }
+        Contract { trace: TraceEffect::Reschedules, commutes_with: &["slim-factors"] }
     }
 
     fn rewrite(&self, plan: &mut Plan) {

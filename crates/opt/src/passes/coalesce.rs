@@ -1,7 +1,7 @@
 //! H2D transfer coalescing: merge adjacent same-stream host-to-device
 //! copies of co-resident buffers into one larger copy.
 
-use crate::pass::{rewrite_programs, Contract, NumericsEffect, Pass, TraceEffect};
+use crate::pass::{rewrite_programs, Contract, Pass, TraceEffect};
 use scalfrag_exec::{Plan, PlanOp};
 
 /// Merges runs of same-stream `H2D` copies separated only by *transparent*
@@ -34,11 +34,7 @@ impl Pass for CoalesceH2d {
     }
 
     fn contract(&self) -> Contract {
-        Contract {
-            numerics: NumericsEffect::BitIdentical,
-            trace: TraceEffect::Reschedules,
-            commutes_with: &["slim-factors"],
-        }
+        Contract { trace: TraceEffect::Reschedules, commutes_with: &["slim-factors"] }
     }
 
     fn rewrite(&self, plan: &mut Plan) {

@@ -1,7 +1,7 @@
 //! Dead-op elimination: drop zero-byte copies, launches of empty
 //! segments, and degenerate barrier edges.
 
-use crate::pass::{rewrite_programs, Contract, NumericsEffect, Pass, TraceEffect};
+use crate::pass::{rewrite_programs, Contract, Pass, TraceEffect};
 use scalfrag_exec::{Plan, PlanOp};
 
 /// Removes ops the interpreter would execute as no-ops:
@@ -25,11 +25,7 @@ impl Pass for DeadOpElim {
     }
 
     fn contract(&self) -> Contract {
-        Contract {
-            numerics: NumericsEffect::BitIdentical,
-            trace: TraceEffect::Reschedules,
-            commutes_with: &["slim-factors", "sink-evictions"],
-        }
+        Contract { trace: TraceEffect::Reschedules, commutes_with: &["slim-factors"] }
     }
 
     fn rewrite(&self, plan: &mut Plan) {

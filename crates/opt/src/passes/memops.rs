@@ -1,7 +1,6 @@
-//! Memory-op scheduling for out-of-core plans: sink clean evictions
-//! late, hoist prefetches early.
+//! Memory-op scheduling for out-of-core plans: hoist prefetches early.
 
-use crate::pass::{rewrite_programs, Contract, NumericsEffect, Pass, TraceEffect};
+use crate::pass::{rewrite_programs, Contract, Pass, TraceEffect};
 use scalfrag_exec::{Plan, PlanOp, StreamRef};
 
 fn stream_of(op: &PlanOp) -> Option<StreamRef> {
@@ -13,64 +12,6 @@ fn stream_of(op: &PlanOp) -> Option<StreamRef> {
         | PlanOp::HostResidue { stream, .. }
         | PlanOp::D2H { stream, .. } => Some(*stream),
         _ => None,
-    }
-}
-
-/// Sinks *clean* evictions (`writeback_bytes == 0` — no D2H span, the
-/// slot's pool page is simply released) as late as the program allows:
-/// rightward past launches, copies, host tasks, barriers and frees,
-/// stopping at the next allocation-like op (`Alloc`, `Prefetch`, another
-/// `Evict`) or the program end.
-///
-/// A clean evict is pure pool bookkeeping, so delaying it never changes
-/// a single span — the contract is full trace *identity*. What it buys
-/// is canonical form: every evict sits immediately before the
-/// allocation that needed its page, which is what lets `hoist-prefetch`
-/// and the cross-stream batcher see their real scheduling windows.
-/// Evictions with a write-back are left alone — their D2H span is
-/// ordered work.
-pub struct SinkEvictions;
-
-impl Pass for SinkEvictions {
-    fn name(&self) -> &'static str {
-        "sink-evictions"
-    }
-
-    fn contract(&self) -> Contract {
-        Contract {
-            numerics: NumericsEffect::BitIdentical,
-            trace: TraceEffect::Identical,
-            commutes_with: &["dead-op-elim", "slim-factors"],
-        }
-    }
-
-    fn rewrite(&self, plan: &mut Plan) {
-        rewrite_programs(plan, self.name(), |_plan, _dev, mut ops| {
-            // Right to left, so a chain of evicts settles in one sweep
-            // (each stops at the next allocation-like op or a later
-            // evict already in place).
-            for i in (0..ops.len()).rev() {
-                if !matches!(&ops[i], PlanOp::Evict { writeback_bytes: 0, .. }) {
-                    continue;
-                }
-                let mut k = i;
-                while k + 1 < ops.len()
-                    && matches!(
-                        &ops[k + 1],
-                        PlanOp::Launch { .. }
-                            | PlanOp::H2D { .. }
-                            | PlanOp::D2H { .. }
-                            | PlanOp::HostResidue { .. }
-                            | PlanOp::Barrier { .. }
-                            | PlanOp::Free { .. }
-                    )
-                {
-                    ops.swap(k, k + 1);
-                    k += 1;
-                }
-            }
-            ops
-        })
     }
 }
 
@@ -94,11 +35,7 @@ impl Pass for HoistPrefetch {
     }
 
     fn contract(&self) -> Contract {
-        Contract {
-            numerics: NumericsEffect::BitIdentical,
-            trace: TraceEffect::SameSpans,
-            commutes_with: &["slim-factors"],
-        }
+        Contract { trace: TraceEffect::SameSpans, commutes_with: &["slim-factors"] }
     }
 
     fn rewrite(&self, plan: &mut Plan) {

@@ -4,14 +4,12 @@ mod batch;
 mod coalesce;
 mod dead;
 mod memops;
-mod overlap;
 mod slim;
 
 pub use batch::BatchH2d;
 pub use coalesce::CoalesceH2d;
 pub use dead::DeadOpElim;
-pub use memops::{HoistPrefetch, SinkEvictions};
-pub use overlap::OverlapStreams;
+pub use memops::HoistPrefetch;
 pub use slim::SlimFactors;
 
 use crate::pass::{Pass, Pipeline};
@@ -22,26 +20,23 @@ use std::sync::Arc;
 pub fn all_passes() -> Vec<Arc<dyn Pass>> {
     vec![
         Arc::new(DeadOpElim),
-        Arc::new(SinkEvictions),
         Arc::new(HoistPrefetch),
         Arc::new(CoalesceH2d),
         Arc::new(BatchH2d),
         Arc::new(SlimFactors),
-        Arc::new(OverlapStreams),
     ]
 }
 
 /// The default pipeline: the always-profitable subset, safe on every
-/// builder — cleanup, memory-op canonicalization, same-stream transfer
-/// coalescing, factor-upload slimming. The schedule-shape rewrites
-/// (`batch-h2d`, `overlap-streams`) are deliberately left to the
-/// cost-model orderer, which prices them per plan.
+/// builder — cleanup, prefetch hoisting, same-stream transfer
+/// coalescing, factor-upload slimming. The schedule-shape rewrite
+/// (`batch-h2d`) is deliberately left to the cost-model orderer, which
+/// prices it per plan.
 pub fn default_pipeline() -> Pipeline {
     Pipeline::new(
         "default",
         vec![
             Arc::new(DeadOpElim),
-            Arc::new(SinkEvictions),
             Arc::new(HoistPrefetch),
             Arc::new(CoalesceH2d),
             Arc::new(SlimFactors),
@@ -60,18 +55,8 @@ pub fn candidate_pipelines() -> Vec<Pipeline> {
             "batch",
             vec![
                 Arc::new(DeadOpElim),
-                Arc::new(SinkEvictions),
                 Arc::new(HoistPrefetch),
                 Arc::new(BatchH2d),
-                Arc::new(SlimFactors),
-            ],
-        ),
-        Pipeline::new(
-            "overlap",
-            vec![
-                Arc::new(DeadOpElim),
-                Arc::new(OverlapStreams),
-                Arc::new(CoalesceH2d),
                 Arc::new(SlimFactors),
             ],
         ),

@@ -1,7 +1,7 @@
 //! Factor-upload slimming: a mode-`n` MTTKRP never reads factor `n` on
 //! the device, so its rows need not ride the factor upload.
 
-use crate::pass::{applied, rewrite_programs, Contract, NumericsEffect, Pass, TraceEffect};
+use crate::pass::{applied, rewrite_programs, Contract, Pass, TraceEffect};
 use scalfrag_exec::{Plan, PlanOp};
 
 /// Shrinks every `"factors H2D"` upload by the output-mode factor's
@@ -26,15 +26,8 @@ impl Pass for SlimFactors {
 
     fn contract(&self) -> Contract {
         Contract {
-            numerics: NumericsEffect::BitIdentical,
             trace: TraceEffect::Reschedules,
-            commutes_with: &[
-                "dead-op-elim",
-                "coalesce-h2d",
-                "batch-h2d",
-                "sink-evictions",
-                "hoist-prefetch",
-            ],
+            commutes_with: &["dead-op-elim", "coalesce-h2d", "batch-h2d", "hoist-prefetch"],
         }
     }
 

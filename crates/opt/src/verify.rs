@@ -7,7 +7,7 @@
 //! the repo-level conformance tests, which run every registered builder
 //! through `run_differential` with optimized backends.
 
-use crate::pass::{NumericsEffect, Pass, TraceEffect};
+use crate::pass::{Pass, TraceEffect};
 use scalfrag_exec::{run_plan, ExecMode, Plan, PlanOp, PlanTrace};
 
 /// A broken pass obligation, named precisely enough to debug from.
@@ -18,20 +18,13 @@ pub enum Violation {
         /// Offending pass.
         pass: String,
     },
-    /// The contract claimed [`TraceEffect::Identical`] but the dry-run
-    /// trace fingerprint moved.
-    TraceChanged {
-        /// Offending pass.
-        pass: String,
-    },
     /// The contract claimed [`TraceEffect::SameSpans`] but the span
     /// multiset moved.
     SpanSetChanged {
         /// Offending pass.
         pass: String,
     },
-    /// The contract claimed [`NumericsEffect::BitIdentical`] but the
-    /// functional output bits moved.
+    /// The functional output bits moved (every pass must keep them).
     OutputChanged {
         /// Offending pass.
         pass: String,
@@ -50,14 +43,11 @@ impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Violation::NotIdempotent { pass } => write!(f, "{pass}: not idempotent"),
-            Violation::TraceChanged { pass } => {
-                write!(f, "{pass}: claims an identical trace but the fingerprint moved")
-            }
             Violation::SpanSetChanged { pass } => {
                 write!(f, "{pass}: claims the same spans but the span multiset moved")
             }
             Violation::OutputChanged { pass } => {
-                write!(f, "{pass}: claims bit-identical output but the bits moved")
+                write!(f, "{pass}: the functional output bits moved")
             }
             Violation::NotCommuting { a, b } => {
                 write!(f, "{a} and {b} declare commutation but orders disagree")
@@ -104,9 +94,8 @@ fn functional_capable(plan: &Plan) -> bool {
 /// 2. **Trace contract** — dry-runs raw vs optimized (which also runs
 ///    the interpreter's transient-leak check over the rewritten
 ///    program) and enforces the declared [`TraceEffect`];
-/// 3. **Numerics contract** — functional runs raw vs optimized and
-///    enforces bit-equality when the pass claims
-///    [`NumericsEffect::BitIdentical`] (skipped for dry-only plans).
+/// 3. **Bit-identical output** — functional runs raw vs optimized must
+///    agree bit for bit (skipped for dry-only plans).
 pub fn check_pass(pass: &dyn Pass, plan: &Plan) -> Result<(), Violation> {
     let name = || pass.name().to_string();
     let once = pass.apply(plan);
@@ -116,21 +105,12 @@ pub fn check_pass(pass: &dyn Pass, plan: &Plan) -> Result<(), Violation> {
     }
     let raw_dry = run_plan(plan, ExecMode::Dry);
     let opt_dry = run_plan(&once, ExecMode::Dry);
-    match pass.contract().trace {
-        TraceEffect::Identical => {
-            if raw_dry.trace.fingerprint() != opt_dry.trace.fingerprint() {
-                return Err(Violation::TraceChanged { pass: name() });
-            }
-        }
-        TraceEffect::SameSpans => {
-            if span_multiset(&raw_dry.trace) != span_multiset(&opt_dry.trace) {
-                return Err(Violation::SpanSetChanged { pass: name() });
-            }
-        }
-        TraceEffect::Reschedules => {}
-    }
-    if matches!(pass.contract().numerics, NumericsEffect::BitIdentical) && functional_capable(plan)
+    if pass.contract().trace == TraceEffect::SameSpans
+        && span_multiset(&raw_dry.trace) != span_multiset(&opt_dry.trace)
     {
+        return Err(Violation::SpanSetChanged { pass: name() });
+    }
+    if functional_capable(plan) {
         let raw_f = run_plan(plan, ExecMode::Functional);
         let opt_f = run_plan(&once, ExecMode::Functional);
         let raw_bits = raw_f.output.as_slice().iter().map(|v| v.to_bits());

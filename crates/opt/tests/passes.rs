@@ -6,11 +6,11 @@
 use scalfrag_exec::{run_plan, ExecMode, Plan, PlanOp, StreamRef};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
-use scalfrag_opt::passes::{BatchH2d, CoalesceH2d, DeadOpElim, OverlapStreams, SlimFactors};
+use scalfrag_opt::passes::{BatchH2d, CoalesceH2d, DeadOpElim, SlimFactors};
 use scalfrag_opt::{
     applied, check_pass, choose_pipeline, default_pipeline, optimize_chosen, optimize_default, Pass,
 };
-use scalfrag_pipeline::{build_pipelined_plan, build_sync_plan, KernelChoice, PipelinePlan};
+use scalfrag_pipeline::{build_sync_plan, KernelChoice};
 use scalfrag_tensor::{gen, CooTensor};
 
 const CFG: LaunchConfig = LaunchConfig { grid: 512, block: 256, shared_mem_per_block: 0 };
@@ -26,13 +26,6 @@ fn sync_plan(tensor: &CooTensor, factors: &FactorSet) -> Plan {
     let mut sorted = tensor.clone();
     sorted.sort_for_mode(0);
     build_sync_plan(&DeviceSpec::rtx3090(), &sorted, factors, 0, CFG, KernelChoice::Tiled)
-}
-
-fn single_stream_plan(tensor: &CooTensor, factors: &FactorSet) -> Plan {
-    let mut sorted = tensor.clone();
-    sorted.sort_for_mode(0);
-    let pp = PipelinePlan::new(&sorted, 0, CFG, 4, 1);
-    build_pipelined_plan(&DeviceSpec::rtx3090(), &sorted, factors, &pp, KernelChoice::Tiled)
 }
 
 fn h2d_ops(plan: &Plan) -> Vec<(StreamRef, u64)> {
@@ -126,37 +119,6 @@ fn dead_op_elim_drops_zero_byte_copies_and_degenerate_barriers() {
 }
 
 #[test]
-fn overlap_streams_rewrites_a_single_stream_chain_into_real_overlap() {
-    let (tensor, factors) = fixture();
-    let plan = single_stream_plan(&tensor, &factors);
-    assert_eq!(plan.devices[0].worker_streams, 1);
-    let opt = OverlapStreams.apply(&plan);
-    assert_eq!(opt.devices[0].worker_streams, 4, "four segments spread over four streams");
-    let raw_s = run_plan(&plan, ExecMode::Dry).makespan();
-    let opt_s = run_plan(&opt, ExecMode::Dry).makespan();
-    assert!(opt_s < raw_s, "copy/compute overlap must beat the serial chain: {opt_s} vs {raw_s}");
-    // Bit-identity and idempotence via the full contract check.
-    check_pass(&OverlapStreams, &plan).unwrap();
-}
-
-#[test]
-fn overlap_streams_leaves_registered_multi_stream_plans_alone() {
-    let (tensor, factors) = fixture();
-    for builder in scalfrag_pipeline::plan_builders() {
-        let plan = (builder.build)(&tensor, &factors, 0);
-        let opt = OverlapStreams.apply(&plan);
-        for (raw_dev, opt_dev) in plan.devices.iter().zip(&opt.devices) {
-            assert_eq!(raw_dev.worker_streams, opt_dev.worker_streams, "{}", builder.name);
-            assert_eq!(
-                raw_dev.program, opt_dev.program,
-                "{}: identity on already-streamed plans",
-                builder.name
-            );
-        }
-    }
-}
-
-#[test]
 fn batch_h2d_folds_the_first_prefetch_wave_into_the_factor_upload() {
     let (tensor, factors) = fixture();
     let plan = scalfrag_oom::registry_plan(&tensor, &factors, 0);
@@ -191,7 +153,7 @@ fn the_orderer_prefers_batching_for_the_streaming_plan() {
     assert_eq!(choice.pipeline.name(), "batch");
     assert!(choice.est_s < choice.raw_s, "{} !< {}", choice.est_s, choice.raw_s);
     assert!(choice.speedup() > 1.0);
-    assert_eq!(choice.evaluated, 4, "four candidate pipelines, one config");
+    assert_eq!(choice.evaluated, 3, "three candidate pipelines");
     // Deterministic: same plan, same verdict.
     let again = choose_pipeline(&plan);
     assert_eq!(again.pipeline.name(), choice.pipeline.name());

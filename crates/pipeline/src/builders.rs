@@ -34,9 +34,7 @@ pub fn build_sync_plan(
         shard: 0,
         segment: 0,
         seg: Segment { start: 0, end: tensor.nnz() },
-        stream: Some(0),
         alloc: None, // the prologue charged the whole tensor
-        h2d_bytes: tensor_bytes,
         h2d_label: "tensor H2D".to_string(),
         kernel_label: "kernel".to_string(),
         stats: SegmentStats::compute(tensor, mode),
@@ -54,7 +52,6 @@ pub fn build_sync_plan(
         shards: vec![ShardDesc { index: 0, tensor: Arc::new(tensor.clone()), rows: None }],
         devices: vec![DeviceOps {
             device: 0,
-            name: spec.name,
             spec: spec.clone(),
             host: None,
             worker_streams: 1,
@@ -68,8 +65,6 @@ pub fn build_sync_plan(
             shard_work: vec![ShardWork { shard: 0, output_alloc: None, units: vec![0], d2h: None }],
             units,
             final_d2h: Some((out_bytes, "output D2H")),
-            shard_list: vec![0],
-            skip_if_idle: false,
             program: Vec::new(),
         }],
         reduce: Reduce::Single,
@@ -77,7 +72,6 @@ pub fn build_sync_plan(
         cluster: None,
         meta: PlanMeta {
             segment_map: "monolithic (1 segment, 1 stream)".to_string(),
-            predictor: "fixed config".to_string(),
             optimizer: String::new(),
             batch_jobs: 0,
         },
@@ -122,9 +116,7 @@ pub fn build_shared_pipelined_plan(
             shard: 0,
             segment: i,
             seg: seg.clone(),
-            stream: Some(plan.stream_of(i)),
-            alloc: Some((seg.byte_size(order) as u64, "segment buffer must fit")),
-            h2d_bytes: seg.byte_size(order) as u64,
+            alloc: Some("segment buffer must fit"),
             h2d_label: format!("seg{i} H2D ({} nnz)", seg.nnz()),
             kernel_label: format!("seg{i} kernel"),
             stats: SegmentStats::compute_range(&tensor, mode, seg.start..seg.end),
@@ -144,7 +136,6 @@ pub fn build_shared_pipelined_plan(
         shards: vec![ShardDesc { index: 0, tensor, rows: None }],
         devices: vec![DeviceOps {
             device: 0,
-            name: spec.name,
             spec: spec.clone(),
             host: None,
             worker_streams: plan.num_streams,
@@ -162,8 +153,6 @@ pub fn build_shared_pipelined_plan(
             }],
             units,
             final_d2h: Some((out_bytes, "output D2H")),
-            shard_list: vec![0],
-            skip_if_idle: false,
             program: Vec::new(),
         }],
         reduce: Reduce::Single,
@@ -175,7 +164,6 @@ pub fn build_shared_pipelined_plan(
                 plan.segments.len(),
                 plan.num_streams
             ),
-            predictor: "fixed config".to_string(),
             optimizer: String::new(),
             batch_jobs: 0,
         },
@@ -328,14 +316,10 @@ pub fn lower_batched_plan(
     let mut shards = Vec::with_capacity(jobs.len());
     for (j, (job, stats)) in jobs.iter().enumerate() {
         let seg = Segment { start: 0, end: job.tensor.nnz() };
-        let tensor_bytes = job.tensor.byte_size() as u64;
-        let s = j % worker_streams;
         units.push(WorkUnit {
             shard: j,
             segment: 0,
-            stream: Some(s),
-            alloc: Some((tensor_bytes, "job tensor must fit")),
-            h2d_bytes: tensor_bytes,
+            alloc: Some("job tensor must fit"),
             h2d_label: format!("job{} H2D ({} nnz)", job.id, seg.nnz()),
             kernel_label: format!("job{} kernel", job.id),
             stats: *stats,
@@ -362,7 +346,6 @@ pub fn lower_batched_plan(
         shards,
         devices: vec![DeviceOps {
             device: 0,
-            name: spec.name,
             spec: spec.clone(),
             host: None,
             worker_streams,
@@ -372,8 +355,6 @@ pub fn lower_batched_plan(
             units,
             shard_work,
             final_d2h: None,
-            shard_list: (0..jobs.len()).collect(),
-            skip_if_idle: false,
             program: Vec::new(),
         }],
         reduce: Reduce::PerJob,
@@ -385,7 +366,6 @@ pub fn lower_batched_plan(
                 jobs.len(),
                 worker_streams
             ),
-            predictor: "fixed config".to_string(),
             optimizer: String::new(),
             batch_jobs: jobs.len(),
         },

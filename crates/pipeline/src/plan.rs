@@ -16,7 +16,9 @@ pub struct PipelinePlan {
     /// Kernel launch configuration (base; the tiled kernel adds its
     /// shared-memory request).
     pub config: LaunchConfig,
-    /// Number of CUDA streams to spread segments over.
+    /// Number of CUDA streams to spread segments over; segment `i` is
+    /// issued on stream `i % num_streams`, as in the paper's "each stream
+    /// is responsible for … one or more specific data segments".
     pub num_streams: usize,
     /// Slice-aligned entry ranges (over the mode-sorted tensor).
     pub segments: Vec<Segment>,
@@ -72,13 +74,6 @@ impl PipelinePlan {
     pub fn total_nnz(&self) -> usize {
         self.segments.iter().map(Segment::nnz).sum()
     }
-
-    /// The stream segment `segment_idx` is issued on: round-robin, as in
-    /// the paper's "each stream is responsible for … one or more specific
-    /// data segments".
-    pub fn stream_of(&self, segment_idx: usize) -> usize {
-        segment_idx % self.num_streams
-    }
 }
 
 #[cfg(test)]
@@ -97,8 +92,6 @@ mod tests {
         let p = PipelinePlan::new(&t, 0, LaunchConfig::new(1024, 256), 6, 3);
         assert_eq!(p.total_nnz(), 5_000);
         assert!(p.num_segments() >= 1 && p.num_segments() <= 7);
-        assert_eq!(p.stream_of(0), 0);
-        assert_eq!(p.stream_of(4), 1);
     }
 
     #[test]

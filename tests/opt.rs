@@ -1,6 +1,7 @@
 //! Plan-optimizer safety over every registered builder (DESIGN.md §14).
 //!
-//! Three layers of proof that the passes cannot corrupt a schedule:
+//! Three layers of proof that the passes cannot corrupt a schedule, and
+//! one that each pass is worth keeping:
 //!
 //! 1. **Contracts, mechanically** — every pass × every registered
 //!    builder through [`scalfrag::opt::check_pass`]: idempotence, the
@@ -14,11 +15,14 @@
 //!    oracle over the seeded corpus; every candidate pipeline must keep
 //!    the output *bit-identical* to the raw plan (the passes only move
 //!    copies and bookkeeping, never kernel submission order).
+//! 4. **The ablation** — every pass rewrites the program of at least one
+//!    registered builder's plan over the smoke corpus.
 
 use scalfrag::conformance::{all_plan_builders, run_differential, smoke_corpus, Backend};
 use scalfrag::exec::{run_plan, ExecMode};
 use scalfrag::opt::{
-    all_passes, candidate_pipelines, check_commutation, check_pass, optimize_default,
+    all_passes, candidate_pipelines, check_commutation, check_pass, lowered_programs,
+    optimize_default,
 };
 use scalfrag::prelude::*;
 use scalfrag::tensor::gen;
@@ -68,7 +72,18 @@ fn declared_commutations_are_symmetric_and_hold_on_every_builder() {
             }
         }
     }
-    assert!(pairs.len() >= 5, "the pass set declares a real commutation algebra");
+    let mut names: Vec<(&str, &str)> = pairs.iter().map(|(a, b)| (a.name(), b.name())).collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        [
+            ("batch-h2d", "slim-factors"),
+            ("coalesce-h2d", "slim-factors"),
+            ("dead-op-elim", "slim-factors"),
+            ("hoist-prefetch", "slim-factors"),
+        ],
+        "the declared commutation algebra"
+    );
     let (tensor, factors) = fixture();
     for builder in all_plan_builders() {
         let plan = (builder.build)(&tensor, &factors, 0);
@@ -111,9 +126,9 @@ fn optimized_builders_stay_ulp_clean_against_the_oracle() {
     assert!(report.all_pass(), "optimized plans left ULP tolerance:\n{}", report.table());
 }
 
-/// Stronger than ULP-clean: every candidate pipeline (default, batch,
-/// overlap — all pure copy/bookkeeping moves) keeps the output
-/// bit-identical to the raw plan over the seeded corpus.
+/// Stronger than ULP-clean: every candidate pipeline (default and batch,
+/// both pure copy/bookkeeping moves) keeps the output bit-identical to
+/// the raw plan over the seeded corpus.
 #[test]
 fn every_candidate_pipeline_is_bit_identical_over_the_corpus() {
     let cases: Vec<_> =
@@ -170,5 +185,26 @@ fn default_pipeline_reduces_op_count_and_never_grows_it() {
                 builder.name
             );
         }
+    }
+}
+
+/// Every registered pass earns its place: over the smoke corpus at every
+/// mode, each pass rewrites the program of at least one registered
+/// builder's plan. The empty tensor stays in — `dead-op-elim` fires only
+/// on its plans.
+#[test]
+fn every_pass_rewrites_some_registered_plan() {
+    let builders = all_plan_builders();
+    let mut plans = Vec::new();
+    for (ci, case) in smoke_corpus(17).into_iter().enumerate() {
+        let factors = FactorSet::random(case.tensor.dims(), case.rank, 91 + ci as u64);
+        for mode in 0..case.tensor.order() {
+            plans.extend(builders.iter().map(|b| (b.build)(&case.tensor, &factors, mode)));
+        }
+    }
+    for pass in all_passes() {
+        let rewritten =
+            plans.iter().any(|p| lowered_programs(&pass.apply(p)) != lowered_programs(p));
+        assert!(rewritten, "{} rewrites none of {} registered plans", pass.name(), plans.len());
     }
 }
