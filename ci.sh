@@ -42,6 +42,24 @@ for toml in crates/*/Cargo.toml; do
 done
 test "$unused" -eq 0
 
+echo "==> public functions nothing names"
+# Every `pub fn` of crates/*/src and src/ must be named (as a word)
+# somewhere in the workspace or the benchmark, on a line that is neither
+# a `//` comment nor a `fn` line of that name. Each grep's output goes
+# into a variable: a pipe into `grep -q` can fail the producer with
+# SIGPIPE under pipefail.
+unnamed=0
+names=$(grep -rhoE --include='*.rs' 'pub fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src src | sort -u)
+for name in ${names//pub fn /}; do
+    uses=$(grep -rhw --include='*.rs' -- "$name" crates src tests examples shims perfbench/src || true)
+    named=$(grep -vE "^[[:space:]]*//|fn[[:space:]]+$name\b" <<<"$uses" || true)
+    if [ -z "$named" ]; then
+        echo "pub fn $name is never named outside comments and its own definition"
+        unnamed=1
+    fi
+done
+test "$unnamed" -eq 0
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -65,6 +83,20 @@ check_digest() { # workload seed seconds digest
 }
 check_digest serve-dry 2 1 580293e3f4a05b74
 check_digest als-nell2 3 0.01 1b5d3f9e7eb0c5c5
+
+echo "==> benchmark traced replay (the per-layer replay lands every output where the program did)"
+# A traced run replays the workload's calls layer by layer and checks
+# each result against the program's own; its spans go to .bench_out/.
+check_traced() { # workload seed
+    out=$("$bench" --workload "$1" --seed "$2" --seconds 1 --trace 1)
+    if ! tail -n 1 <<<"$out" | grep -q '"correct": true'; then
+        echo "$1 seed $2: the traced replay does not match the program, got:"
+        echo "$out"
+        exit 1
+    fi
+}
+check_traced serve-dry 2
+check_traced als-nell2 1
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q

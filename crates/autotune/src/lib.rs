@@ -49,7 +49,7 @@ pub use forest::BaggingForest;
 pub use importance::{tree_importance, FeatureImportance};
 pub use knn::KnnRegressor;
 pub use metrics::{mae, mape, r2, rmse};
-pub use predictor::{LaunchPredictor, TrainedPredictor};
+pub use predictor::{LaunchPredictor, TrainedPredictor, TRAIN_SEED};
 pub use ridge::RidgeRegression;
 pub use sweep::{sweep_tensor, SweepResult};
 pub use trainer::{generate_corpus, train_and_evaluate, ModelEval, TrainedModels};

@@ -71,6 +71,10 @@ impl LaunchPredictor {
     }
 }
 
+/// The predictor training seed every facade (`ScalFrag`, `ClusterScalFrag`,
+/// `ScalFragServer`) trains with.
+pub const TRAIN_SEED: u64 = 0x5ca1;
+
 /// A cheap-to-clone handle over lazily-trained per-rank [`LaunchPredictor`]s.
 ///
 /// The paper's claim — *"the training needs to be performed only once, the

@@ -35,6 +35,13 @@ use scalfrag_tensor::segment::segment_by_nnz;
 use scalfrag_tensor::{CooTensor, Idx};
 use std::sync::Arc;
 
+/// Pipeline segments each shard is cut into (transfer/compute overlap
+/// within a device).
+const SEGMENTS_PER_SHARD: usize = 2;
+
+/// Worker streams per device.
+const STREAMS_PER_DEVICE: usize = 2;
+
 /// Execution knobs of one cluster MTTKRP.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterOptions {
@@ -47,18 +54,14 @@ pub struct ClusterOptions {
     /// Shard count. Fixing this independently of the device count keeps
     /// the numeric output bitwise identical across node sizes.
     pub num_shards: usize,
-    /// Pipeline segments per shard (transfer/compute overlap within a
-    /// device).
-    pub segments_per_shard: usize,
-    /// Streams per device.
-    pub streams_per_device: usize,
     /// Kernel launch configuration (shared by all devices).
     pub config: LaunchConfig,
 }
 
 impl ClusterOptions {
     /// Paper-style defaults: tiled kernel, slice-aligned shards, LPT
-    /// placement, 2 segments per shard on 2 streams.
+    /// placement. Every plan runs each shard as 2 pipelined segments on 2
+    /// worker streams per device, whatever the options.
     pub fn new(config: LaunchConfig, num_shards: usize) -> Self {
         assert!(num_shards > 0, "need at least one shard");
         Self {
@@ -66,8 +69,6 @@ impl ClusterOptions {
             policy: ShardPolicy::SliceAligned,
             scheduler: DeviceScheduler::Lpt,
             num_shards,
-            segments_per_shard: 2,
-            streams_per_device: 2,
             config,
         }
     }
@@ -112,8 +113,6 @@ pub fn build_cluster_plan(
     mode: usize,
     opts: &ClusterOptions,
 ) -> Plan {
-    assert!(opts.segments_per_shard > 0, "need at least one segment per shard");
-    assert!(opts.streams_per_device > 0, "need at least one stream per device");
     let rank = factors.rank();
     let rows = tensor.dims()[mode] as usize;
     let out_bytes = (rows * rank * 4) as u64;
@@ -138,7 +137,7 @@ pub fn build_cluster_plan(
             let d2h_bytes = shard_output_bytes(&shards[si], rank, out_bytes);
             let mut unit_ids = Vec::new();
             for (j, seg) in
-                segment_by_nnz(shards[si].nnz(), opts.segments_per_shard).into_iter().enumerate()
+                segment_by_nnz(shards[si].nnz(), SEGMENTS_PER_SHARD).into_iter().enumerate()
             {
                 unit_ids.push(units.len());
                 units.push(WorkUnit {
@@ -165,8 +164,7 @@ pub fn build_cluster_plan(
         devices.push(DeviceOps {
             device: d,
             spec,
-            host: Some(node.host.clone()),
-            worker_streams: opts.streams_per_device,
+            worker_streams: STREAMS_PER_DEVICE,
             dedicated_d2h: true,
             residue: None,
             prologue_allocs: vec![(factors_bytes, "factor matrices must fit on each device")],
@@ -206,7 +204,7 @@ pub fn build_cluster_plan(
                 "{} shard(s) ({:?}) × {} segment(s), {:?} over {} device(s)",
                 opts.num_shards,
                 opts.policy,
-                opts.segments_per_shard,
+                SEGMENTS_PER_SHARD,
                 opts.scheduler,
                 node.num_devices(),
             ),

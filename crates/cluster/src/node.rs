@@ -70,12 +70,6 @@ impl NodeSpec {
         Self { devices, host, interconnect: Interconnect::SharedHost { total_gbs } }
     }
 
-    /// Replaces the host model.
-    pub fn with_host(mut self, host: HostSpec) -> Self {
-        self.host = host;
-        self
-    }
-
     /// Replaces the interconnect model.
     pub fn with_interconnect(mut self, interconnect: Interconnect) -> Self {
         self.interconnect = interconnect;

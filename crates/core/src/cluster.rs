@@ -2,7 +2,7 @@
 //! builder pattern lifted onto a [`NodeSpec`] of simulated devices.
 
 use crate::report::{call_flops, PhaseTiming};
-use scalfrag_autotune::TrainedPredictor;
+use scalfrag_autotune::{TrainedPredictor, TRAIN_SEED};
 use scalfrag_cluster::{
     build_cluster_plan, ClusterOptions, DeviceScheduler, ExecMode, FaultRecoveryPolicy, NodeSpec,
     ShardPolicy,
@@ -16,12 +16,10 @@ use scalfrag_pipeline::KernelChoice;
 use scalfrag_tensor::{CooTensor, TensorFeatures};
 
 /// Feature toggles of the cluster stack — the multi-GPU ablation surface.
+/// Every shard runs as 2 pipelined segments on 2 worker streams per
+/// device, as every [`build_cluster_plan`] does.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
-    /// Pick the launch configuration with the trained predictor (per
-    /// shard-sized tensor features); otherwise use `fixed_config` or the
-    /// ParTI heuristic.
-    pub adaptive_launch: bool,
     /// Launch the shared-memory tiled kernel instead of the atomic COO
     /// kernel.
     pub tiled_kernel: bool,
@@ -33,14 +31,9 @@ pub struct ClusterConfig {
     /// explicitly when comparing node sizes: the numeric output is bitwise
     /// stable across device counts only for a fixed shard count.
     pub shards: Option<usize>,
-    /// Pipeline segments per shard.
-    pub segments_per_shard: usize,
-    /// Streams per device.
-    pub streams_per_device: usize,
-    /// Launch configuration override used when `adaptive_launch` is off.
+    /// Fixed launch configuration. `None` = the trained predictor picks
+    /// one from the tensor's features (adaptive launching, §IV-B).
     pub fixed_config: Option<LaunchConfig>,
-    /// Seed for predictor training.
-    pub train_seed: u64,
     /// Non-zero tiers for predictor training (`None` = autotune defaults).
     pub train_tiers: Option<Vec<usize>>,
 }
@@ -48,15 +41,11 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            adaptive_launch: true,
             tiled_kernel: true,
             shard_policy: ShardPolicy::SliceAligned,
             scheduler: DeviceScheduler::Lpt,
             shards: None,
-            segments_per_shard: 2,
-            streams_per_device: 2,
             fixed_config: None,
-            train_seed: 0x5ca1,
             train_tiers: None,
         }
     }
@@ -66,19 +55,12 @@ impl Default for ClusterConfig {
 pub struct ClusterScalFragBuilder {
     node: NodeSpec,
     config: ClusterConfig,
-    predictor: Option<TrainedPredictor>,
 }
 
 impl ClusterScalFragBuilder {
     /// Sets the node (default: 2 × RTX 3090 with shared-host contention).
     pub fn node(mut self, node: NodeSpec) -> Self {
         self.node = node;
-        self
-    }
-
-    /// Enables/disables the adaptive launching strategy.
-    pub fn adaptive_launch(mut self, on: bool) -> Self {
-        self.config.adaptive_launch = on;
         self
     }
 
@@ -107,49 +89,27 @@ impl ClusterScalFragBuilder {
         self
     }
 
-    /// Sets pipeline segments per shard.
-    pub fn segments(mut self, n: usize) -> Self {
-        self.config.segments_per_shard = n;
-        self
-    }
-
-    /// Sets streams per device.
-    pub fn streams(mut self, n: usize) -> Self {
-        self.config.streams_per_device = n;
-        self
-    }
-
     /// Overrides the nnz tiers used to train the launch predictor.
     pub fn train_tiers(mut self, tiers: Vec<usize>) -> Self {
         self.config.train_tiers = Some(tiers);
         self
     }
 
-    /// Pins a fixed launch configuration (implies `adaptive_launch(false)`).
+    /// Pins a fixed launch configuration (turns adaptive launching off).
     pub fn fixed_config(mut self, c: LaunchConfig) -> Self {
         self.config.fixed_config = Some(c);
-        self.config.adaptive_launch = false;
-        self
-    }
-
-    /// Shares an already-created [`TrainedPredictor`] handle instead of
-    /// training privately (see [`crate::ScalFragBuilder::predictor`]).
-    pub fn predictor(mut self, handle: TrainedPredictor) -> Self {
-        self.predictor = Some(handle);
         self
     }
 
     /// Finalises the framework instance.
     pub fn build(self) -> ClusterScalFrag {
-        let predictor = self.predictor.unwrap_or_else(|| {
-            // Train against the node's first device; the launch space is
-            // shared by all devices in the node.
-            TrainedPredictor::train_once(
-                &self.node.devices[0],
-                self.config.train_seed,
-                self.config.train_tiers.clone(),
-            )
-        });
+        // Train against the node's first device; the launch space is
+        // shared by all devices in the node.
+        let predictor = TrainedPredictor::train_once(
+            &self.node.devices[0],
+            TRAIN_SEED,
+            self.config.train_tiers.clone(),
+        );
         ClusterScalFrag { node: self.node, config: self.config, predictor }
     }
 }
@@ -170,7 +130,6 @@ impl ClusterScalFrag {
         ClusterScalFragBuilder {
             node: NodeSpec::homogeneous(DeviceSpec::rtx3090(), 2),
             config: ClusterConfig::default(),
-            predictor: None,
         }
     }
 
@@ -191,12 +150,10 @@ impl ClusterScalFrag {
 
     /// Selects the launch configuration for `(tensor, mode)`.
     pub fn select_config(&self, tensor: &CooTensor, mode: usize, rank: u32) -> LaunchConfig {
-        if self.config.adaptive_launch {
+        self.config.fixed_config.unwrap_or_else(|| {
             let features = TensorFeatures::extract(tensor, mode).to_vec();
             self.predictor.for_rank(rank).predict_from_features(&features)
-        } else {
-            self.config.fixed_config.unwrap_or_else(|| LaunchConfig::parti_default(tensor.nnz()))
-        }
+        })
     }
 
     fn options(&self, cfg: LaunchConfig) -> ClusterOptions {
@@ -210,8 +167,6 @@ impl ClusterScalFrag {
             policy: self.config.shard_policy,
             scheduler: self.config.scheduler,
             num_shards,
-            segments_per_shard: self.config.segments_per_shard,
-            streams_per_device: self.config.streams_per_device,
             config: cfg,
         }
     }

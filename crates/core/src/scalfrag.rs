@@ -1,7 +1,7 @@
 //! The ScalFrag framework facade (Fig. 6).
 
 use crate::report::{call_flops, MttkrpReport};
-use scalfrag_autotune::TrainedPredictor;
+use scalfrag_autotune::{TrainedPredictor, TRAIN_SEED};
 use scalfrag_exec::{run_plan, Plan};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, MttkrpBackend};
@@ -45,8 +45,6 @@ pub struct ScalFragConfig {
     pub streams: Option<usize>,
     /// Launch configuration override used when `adaptive_launch` is off.
     pub fixed_config: Option<LaunchConfig>,
-    /// Seed for predictor training.
-    pub train_seed: u64,
     /// Non-zero tiers for predictor training (`None` = the autotune
     /// crate's defaults, which cover ~3 K – 2 M nnz).
     pub train_tiers: Option<Vec<usize>>,
@@ -65,7 +63,6 @@ impl Default for ScalFragConfig {
             segments: None,
             streams: None,
             fixed_config: None,
-            train_seed: 0x5ca1,
             train_tiers: None,
         }
     }
@@ -168,11 +165,7 @@ impl ScalFragBuilder {
     /// Finalises the framework instance.
     pub fn build(self) -> ScalFrag {
         let predictor = self.predictor.unwrap_or_else(|| {
-            TrainedPredictor::train_once(
-                &self.device,
-                self.config.train_seed,
-                self.config.train_tiers.clone(),
-            )
+            TrainedPredictor::train_once(&self.device, TRAIN_SEED, self.config.train_tiers.clone())
         });
         ScalFrag { device: self.device, config: self.config, predictor }
     }

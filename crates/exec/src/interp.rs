@@ -175,11 +175,7 @@ pub fn run_plan_faulted(
 }
 
 fn new_gpu(dev: &DeviceOps, derate: f64) -> Gpu {
-    let spec = if derate > 1.0 { dev.spec.clone().derated(derate) } else { dev.spec.clone() };
-    match &dev.host {
-        Some(h) => Gpu::with_host(spec, h.clone()),
-        None => Gpu::new(spec),
-    }
+    Gpu::new(if derate > 1.0 { dev.spec.clone().derated(derate) } else { dev.spec.clone() })
 }
 
 /// The injector, recovery policy and tallies of a faulted run.

@@ -15,7 +15,7 @@
 //! runs.
 
 use crate::kernel::KernelChoice;
-use scalfrag_gpusim::{DeviceSpec, HostSpec, LaunchConfig};
+use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::segment::Segment;
 use scalfrag_tensor::{CooTensor, Idx};
@@ -163,8 +163,6 @@ pub struct DeviceOps {
     /// Device model the interpreter instantiates (ignored when the caller
     /// supplies its own [`scalfrag_gpusim::Gpu`]).
     pub spec: DeviceSpec,
-    /// Host model for host tasks (`None` = default host).
-    pub host: Option<HostSpec>,
     /// Worker-stream count.
     pub worker_streams: usize,
     /// Whether partial results return on a dedicated D2H stream.

@@ -267,11 +267,6 @@ impl FaultInjector {
         &self.log
     }
 
-    /// Operations polled on `device` so far.
-    pub fn op_count(&self, device: usize) -> u64 {
-        self.ops.get(device).copied().unwrap_or(0)
-    }
-
     /// Scheduled faults that have not fired yet.
     pub fn faults_remaining(&self) -> usize {
         self.consumed.iter().filter(|&&c| !c).count()

@@ -73,17 +73,12 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// Creates a GPU with the default host (i7-11700K, as in Table II).
+    /// Creates a GPU with the host of Table II (i7-11700K).
     pub fn new(spec: DeviceSpec) -> Self {
-        Self::with_host(spec, HostSpec::i7_11700k())
-    }
-
-    /// Creates a GPU paired with an explicit host model.
-    pub fn with_host(spec: DeviceSpec, host: HostSpec) -> Self {
         let memory = MemoryPool::new(spec.global_mem_bytes);
         Self {
             spec,
-            host,
+            host: HostSpec::i7_11700k(),
             memory,
             num_streams: 0,
             next_op: 0,
@@ -100,11 +95,6 @@ impl Gpu {
     /// The device model.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// The host model.
-    pub fn host_spec(&self) -> &HostSpec {
-        &self.host
     }
 
     /// The device memory pool (allocate segment buffers against it).
@@ -154,17 +144,6 @@ impl Gpu {
     /// Enqueues an asynchronous device→host copy of `bytes`.
     pub fn d2h(&mut self, stream: StreamId, bytes: u64, label: impl Into<String>) -> OpId {
         self.enqueue(stream, label, OpPayload::Copy { bytes, h2d: false }, None)
-    }
-
-    /// Enqueues a D2H copy with an execution closure.
-    pub fn d2h_exec(
-        &mut self,
-        stream: StreamId,
-        bytes: u64,
-        label: impl Into<String>,
-        f: impl FnOnce() + Send + 'static,
-    ) -> OpId {
-        self.enqueue(stream, label, OpPayload::Copy { bytes, h2d: false }, Some(Box::new(f)))
     }
 
     /// Enqueues a kernel launch with the given configuration and workload.

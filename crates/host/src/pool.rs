@@ -141,11 +141,6 @@ impl Pool {
         Pool { shared, handles: Mutex::new(handles), threads }
     }
 
-    /// Number of worker threads.
-    pub fn num_threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs `body(start, end)` over a partition of `0..n` on the pool,
     /// blocking until all `n` indices have executed. Pieces never exceed
     /// `grain.max(1)` indices. Worker panics are captured and the first

@@ -33,15 +33,6 @@ pub struct TuckerResult {
 }
 
 impl TuckerResult {
-    /// Core value at a multi-index.
-    pub fn core_at(&self, idx: &[usize]) -> f32 {
-        let mut flat = 0usize;
-        for (m, &i) in idx.iter().enumerate() {
-            flat = flat * self.core_dims[m] + i;
-        }
-        self.core[flat]
-    }
-
     /// Frobenius norm of the core (equals `‖X̂‖_F` because the factors are
     /// orthonormal).
     pub fn core_norm(&self) -> f64 {

@@ -218,7 +218,6 @@ pub(crate) fn assemble_plan(
         devices: vec![DeviceOps {
             device: 0,
             spec: capped,
-            host: None,
             worker_streams: 2,
             dedicated_d2h: false,
             residue: None,

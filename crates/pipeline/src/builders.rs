@@ -53,7 +53,6 @@ pub fn build_sync_plan(
         devices: vec![DeviceOps {
             device: 0,
             spec: spec.clone(),
-            host: None,
             worker_streams: 1,
             dedicated_d2h: false,
             residue: None,
@@ -137,7 +136,6 @@ pub fn build_shared_pipelined_plan(
         devices: vec![DeviceOps {
             device: 0,
             spec: spec.clone(),
-            host: None,
             worker_streams: plan.num_streams,
             dedicated_d2h: false,
             residue: None,
@@ -347,7 +345,6 @@ pub fn lower_batched_plan(
         devices: vec![DeviceOps {
             device: 0,
             spec: spec.clone(),
-            host: None,
             worker_streams,
             dedicated_d2h: true,
             residue: None,

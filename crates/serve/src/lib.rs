@@ -16,13 +16,13 @@
 //!   class) fuse into one ScheduleIR plan per dispatch: the factor set
 //!   crosses PCIe once per *group* instead of once per job.
 //! * **Plan cache** ([`plan_cache`]) — quantized [`FeatureKey`]s memoize
-//!   the adaptive-launching verdict (§IV-B of the paper) per shape class,
-//!   with LRU eviction, hit/miss counters and deterministic
-//!   snapshot/restore for warm starts.
+//!   the adaptive-launching verdict (§IV-B of the paper), one
+//!   `LaunchConfig` per shape class, with LRU eviction, hit/miss counters
+//!   and deterministic snapshot/restore for warm starts.
 //! * **Scheduler** ([`scheduler`]) — a deterministic discrete-event loop
-//!   over a [`DevicePool`] (explicit devices or a `scalfrag-cluster`
-//!   node); each dispatch interprets one batch-fused plan through the
-//!   `scalfrag-opt` default pipeline.
+//!   over a [`DevicePool`] of (possibly heterogeneous) devices; each
+//!   dispatch interprets one batch-fused plan, a solo job as a group of
+//!   one, through the `scalfrag-opt` default pipeline.
 //! * **Autoscaling** ([`autoscale`]) — watermark + hysteresis growth and
 //!   shrink of the active device set under sustained load, reusing the
 //!   fault path's park/rejoin mechanics.
@@ -61,40 +61,30 @@ pub use admission::{estimate_service_s, AdmissionPolicy, RejectReason, Rejected}
 pub use autoscale::{AutoscalePolicy, Autoscaler, ScaleEvent};
 pub use batch::BatchGroup;
 pub use job::{JobId, MttkrpJob, Priority};
-pub use plan_cache::{CacheStats, ExecutionPlan, PlanCache, SnapshotError, SNAPSHOT_VERSION};
+pub use plan_cache::{CacheStats, PlanCache, SnapshotError, SNAPSHOT_VERSION};
 pub use queue::{slo_target_s, QosConfig, QosQueues, TokenBucket};
 pub use report::{JobRecord, ServeReport};
 pub use scheduler::{plan_builders, DevicePool, PLAN_HIT_S, PLAN_MISS_S};
 pub use workload::{synthesize, WorkloadSpec};
 
-use scalfrag_autotune::TrainedPredictor;
-use scalfrag_cluster::NodeSpec;
+use scalfrag_autotune::{TrainedPredictor, TRAIN_SEED};
 use scalfrag_gpusim::DeviceSpec;
 use scalfrag_tensor::FeatureKey;
 
-/// Serving-layer configuration: admission thresholds, plan-cache sizing
-/// and the executor feature toggles (the ablation surface of the
-/// acceptance benchmarks).
+/// Serving-layer configuration: admission, batching, QoS, autoscaling
+/// and plan-cache toggles (the ablation surface of the acceptance
+/// benchmarks). Every dispatch launches the tiled kernel (§IV-A) with the
+/// trained predictor's configuration (§IV-B).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Admission thresholds.
     pub admission: AdmissionPolicy,
-    /// Plan-cache capacity (entries).
-    pub cache_capacity: usize,
-    /// Memoize plans (`false` = the cache-off ablation: every job pays the
-    /// full planning cost, misses still counted).
+    /// Memoize launch verdicts (`false` = the cache-off ablation: every
+    /// job pays the full planning cost, misses still counted).
     pub plan_caching: bool,
-    /// Plan launches with the trained predictor (§IV-B) instead of the
-    /// ParTI heuristic.
-    pub adaptive_launch: bool,
-    /// Launch the shared-memory tiled kernel (§IV-A).
-    pub tiled_kernel: bool,
     /// Compute real MTTKRP outputs (`false` = timing-only dry runs, the
     /// load-test default).
     pub functional: bool,
-    /// `Some(t)` = hybrid CPU/GPU split at slice population `t`
-    /// (functional mode only).
-    pub hybrid_threshold: Option<u32>,
     /// Resubmission budget per job: a job rejected at admission (or killed
     /// by a device failure) re-enters the arrival stream after its
     /// `retry_after_s` hint, at most this many times. `0` (the default)
@@ -121,8 +111,6 @@ pub struct ServerConfig {
     /// Capture a [`PlanCache::snapshot`] at end of run into
     /// [`ServeReport::cache_snapshot`].
     pub snapshot_cache: bool,
-    /// Predictor training seed.
-    pub train_seed: u64,
     /// Predictor training tiers (`None` = autotune defaults, ~3 K – 2 M
     /// nnz).
     pub train_tiers: Option<Vec<usize>>,
@@ -132,12 +120,8 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             admission: AdmissionPolicy::default(),
-            cache_capacity: 256,
             plan_caching: true,
-            adaptive_launch: true,
-            tiled_kernel: true,
             functional: false,
-            hybrid_threshold: None,
             max_retries: 0,
             max_batch: 8,
             batch_window_s: 0.0,
@@ -145,7 +129,6 @@ impl Default for ServerConfig {
             autoscale: None,
             warm_snapshot: None,
             snapshot_cache: false,
-            train_seed: 0x5ca1,
             train_tiers: None,
         }
     }
@@ -209,12 +192,6 @@ impl ScalFragServerBuilder {
         self.pool(DevicePool::single(device))
     }
 
-    /// Serve on a multi-GPU cluster node (interconnect contention folded
-    /// into each device's effective bandwidth).
-    pub fn node(self, node: &NodeSpec) -> Self {
-        self.pool(DevicePool::from_node(node))
-    }
-
     /// Replace the whole configuration.
     pub fn config(mut self, config: ServerConfig) -> Self {
         self.config = Some(config);
@@ -224,12 +201,6 @@ impl ScalFragServerBuilder {
     /// Override admission thresholds.
     pub fn admission(mut self, admission: AdmissionPolicy) -> Self {
         self.config.get_or_insert_with(ServerConfig::default).admission = admission;
-        self
-    }
-
-    /// Override plan-cache capacity.
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.get_or_insert_with(ServerConfig::default).cache_capacity = capacity;
         self
     }
 
@@ -312,7 +283,7 @@ impl ScalFragServerBuilder {
         let predictor = self.predictor.unwrap_or_else(|| {
             TrainedPredictor::train_once(
                 pool.planning_device(),
-                config.train_seed,
+                TRAIN_SEED,
                 config.train_tiers.clone(),
             )
         });

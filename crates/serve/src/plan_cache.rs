@@ -1,13 +1,11 @@
-//! The memoized execution plan and its LRU cache.
+//! The memoized launch verdict and its LRU cache.
 //!
 //! ScalFrag's adaptive-launching decision (§IV-B of the paper) is a pure
 //! function of quantized tensor features — exactly the kind of per-tensor
 //! work worth memoizing across a request stream. A [`FeatureKey`] (coarse
-//! log-bucketed features, see `scalfrag-tensor`) maps to the full
-//! [`ExecutionPlan`]: predictor verdict, kernel choice, segment/stream
-//! counts and the hybrid split decision. A stream of similarly-shaped
-//! tensors then pays the predictor once per *shape class* instead of once
-//! per request.
+//! log-bucketed features, see `scalfrag-tensor`) maps to the predictor's
+//! [`LaunchConfig`] verdict. A stream of similarly-shaped tensors then
+//! pays the predictor once per *shape class* instead of once per request.
 //!
 //! The cache also snapshots: [`PlanCache::snapshot`] serializes the full
 //! LRU state (entries, recency ticks, capacity) to a deterministic
@@ -17,12 +15,11 @@
 //! first request of every known shape class from the cache.
 
 use scalfrag_gpusim::LaunchConfig;
-use scalfrag_pipeline::KernelChoice;
 use scalfrag_tensor::FeatureKey;
 use std::collections::HashMap;
 
 /// Format version written into (and required from) every snapshot.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot failed to restore.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,25 +55,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn kernel_name(kernel: KernelChoice) -> &'static str {
-    match kernel {
-        KernelChoice::CooAtomic => "coo-atomic",
-        KernelChoice::Tiled => "tiled",
-        KernelChoice::Balanced => "balanced",
-        KernelChoice::ModeAgnostic => "mode-agnostic",
-    }
-}
-
-fn kernel_from_name(name: &str) -> Option<KernelChoice> {
-    match name {
-        "coo-atomic" => Some(KernelChoice::CooAtomic),
-        "tiled" => Some(KernelChoice::Tiled),
-        "balanced" => Some(KernelChoice::Balanced),
-        "mode-agnostic" => Some(KernelChoice::ModeAgnostic),
-        _ => None,
-    }
-}
-
 /// The key as a sortable integer tuple — snapshot entries are ordered by
 /// this, so serialization never depends on `HashMap` iteration order.
 fn key_tuple(k: &FeatureKey) -> [i64; 12] {
@@ -94,23 +72,6 @@ fn key_tuple(k: &FeatureKey) -> [i64; 12] {
         k.fiber_imbalance_bucket as i64,
         k.gini_bucket as i64,
     ]
-}
-
-/// Everything the executor needs to run a job — the memoized verdict of
-/// the planning stage.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ExecutionPlan {
-    /// Kernel launch configuration (trained-predictor verdict, or the
-    /// ParTI heuristic when adaptive launching is off).
-    pub config: LaunchConfig,
-    /// Which kernel to launch.
-    pub kernel: KernelChoice,
-    /// Pipeline segment count.
-    pub segments: usize,
-    /// Stream count.
-    pub streams: usize,
-    /// `Some(threshold)` = route slices with fewer nnz to the host CPU.
-    pub hybrid_threshold: Option<u32>,
 }
 
 /// Hit/miss/eviction counters of one cache (or one cache-off ablation).
@@ -140,12 +101,13 @@ impl CacheStats {
     }
 }
 
-/// A bounded LRU map from quantized tensor features to execution plans.
+/// A bounded LRU map from quantized tensor features to launch
+/// configurations.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
-    /// key → (plan, last-use tick).
-    map: HashMap<FeatureKey, (ExecutionPlan, u64)>,
+    /// key → (launch configuration, last-use tick).
+    map: HashMap<FeatureKey, (LaunchConfig, u64)>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -153,20 +115,20 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache holding at most `capacity` plans.
+    /// An empty cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "plan cache needs capacity > 0");
         Self { capacity, map: HashMap::new(), tick: 0, hits: 0, misses: 0, evictions: 0 }
     }
 
     /// Looks `key` up, counting a hit (and refreshing recency) or a miss.
-    pub fn get(&mut self, key: &FeatureKey) -> Option<ExecutionPlan> {
+    pub fn get(&mut self, key: &FeatureKey) -> Option<LaunchConfig> {
         self.tick += 1;
         match self.map.get_mut(key) {
-            Some((plan, last_use)) => {
+            Some((config, last_use)) => {
                 *last_use = self.tick;
                 self.hits += 1;
-                Some(*plan)
+                Some(*config)
             }
             None => {
                 self.misses += 1;
@@ -181,9 +143,9 @@ impl PlanCache {
         self.misses += 1;
     }
 
-    /// Inserts a freshly computed plan, evicting the least recently used
-    /// entry if at capacity.
-    pub fn insert(&mut self, key: FeatureKey, plan: ExecutionPlan) {
+    /// Inserts a freshly predicted configuration, evicting the least
+    /// recently used entry if at capacity.
+    pub fn insert(&mut self, key: FeatureKey, config: LaunchConfig) {
         self.tick += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             let lru = self
@@ -195,7 +157,7 @@ impl PlanCache {
             self.map.remove(&lru);
             self.evictions += 1;
         }
-        self.map.insert(key, (plan, self.tick));
+        self.map.insert(key, (config, self.tick));
     }
 
     /// Live entry count.
@@ -214,27 +176,18 @@ impl PlanCache {
     /// the order the original would have. Hit/miss counters are *not*
     /// snapshotted — a warm-started server counts its own traffic.
     pub fn snapshot(&self) -> String {
-        let mut entries: Vec<(&FeatureKey, &(ExecutionPlan, u64))> = self.map.iter().collect();
+        let mut entries: Vec<(&FeatureKey, &(LaunchConfig, u64))> = self.map.iter().collect();
         entries.sort_by_key(|(k, _)| key_tuple(k));
         let mut out = format!(
             "scalfrag-plan-cache v{SNAPSHOT_VERSION}\ncapacity {} tick {}\n",
             self.capacity, self.tick
         );
-        for (k, (p, last_use)) in entries {
+        for (k, (c, last_use)) in entries {
             let kt = key_tuple(k);
             let key_str = kt.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" ");
-            let hybrid = match p.hybrid_threshold {
-                Some(t) => t.to_string(),
-                None => "-".to_string(),
-            };
             out.push_str(&format!(
-                "entry {key_str} | {} {} {} {} {} {} {hybrid} | {last_use}\n",
-                p.config.grid,
-                p.config.block,
-                p.config.shared_mem_per_block,
-                kernel_name(p.kernel),
-                p.segments,
-                p.streams,
+                "entry {key_str} | {} {} {} | {last_use}\n",
+                c.grid, c.block, c.shared_mem_per_block
             ));
         }
         out
@@ -279,7 +232,7 @@ impl PlanCache {
                 .ok_or_else(|| corrupt(lineno, "expected an entry line"))?;
             let parts: Vec<&str> = body.split('|').map(str::trim).collect();
             if parts.len() != 3 {
-                return Err(corrupt(lineno, "entry needs key | plan | last_use fields"));
+                return Err(corrupt(lineno, "entry needs key | config | last_use fields"));
             }
             let kf: Vec<i64> = parts[0]
                 .split_whitespace()
@@ -303,22 +256,15 @@ impl PlanCache {
                 fiber_imbalance_bucket: kf[10] as i32,
                 gini_bucket: kf[11] as i32,
             };
-            let pf: Vec<&str> = parts[1].split_whitespace().collect();
-            if pf.len() != 7 {
-                return Err(corrupt(lineno, "plan needs 7 fields"));
+            let cf: Vec<&str> = parts[1].split_whitespace().collect();
+            if cf.len() != 3 {
+                return Err(corrupt(lineno, "config needs 3 fields"));
             }
-            let int = |s: &str| s.parse::<u32>().map_err(|_| corrupt(lineno, "bad plan number"));
-            let plan = ExecutionPlan {
-                config: LaunchConfig {
-                    grid: int(pf[0])?,
-                    block: int(pf[1])?,
-                    shared_mem_per_block: int(pf[2])?,
-                },
-                kernel: kernel_from_name(pf[3])
-                    .ok_or_else(|| corrupt(lineno, "unknown kernel name"))?,
-                segments: pf[4].parse().map_err(|_| corrupt(lineno, "bad segments"))?,
-                streams: pf[5].parse().map_err(|_| corrupt(lineno, "bad streams"))?,
-                hybrid_threshold: if pf[6] == "-" { None } else { Some(int(pf[6])?) },
+            let int = |s: &str| s.parse::<u32>().map_err(|_| corrupt(lineno, "bad config number"));
+            let config = LaunchConfig {
+                grid: int(cf[0])?,
+                block: int(cf[1])?,
+                shared_mem_per_block: int(cf[2])?,
             };
             let last_use: u64 =
                 parts[2].parse().map_err(|_| corrupt(lineno, "bad last_use tick"))?;
@@ -328,7 +274,9 @@ impl PlanCache {
             if last_use > tick {
                 return Err(corrupt(lineno, "last_use beyond the snapshot tick"));
             }
-            cache.map.insert(key, (plan, last_use));
+            if cache.map.insert(key, (config, last_use)).is_some() {
+                return Err(corrupt(lineno, "duplicate key"));
+            }
         }
         Ok(cache)
     }
@@ -366,14 +314,8 @@ mod tests {
         }
     }
 
-    fn plan(grid: u32) -> ExecutionPlan {
-        ExecutionPlan {
-            config: LaunchConfig::new(grid, 256),
-            kernel: KernelChoice::Tiled,
-            segments: 4,
-            streams: 4,
-            hybrid_threshold: None,
-        }
+    fn plan(grid: u32) -> LaunchConfig {
+        LaunchConfig::new(grid, 256)
     }
 
     #[test]
@@ -428,10 +370,7 @@ mod tests {
     fn snapshot_round_trips_bit_deterministically() {
         let mut c = PlanCache::new(4);
         c.insert(key(1), plan(64));
-        c.insert(
-            key(2),
-            ExecutionPlan { hybrid_threshold: Some(32), kernel: KernelChoice::Balanced, ..plan(9) },
-        );
+        c.insert(key(2), LaunchConfig { shared_mem_per_block: 4096, ..plan(9) });
         let _ = c.get(&key(1)); // refresh recency so the ticks differ
         let snap = c.snapshot();
         let restored = PlanCache::restore(&snap).expect("round trip");
@@ -457,17 +396,17 @@ mod tests {
     #[test]
     fn restored_cache_serves_hits() {
         let mut c = PlanCache::new(4);
-        let p = ExecutionPlan { kernel: KernelChoice::ModeAgnostic, ..plan(128) };
+        let p = LaunchConfig { shared_mem_per_block: 8192, ..plan(128) };
         c.insert(key(7), p);
         let mut warm = PlanCache::restore(&c.snapshot()).unwrap();
-        assert_eq!(warm.get(&key(7)), Some(p), "every kernel flavor must survive the trip");
+        assert_eq!(warm.get(&key(7)), Some(p), "every config field must survive the trip");
         assert_eq!(warm.stats().hits, 1);
     }
 
     #[test]
     fn version_mismatch_is_a_typed_error() {
         let snap = PlanCache::new(2).snapshot();
-        let future = snap.replacen("v1", "v9", 1);
+        let future = snap.replacen(&format!("v{SNAPSHOT_VERSION}"), "v9", 1);
         assert_eq!(
             PlanCache::restore(&future).unwrap_err(),
             SnapshotError::VersionMismatch { found: 9, expected: SNAPSHOT_VERSION }
@@ -483,8 +422,8 @@ mod tests {
         let snap = c.snapshot();
         for bad in [
             snap.replacen("entry", "entry x", 1),
-            snap.replacen("tiled", "warp-speed", 1),
-            snap.replace("scalfrag-plan-cache v1", "something else"),
+            snap.replacen(" 256 ", " -256 ", 1),
+            snap.replace(&format!("scalfrag-plan-cache v{SNAPSHOT_VERSION}"), "something else"),
             String::new(),
         ] {
             match PlanCache::restore(&bad) {
@@ -492,5 +431,31 @@ mod tests {
                 other => panic!("expected Corrupt, got {other:?} for {bad:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_duplicate_key_is_corrupt() {
+        let mut c = PlanCache::new(4);
+        c.insert(key(1), plan(1));
+        c.insert(key(2), plan(2));
+        let snap = c.snapshot();
+        // Entry lines are sorted by key, and `nnz_bucket` is the key's
+        // fourth field: point the second entry at the first one's key.
+        let dup = snap.replacen("entry 3 0 16 2 ", "entry 3 0 16 1 ", 1);
+        assert_ne!(dup, snap);
+        assert_eq!(
+            PlanCache::restore(&dup).unwrap_err(),
+            SnapshotError::Corrupt { line: 4, reason: "duplicate key".to_string() }
+        );
+    }
+
+    #[test]
+    fn version_one_snapshots_are_refused_with_a_typed_error() {
+        let v1 = "scalfrag-plan-cache v1\ncapacity 4 tick 2\n\
+                  entry 3 0 16 1 10 12 14 8 1 2 1 2 | 64 256 0 tiled 4 4 - | 1\n";
+        assert_eq!(
+            PlanCache::restore(v1).unwrap_err(),
+            SnapshotError::VersionMismatch { found: 1, expected: SNAPSHOT_VERSION }
+        );
     }
 }

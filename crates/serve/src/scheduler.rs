@@ -14,12 +14,11 @@ use crate::admission::{estimate_service_s, RejectReason, Rejected};
 use crate::autoscale::Autoscaler;
 use crate::batch::BatchGroup;
 use crate::job::MttkrpJob;
-use crate::plan_cache::{ExecutionPlan, PlanCache};
+use crate::plan_cache::PlanCache;
 use crate::queue::{Pending, QosQueues, TokenBucket};
 use crate::report::{JobRecord, ServeReport};
 use crate::ScalFragServer;
 use scalfrag_autotune::prefer_batched;
-use scalfrag_cluster::NodeSpec;
 use scalfrag_core::PhaseTiming;
 use scalfrag_exec::{run_plan, PlanBuilder};
 use scalfrag_faults::{DeviceHealth, FaultInjector, OpClass, OpVerdict, RecoveryAction};
@@ -27,21 +26,28 @@ use scalfrag_gpusim::{DeviceSpec, LaunchConfig, SpanKind};
 use scalfrag_kernels::SegmentStats;
 use scalfrag_pipeline::plan::MAX_SEGMENTS;
 use scalfrag_pipeline::{
-    build_hybrid_plan, build_shared_pipelined_plan, lower_batched_plan, split_by_slice_population,
-    BatchedJobSpec, ExecMode, KernelChoice, PipelinePlan,
+    build_shared_pipelined_plan, lower_batched_plan, BatchedJobSpec, ExecMode, KernelChoice,
+    PipelinePlan,
 };
 use scalfrag_tensor::{segment, CooTensor, FeatureKey, TensorFeatures};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Simulated cost of planning from scratch (s): predictor inference over
-/// the launch space plus segment/stream planning. Calibrated to the
-/// paper's "inference < 1 % of an MTTKRP" bound at the small end of the
-/// workload range.
+/// Simulated cost of a plan-cache miss (s): predictor inference over the
+/// launch space. Calibrated to the paper's "inference < 1 % of an MTTKRP"
+/// bound at the small end of the workload range; the value is pinned by
+/// `GOLDEN_SERVE_FINGERPRINT` and the benchmark's modelled digests.
 pub const PLAN_MISS_S: f64 = 1.5e-4;
 
 /// Simulated cost of a plan-cache hit (s): one hash lookup.
 pub const PLAN_HIT_S: f64 = 1.0e-6;
+
+/// Worker streams of every fused dispatch plan — the Fig. 11 operating
+/// point.
+const STREAMS: usize = 4;
+
+/// Plan-cache capacity (shape classes) of a cold-started server.
+const CACHE_CAPACITY: usize = 256;
 
 /// The set of simulated devices jobs dispatch onto. Each device runs one
 /// batch group at a time; the scheduler always hands the next group to
@@ -70,14 +76,6 @@ impl DevicePool {
         Self::from_devices(vec![device; n])
     }
 
-    /// Builds the pool from a `scalfrag-cluster` node: each device enters
-    /// with the node's interconnect contention already folded into its
-    /// effective PCIe bandwidth (a 4-GPU shared-host node serves with four
-    /// derated links, exactly like the cluster executor would see them).
-    pub fn from_node(node: &NodeSpec) -> Self {
-        Self::from_devices((0..node.num_devices()).map(|i| node.effective_device(i)).collect())
-    }
-
     /// Number of devices.
     pub fn num_devices(&self) -> usize {
         self.devices.len()
@@ -89,7 +87,8 @@ impl DevicePool {
     }
 
     /// The device plans are made against (the first — the cache stores one
-    /// plan per shape class, validated per executing device at dispatch).
+    /// launch config per shape class, validated per executing device at
+    /// dispatch).
     pub fn planning_device(&self) -> &DeviceSpec {
         &self.devices[0]
     }
@@ -193,7 +192,7 @@ impl ScalFragServer {
         let mut cache = match &self.config.warm_snapshot {
             Some(snap) => PlanCache::restore(snap)
                 .expect("ServerConfig::warm_snapshot is not a valid plan-cache snapshot"),
-            None => PlanCache::new(self.config.cache_capacity),
+            None => PlanCache::new(CACHE_CAPACITY),
         };
         let mut memo = PlannerMemo::default();
         let mut completed: Vec<JobRecord> = Vec::with_capacity(jobs.len());
@@ -352,12 +351,9 @@ impl ScalFragServer {
                 }
                 // Group formation: drain the queue's compatible followers
                 // behind the QoS pick, capped by `max_batch` — unless the
-                // arm decision says this shape gains nothing from fusing,
-                // or the hybrid CPU/GPU split (inherently per-job) is on.
-                let solo_only = self.config.hybrid_threshold.is_some() && self.config.functional;
+                // arm decision says this shape gains nothing from fusing.
                 let max_batch = self.config.max_batch.max(1);
-                let fuse = !solo_only
-                    && max_batch > 1
+                let fuse = max_batch > 1
                     && prefer_batched(
                         lead.job.factors.byte_size(),
                         lead.job.tensor.byte_size(),
@@ -451,51 +447,30 @@ impl ScalFragServer {
         }
     }
 
-    /// Plans one shape class: cache lookup on the quantized feature key,
-    /// falling back to the full planning path (predictor → segments/streams
-    /// → hybrid decision) on a miss. One call covers a whole batch group —
-    /// its members share the key by construction. Returns
-    /// `(plan, cache_hit, plan_s)`.
+    /// Picks one shape class's launch configuration: cache lookup on the
+    /// quantized feature key, falling back to predictor inference (§IV-B)
+    /// on a miss. One call covers a whole batch group — its members share
+    /// the key by construction. Returns `(config, cache_hit, plan_s)`.
     fn plan(
         &self,
         job: &MttkrpJob,
         cache: &mut PlanCache,
         memo: &mut PlannerMemo,
-    ) -> (ExecutionPlan, bool, f64) {
+    ) -> (LaunchConfig, bool, f64) {
         let key = FeatureKey::quantize(memo.features_of(job), job.mode, job.rank());
         if self.config.plan_caching {
-            if let Some(plan) = cache.get(&key) {
-                return (plan, true, PLAN_HIT_S);
+            if let Some(config) = cache.get(&key) {
+                return (config, true, PLAN_HIT_S);
             }
         } else {
             cache.count_bypass();
         }
-        let config = if self.config.adaptive_launch {
-            let features = memo.features_of(job).to_vec();
-            self.predictor.for_rank(job.rank()).predict_from_features(&features)
-        } else {
-            LaunchConfig::parti_default(job.tensor.nnz())
-        };
-        let kernel =
-            if self.config.tiled_kernel { KernelChoice::Tiled } else { KernelChoice::CooAtomic };
-        let segments = segment::auto_segment_count(
-            job.tensor.byte_size(),
-            job.factors.byte_size(),
-            self.pool.planning_device().global_mem_bytes as usize,
-            MAX_SEGMENTS,
-        )
-        .clamp(4, MAX_SEGMENTS);
-        let plan = ExecutionPlan {
-            config,
-            kernel,
-            segments,
-            streams: segments.min(4),
-            hybrid_threshold: self.config.hybrid_threshold,
-        };
+        let features = memo.features_of(job).to_vec();
+        let config = self.predictor.for_rank(job.rank()).predict_from_features(&features);
         if self.config.plan_caching {
-            cache.insert(key, plan);
+            cache.insert(key, config);
         }
-        (plan, false, PLAN_MISS_S)
+        (config, false, PLAN_MISS_S)
     }
 
     /// Executes one batch group on pool device `dev`. `device` is the spec
@@ -532,55 +507,15 @@ impl ScalFragServer {
         memo: &mut PlannerMemo,
     ) -> (Vec<JobRecord>, f64) {
         let lead = &group.lead().job;
-        let (plan, cache_hit, plan_s) = self.plan(lead, cache, memo);
-        // A cached plan may have been made against a bigger card; fall
-        // back to the heuristic rather than launching an invalid config.
-        let config = if plan.config.validate(device).is_ok() {
-            plan.config
+        let (config, cache_hit, plan_s) = self.plan(lead, cache, memo);
+        // A cached config may have been made against a bigger card; fall
+        // back to the heuristic rather than launching an invalid one.
+        let config = if config.validate(device).is_ok() {
+            config
         } else {
             LaunchConfig::parti_default(lead.tensor.nnz())
         };
         let group_start = group.group_start(dev_free);
-
-        if let (Some(threshold), true) = (plan.hybrid_threshold, self.config.functional) {
-            // The hybrid CPU/GPU split stays a per-job path: the host-side
-            // residue has no per-member stream labelling to unfuse. The
-            // dispatch loop caps such groups at one member.
-            assert_eq!(group.size(), 1, "hybrid dispatch is solo by construction");
-            let m = &group.members[0];
-            let split = split_by_slice_population(&m.job.tensor, m.job.mode, threshold);
-            let hybrid = build_hybrid_plan(
-                device,
-                &split,
-                &m.job.factors,
-                m.job.mode,
-                config,
-                plan.segments,
-                plan.streams,
-                plan.kernel,
-            );
-            let run = run_plan(&hybrid, ExecMode::Functional);
-            let timing =
-                PhaseTiming::from_timeline(&run.timeline).with_queue(group_start - m.job.arrival_s);
-            let finish_s = group_start + plan_s + timing.total_s;
-            let record = JobRecord {
-                id: m.job.id,
-                tenant: m.job.tenant.clone(),
-                priority: m.job.priority,
-                device: dev,
-                arrival_s: m.job.arrival_s,
-                start_s: group_start,
-                finish_s,
-                plan_s,
-                cache_hit,
-                timing,
-                deadline_s: m.job.deadline_s,
-                attempt: m.attempt,
-                group_size: 1,
-                output: Some(run.output),
-            };
-            return (vec![record], finish_s);
-        }
 
         let jobs: Vec<_> = group.members.iter().map(|m| memo.batched_job(&m.job)).collect();
         let mut fused = lower_batched_plan(
@@ -589,8 +524,8 @@ impl ScalFragServer {
             Arc::clone(&lead.factors),
             lead.mode,
             config,
-            plan.kernel,
-            plan.streams,
+            KernelChoice::Tiled,
+            STREAMS,
         );
         scalfrag_opt::default_pipeline().rewrite(&mut fused);
         let exec = if self.config.functional { ExecMode::Functional } else { ExecMode::Dry };
@@ -677,11 +612,13 @@ fn job_of_label(label: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// The serving layer's registered plan builders: the plan a default
-/// functional server dispatches a job onto, with the predictor swapped
-/// for the ParTI heuristic so building stays training-free and
-/// deterministic. Mirrors the `path:serve-functional` conformance
-/// backend.
+/// The serving layer's registered plan builders: `serve-functional`, an
+/// auto-segmented pipelined plan (4–16 segments, at most 4 streams) of one
+/// job with the ParTI launch heuristic, so building stays training-free
+/// and deterministic. It is not what a server dispatches: every dispatch
+/// lowers the fused `serve-batched` shape ([`lower_batched_plan`]), a solo
+/// job as a group of one — which is what the `path:serve-functional`
+/// conformance backend runs, through a functional server.
 pub fn plan_builders() -> Vec<PlanBuilder> {
     vec![PlanBuilder::new("serve-functional", |tensor, factors, mode| {
         let device = DeviceSpec::rtx3090();
@@ -740,13 +677,6 @@ mod tests {
         let p = DevicePool::homogeneous(DeviceSpec::rtx3090(), 3);
         assert_eq!(p.num_devices(), 3);
         assert_eq!(p.planning_device().name, DeviceSpec::rtx3090().name);
-        let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 4);
-        let p = DevicePool::from_node(&node);
-        assert_eq!(p.num_devices(), 4);
-        assert!(
-            p.devices()[0].pcie_h2d_gbs < DeviceSpec::rtx3090().pcie_h2d_gbs,
-            "shared-host contention must be folded in"
-        );
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl DatasetPreset {
             GenKind::Blocked(blocks, edge) => crate::gen::blocked(&dims, nnz, blocks, edge, seed),
         }
     }
-
-    /// Materialises at [`DEFAULT_SCALE`].
-    pub fn materialize_default(&self) -> CooTensor {
-        self.materialize(DEFAULT_SCALE)
-    }
 }
 
 /// All ten datasets of Table III, in the paper's order.

@@ -69,20 +69,9 @@ impl SemiSparseTensor {
         self.values.len() / self.r().max(1)
     }
 
-    /// Stored value count (`num_fibers × r`).
-    pub fn num_values(&self) -> usize {
-        self.values.len()
-    }
-
     /// The dense fiber `f`.
     pub fn fiber(&self, f: usize) -> &[Val] {
         &self.values[f * self.r()..(f + 1) * self.r()]
-    }
-
-    /// Mutable dense fiber `f`.
-    pub fn fiber_mut(&mut self, f: usize) -> &mut [Val] {
-        let r = self.r();
-        &mut self.values[f * r..(f + 1) * r]
     }
 
     /// Sparse coordinate of fiber `f` (ascending non-dense modes).
