@@ -82,7 +82,9 @@ check_digest() { # workload seed seconds digest
     fi
 }
 check_digest serve-dry 2 1 580293e3f4a05b74
+check_digest serve-dry 3 1 3eaa6d0768e762aa
 check_digest als-nell2 3 0.01 1b5d3f9e7eb0c5c5
+check_digest als-nell2 5 0.01 a3a244917bf22fe5
 
 echo "==> benchmark traced replay (the per-layer replay lands every output where the program did)"
 # A traced run replays the workload's calls layer by layer and checks

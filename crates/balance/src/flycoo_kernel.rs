@@ -111,7 +111,7 @@ impl FlycooKernel {
         mode: usize,
         factors: Arc<FactorSet>,
         out: Arc<AtomicF32Buffer>,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> OpId {
         let workload =
             Self::workload(coo_stats, factors.rank() as u32, fly.num_partitions() as u64);

@@ -125,7 +125,7 @@ impl BalancedKernel {
         chunked: Arc<ChunkedTensor>,
         factors: Arc<FactorSet>,
         out: Arc<AtomicF32Buffer>,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> OpId {
         let workload =
             Self::workload(coo_stats, factors.rank() as u32, chunked.num_chunks() as u64);

@@ -26,8 +26,8 @@ use crate::node::{Interconnect, NodeSpec};
 use crate::schedule::{assign_shards, DeviceScheduler};
 use crate::shard::{shard_tensor, Shard, ShardPolicy};
 use scalfrag_exec::{
-    ClusterPolicy, DeviceOps, KernelChoice, PlaceStrategy, Plan, PlanBuilder, PlanMeta, Reduce,
-    ShardDesc, ShardWork, WorkUnit,
+    op_label, ClusterPolicy, DeviceOps, KernelChoice, PlaceStrategy, Plan, PlanBuilder, PlanMeta,
+    Reduce, ShardDesc, ShardWork, WorkUnit,
 };
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, SegmentStats};
@@ -144,8 +144,8 @@ pub fn build_cluster_plan(
                     shard: si,
                     segment: j,
                     alloc: Some("segment must fit"),
-                    h2d_label: format!("shard{si} seg{j} H2D"),
-                    kernel_label: format!("shard{si} seg{j} kernel"),
+                    h2d_label: op_label(format_args!("shard{si} seg{j} H2D")),
+                    kernel_label: op_label(format_args!("shard{si} seg{j} kernel")),
                     stats: SegmentStats::compute_range(
                         &shards[si].tensor,
                         mode,
@@ -158,7 +158,7 @@ pub fn build_cluster_plan(
                 shard: si,
                 output_alloc: Some((d2h_bytes, "shard output must fit")),
                 units: unit_ids,
-                d2h: (!peer_reduce).then(|| (d2h_bytes, format!("shard{si} D2H"))),
+                d2h: (!peer_reduce).then(|| (d2h_bytes, op_label(format_args!("shard{si} D2H")))),
             });
         }
         devices.push(DeviceOps {

@@ -218,7 +218,7 @@ mod tests {
     use scalfrag_gpusim::{Engine, Span, SpanKind};
 
     fn span(engine: Engine, start: f64, end: f64) -> Span {
-        Span { op: 0, stream: 0, engine, kind: SpanKind::Kernel, label: String::new(), start, end }
+        Span { op: 0, stream: 0, engine, kind: SpanKind::Kernel, label: "".into(), start, end }
     }
 
     #[test]

@@ -209,8 +209,10 @@ struct UnitState {
 struct Run<'p> {
     plan: &'p Plan,
     mode: ExecMode,
+    /// Per-shard output buffers (functional runs only).
     buffers: Vec<Arc<AtomicF32Buffer>>,
-    host_acc: Arc<Mutex<Option<Mat>>>,
+    /// The host residue's output (functional runs of hybrid plans only).
+    host_acc: Option<Arc<Mutex<Option<Mat>>>>,
     units: BTreeMap<(usize, usize), UnitState>,
     residues_done: usize,
     residues: usize,
@@ -238,8 +240,13 @@ impl<'p> Run<'p> {
                 }
             }
         }
-        let buffers = plan.shards.iter().map(|_| Arc::new(Self::buffer(plan, mode))).collect();
-        let host_acc = Arc::new(Mutex::new(None));
+        let functional = mode == ExecMode::Functional;
+        let buffers = if functional {
+            plan.shards.iter().map(|_| Arc::new(Self::buffer(plan))).collect()
+        } else {
+            Vec::new()
+        };
+        let host_acc = (functional && residues > 0).then(|| Arc::new(Mutex::new(None)));
         Self {
             plan,
             mode,
@@ -252,8 +259,8 @@ impl<'p> Run<'p> {
         }
     }
 
-    fn buffer(plan: &Plan, mode: ExecMode) -> AtomicF32Buffer {
-        AtomicF32Buffer::new(if mode == ExecMode::Functional { plan.rows * plan.rank } else { 0 })
+    fn buffer(plan: &Plan) -> AtomicF32Buffer {
+        AtomicF32Buffer::new(plan.rows * plan.rank)
     }
 
     /// Books a unit's tries and, when it completed, the device it ran on.
@@ -272,7 +279,8 @@ struct Device<'g> {
     id: usize,
     gpu: &'g mut Gpu,
     host: Option<StreamId>,
-    workers: Vec<StreamId>,
+    /// The worker streams' raw ids, created consecutively.
+    workers: std::ops::Range<u32>,
     d2h: Option<StreamId>,
     stats: DeviceMemStats,
     timeline: Timeline,
@@ -285,7 +293,11 @@ impl<'g> Device<'g> {
     /// then the dedicated D2H return stream.
     fn new(id: usize, gpu: &'g mut Gpu, dev: &DeviceOps) -> Self {
         let host = dev.residue.as_ref().map(|_| gpu.create_stream());
-        let workers = (0..dev.worker_streams).map(|_| gpu.create_stream()).collect();
+        let mut workers = 0..0;
+        for _ in 0..dev.worker_streams {
+            let s = gpu.create_stream().0;
+            workers = if workers.is_empty() { s..s + 1 } else { workers.start..s + 1 };
+        }
         let d2h = dev.dedicated_d2h.then(|| gpu.create_stream());
         let (stats, timeline) = (DeviceMemStats::default(), Timeline::default());
         Self { id, gpu, host, workers, d2h, stats, timeline, dead: false }
@@ -293,7 +305,10 @@ impl<'g> Device<'g> {
 
     fn stream(&self, r: &StreamRef) -> StreamId {
         match r {
-            StreamRef::Worker(i) => self.workers[*i],
+            StreamRef::Worker(i) => {
+                assert!(*i < self.workers.len(), "plan uses worker stream {i} but declared fewer");
+                StreamId(self.workers.start + *i as u32)
+            }
             StreamRef::D2h => self.d2h.expect("plan uses the D2H stream but declared none"),
             StreamRef::Host => self.host.expect("plan uses the host stream but declared none"),
         }
@@ -302,7 +317,11 @@ impl<'g> Device<'g> {
     /// Resolves every pending op into this device's timeline.
     fn sync(&mut self) {
         let batch = self.gpu.synchronize();
-        self.timeline.spans.extend(batch.spans);
+        if self.timeline.spans.is_empty() {
+            self.timeline = batch;
+        } else {
+            self.timeline.spans.extend(batch.spans);
+        }
     }
 
     /// Runs one op program; returns the units it left unlaunched when the
@@ -319,13 +338,15 @@ impl<'g> Device<'g> {
         // The program-local slot table: slot id → (live pool allocation,
         // transient). Transient slots must be freed by the program
         // itself; the dry-run leak check below enforces it.
-        let mut slots: Vec<Option<(Allocation, bool)>> = Vec::new();
+        // Every lowering numbers its slots below its op count, so the table
+        // never regrows.
+        let mut slots: Vec<Option<(Allocation, bool)>> = Vec::with_capacity(program.len());
         // Fault bookkeeping: streams whose pending input copy was lost,
         // extra tries input copies took (both charged to the next kernel
         // on their stream), and the shards launched since the last D2H.
         let mut spoiled: Vec<StreamId> = Vec::new();
         let mut carried: BTreeMap<StreamId, u32> = BTreeMap::new();
-        let mut unreturned: BTreeSet<usize> = BTreeSet::new();
+        let mut unreturned: Vec<usize> = Vec::new();
         let mut orphans = Vec::new();
         for (i, op) in program.iter().enumerate() {
             let step = match op {
@@ -382,19 +403,18 @@ impl<'g> Device<'g> {
                         self.launch(run, faults, s, u, label)
                     };
                     run.settle(u, self.id, staged + tries, step == Step::Done);
-                    if step == Step::Done {
-                        unreturned.insert(u.shard);
+                    if step == Step::Done && !unreturned.contains(&u.shard) {
+                        unreturned.push(u.shard);
                     }
                     step
                 }
                 PlanOp::HostResidue { stream, .. } => {
                     let res = residue.expect("HostResidue op requires residue work");
                     let s = self.stream(stream);
-                    let functional = run.mode == ExecMode::Functional;
-                    let (plan, acc) = (run.plan, &run.host_acc);
+                    let (plan, acc) = (run.plan, run.host_acc.as_ref());
                     let (step, _) =
                         self.attempt(faults, OpClass::Kernel, s, res.label, 0, |gpu, ok| {
-                            submit_residue(gpu, s, plan, res, acc, ok && functional)
+                            submit_residue(gpu, s, plan, res, acc.filter(|_| ok))
                         });
                     run.residues_done += usize::from(step == Step::Done);
                     step
@@ -414,7 +434,7 @@ impl<'g> Device<'g> {
                     let s = self.stream(stream);
                     let (step, _) = self.copy(faults, OpClass::D2H, s, *bytes, label);
                     if step == Step::Lost {
-                        run.lost_shards.append(&mut unreturned);
+                        run.lost_shards.extend(&unreturned);
                     }
                     unreturned.clear();
                     step
@@ -472,7 +492,7 @@ impl<'g> Device<'g> {
         faults: &mut Option<Faults>,
         s: StreamId,
         u: &WorkUnit,
-        label: &str,
+        label: &Arc<str>,
     ) -> (Step, u32) {
         let plan = run.plan;
         let functional = run.mode == ExecMode::Functional;
@@ -493,7 +513,7 @@ impl<'g> Device<'g> {
                 &plan.factors,
                 plan.mode,
                 (ok && functional).then(|| Arc::clone(&run.buffers[u.shard])),
-                label.to_string(),
+                Arc::clone(label),
             );
         })
     }
@@ -505,13 +525,13 @@ impl<'g> Device<'g> {
         class: OpClass,
         s: StreamId,
         bytes: u64,
-        label: &str,
+        label: &Arc<str>,
     ) -> (Step, u32) {
         self.attempt(faults, class, s, label, bytes, |gpu, _| {
             if class == OpClass::H2D {
-                gpu.h2d(s, bytes, label);
+                gpu.h2d(s, bytes, Arc::clone(label));
             } else {
-                gpu.d2h(s, bytes, label);
+                gpu.d2h(s, bytes, Arc::clone(label));
             }
         })
     }
@@ -622,15 +642,16 @@ fn launches(ops: &[PlanOp], units: &[WorkUnit]) -> Vec<WorkUnit> {
         .collect()
 }
 
+/// Submits the host residue; its body folds into `host_acc` when given
+/// (the attempt that succeeds in a functional run).
 fn submit_residue(
     gpu: &mut Gpu,
     stream: StreamId,
     plan: &Plan,
     res: &ResidueWork,
-    host_acc: &Arc<Mutex<Option<Mat>>>,
-    functional: bool,
+    host_acc: Option<&Arc<Mutex<Option<Mat>>>>,
 ) {
-    if functional {
+    if let Some(host_acc) = host_acc {
         let tensor = Arc::clone(&res.tensor);
         let factors = Arc::clone(&plan.factors);
         let acc = Arc::clone(host_acc);
@@ -735,21 +756,26 @@ fn execute(
 
     // A shard whose partial result never returned contributes nothing.
     for &si in &run.lost_shards {
-        run.buffers[si] = Arc::new(Run::buffer(plan, mode));
+        if mode == ExecMode::Functional {
+            run.buffers[si] = Arc::new(Run::buffer(plan));
+        }
         for s in run.units.values_mut().filter(|s| s.outcome.shard == si) {
             s.outcome.completed = false;
             s.ran_on = None;
         }
     }
     let mut output = reduce_output(plan, &run.buffers, mode);
-    if let Some(host_m) = run.host_acc.lock().take() {
+    if let Some(host_m) = run.host_acc.and_then(|acc| acc.lock().take()) {
         output.axpy(1.0, &host_m);
     }
-    let mut device_shards = vec![BTreeSet::new(); devs.len()];
+    // Units iterate in shard order, so each device's list comes out sorted.
+    let mut device_shards: Vec<Vec<usize>> = vec![Vec::new(); devs.len()];
     let (mut completed_items, mut replaced_items) = (run.residues_done, 0);
     for s in run.units.values() {
         if let Some(d) = s.ran_on {
-            device_shards[d].insert(s.outcome.shard);
+            if device_shards[d].last() != Some(&s.outcome.shard) {
+                device_shards[d].push(s.outcome.shard);
+            }
             completed_items += 1;
             replaced_items += usize::from(d != s.origin);
         }
@@ -771,10 +797,10 @@ fn execute(
     ExecOutcome {
         shard_outputs: per_job_outputs(plan, &run.buffers, mode),
         output,
-        trace: PlanTrace::from_timelines(device_timelines.iter().enumerate()),
+        trace: PlanTrace::from_timelines(&device_timelines),
         timeline: device_timelines.first().cloned().unwrap_or_default(),
         device_timelines,
-        device_shards: device_shards.into_iter().map(|s| s.into_iter().collect()).collect(),
+        device_shards,
         reduction_s,
         total_items: run.units.len() + run.residues,
         completed_items,

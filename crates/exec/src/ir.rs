@@ -20,7 +20,37 @@ use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::segment::Segment;
 use scalfrag_tensor::{CooTensor, Idx};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Formats an op label straight into its shared allocation. Labels are
+/// built once, at lowering, and every op, span and trace event that
+/// carries one shares it. The text is rendered on the stack and copied
+/// once; a label longer than the buffer goes through a `String`.
+pub fn op_label(args: std::fmt::Arguments<'_>) -> Arc<str> {
+    struct Stack {
+        buf: [u8; 64],
+        len: usize,
+    }
+    impl std::fmt::Write for Stack {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            let end = self.len + s.len();
+            self.buf.get_mut(self.len..end).ok_or(std::fmt::Error)?.copy_from_slice(s.as_bytes());
+            self.len = end;
+            Ok(())
+        }
+    }
+    let mut stack = Stack { buf: [0; 64], len: 0 };
+    if stack.write_fmt(args).is_err() {
+        return Arc::from(args.to_string());
+    }
+    Arc::from(std::str::from_utf8(&stack.buf[..stack.len]).expect("written in whole strs"))
+}
+
+/// The factor upload's label, one allocation shared by every plan.
+fn factors_h2d_label() -> Arc<str> {
+    static LABEL: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(LABEL.get_or_init(|| Arc::from("factors H2D")))
+}
 
 /// Whether the interpreter computes numerics or only simulates time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,15 +94,15 @@ pub enum PlanOp {
     /// Evict `slot` to make room for the next resident segment: an
     /// optional D2H write-back of `writeback_bytes` on `stream` (0 =
     /// clean drop, no span), then the slot's pool page is released.
-    Evict { stream: StreamRef, slot: usize, writeback_bytes: u64, label: String },
+    Evict { stream: StreamRef, slot: usize, writeback_bytes: u64, label: Arc<str> },
     /// (Re-)stage a segment: allocate `bytes` into the empty `slot` and
     /// H2D the payload on `stream` — the re-fetch half of an eviction.
-    Prefetch { stream: StreamRef, slot: usize, bytes: u64, what: &'static str, label: String },
+    Prefetch { stream: StreamRef, slot: usize, bytes: u64, what: &'static str, label: Arc<str> },
     /// Host-to-device copy of `bytes` on `stream`.
-    H2D { stream: StreamRef, bytes: u64, label: String },
+    H2D { stream: StreamRef, bytes: u64, label: Arc<str> },
     /// One segment's kernel launch on `stream` with the lowered
     /// `(grid, block)`; `unit` indexes [`DeviceOps::units`].
-    Launch { stream: StreamRef, unit: usize, grid: u32, block: u32, label: String },
+    Launch { stream: StreamRef, unit: usize, grid: u32, block: u32, label: Arc<str> },
     /// The CPU residue of a hybrid schedule, folded concurrently on the
     /// host stream.
     HostResidue { stream: StreamRef, label: &'static str },
@@ -80,7 +110,7 @@ pub enum PlanOp {
     /// stream. Events are pure ordering; they occupy no engine time.
     Barrier { record: Vec<StreamRef>, wait: Vec<StreamRef> },
     /// Device-to-host copy of `bytes` on `stream`.
-    D2H { stream: StreamRef, bytes: u64, label: String },
+    D2H { stream: StreamRef, bytes: u64, label: Arc<str> },
     /// The analytic cross-shard reduction of `seconds` (plan-level,
     /// render only).
     Reduce { seconds: f64 },
@@ -115,9 +145,9 @@ pub struct WorkUnit {
     /// charged it, as the sync plan does for the whole tensor).
     pub alloc: Option<&'static str>,
     /// H2D span label.
-    pub h2d_label: String,
+    pub h2d_label: Arc<str>,
     /// Kernel span label.
-    pub kernel_label: String,
+    pub kernel_label: Arc<str>,
     /// Structural statistics of the unit's entries (`seg` of its shard)
     /// for the plan's mode, computed once by the builder where it cuts
     /// the segment. Every launch prices its cost-model workload from them
@@ -139,7 +169,7 @@ pub struct ShardWork {
     pub units: Vec<usize>,
     /// Per-shard D2H `(bytes, label)` on the dedicated return stream,
     /// ordered after the shard's kernels (absent under peer reduction).
-    pub d2h: Option<(u64, String)>,
+    pub d2h: Option<(u64, Arc<str>)>,
 }
 
 /// The hybrid schedule's CPU residue.
@@ -344,7 +374,7 @@ impl Plan {
         ops.push(PlanOp::H2D {
             stream: StreamRef::Worker(0),
             bytes: self.factors_bytes,
-            label: "factors H2D".to_string(),
+            label: factors_h2d_label(),
         });
         // Factors travel once on stream 0; every other stream waits.
         if dev.worker_streams > 1 {
@@ -357,12 +387,14 @@ impl Plan {
         let mut next_stream = 0usize;
         // The transient segment buffer each worker stream currently holds.
         let mut live_seg: Vec<Option<usize>> = vec![None; dev.worker_streams];
+        // The worker streams the current shard's units run on.
+        let mut used: Vec<usize> = Vec::new();
         for sw in &dev.shard_work {
             if let Some((bytes, what)) = sw.output_alloc {
                 ops.push(PlanOp::Alloc { slot: next_slot, bytes, what, transient: false });
                 next_slot += 1;
             }
-            let mut used: Vec<usize> = Vec::new();
+            used.clear();
             for &ui in &sw.units {
                 let u = &dev.units[ui];
                 let s = next_stream % dev.worker_streams;
@@ -382,14 +414,14 @@ impl Plan {
                 ops.push(PlanOp::H2D {
                     stream: StreamRef::Worker(s),
                     bytes,
-                    label: u.h2d_label.clone(),
+                    label: Arc::clone(&u.h2d_label),
                 });
                 ops.push(PlanOp::Launch {
                     stream: StreamRef::Worker(s),
                     unit: ui,
                     grid: cfg.grid,
                     block: cfg.block,
-                    label: u.kernel_label.clone(),
+                    label: Arc::clone(&u.kernel_label),
                 });
             }
             if let Some((bytes, label)) = &sw.d2h {
@@ -406,7 +438,7 @@ impl Plan {
                 ops.push(PlanOp::D2H {
                     stream: StreamRef::D2h,
                     bytes: *bytes,
-                    label: label.clone(),
+                    label: Arc::clone(label),
                 });
             }
         }
@@ -417,7 +449,7 @@ impl Plan {
                     wait: vec![StreamRef::Worker(0)],
                 });
             }
-            ops.push(PlanOp::D2H { stream: StreamRef::Worker(0), bytes, label: label.to_string() });
+            ops.push(PlanOp::D2H { stream: StreamRef::Worker(0), bytes, label: label.into() });
         }
         for slot in live_seg.into_iter().flatten() {
             ops.push(PlanOp::Free { slot });

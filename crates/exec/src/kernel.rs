@@ -67,7 +67,7 @@ impl KernelChoice {
         factors: &Arc<FactorSet>,
         mode: usize,
         out: Option<Arc<AtomicF32Buffer>>,
-        label: String,
+        label: Arc<str>,
     ) {
         let Some(out) = out else {
             // Timing-only launch: same cost-model workload, no numerics.

@@ -5,6 +5,7 @@
 
 use scalfrag_gpusim::{SpanKind, Timeline};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// One executed op.
 #[derive(Clone, Debug, PartialEq)]
@@ -15,8 +16,9 @@ pub struct TraceEvent {
     pub stream: u32,
     /// Engine-level op kind.
     pub kind: SpanKind,
-    /// Op label (as scheduled by the plan).
-    pub label: String,
+    /// Op label (as scheduled by the plan), shared with the op and its
+    /// span.
+    pub label: Arc<str>,
     /// Simulated start (s).
     pub start: f64,
     /// Simulated end (s).
@@ -44,15 +46,15 @@ fn kind_code(kind: SpanKind) -> u8 {
 
 impl PlanTrace {
     /// Builds a trace from per-device timelines.
-    pub fn from_timelines<'a>(timelines: impl IntoIterator<Item = (usize, &'a Timeline)>) -> Self {
-        let mut events = Vec::new();
-        for (device, tl) in timelines {
+    pub fn from_timelines(timelines: &[Timeline]) -> Self {
+        let mut events = Vec::with_capacity(timelines.iter().map(|tl| tl.spans.len()).sum());
+        for (device, tl) in timelines.iter().enumerate() {
             for span in &tl.spans {
                 events.push(TraceEvent {
                     device,
                     stream: span.stream,
                     kind: span.kind,
-                    label: span.label.clone(),
+                    label: Arc::clone(&span.label),
                     start: span.start,
                     end: span.end,
                 });

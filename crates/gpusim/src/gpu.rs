@@ -25,7 +25,7 @@ use crate::device::{DeviceSpec, HostSpec};
 use crate::launch::LaunchConfig;
 use crate::memory::MemoryPool;
 use crate::timeline::{Engine, Span, SpanKind, Timeline};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of a stream created by [`Gpu::create_stream`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,19 +40,38 @@ pub struct EventId(u64);
 pub struct OpId(u64);
 
 enum OpPayload {
-    Copy { bytes: u64, h2d: bool },
-    Kernel { config: LaunchConfig, workload: KernelWorkload },
-    HostTask { flops: u64, bytes: u64 },
-    EventRecord { event: EventId },
-    Stall { seconds: f64 },
+    Copy {
+        bytes: u64,
+        h2d: bool,
+    },
+    Kernel {
+        config: LaunchConfig,
+        workload: KernelWorkload,
+    },
+    HostTask {
+        flops: u64,
+        bytes: u64,
+    },
+    EventRecord {
+        event: EventId,
+    },
+    /// [`Gpu::wait_event`]: the stream's later ops start no earlier than
+    /// `event` completes.
+    EventWait {
+        event: EventId,
+    },
+    Stall {
+        seconds: f64,
+    },
 }
 
 struct PendingOp {
     id: u64,
     stream: StreamId,
-    label: String,
+    /// The span label; `None` for the ops that leave no span (event
+    /// records and waits).
+    label: Option<Arc<str>>,
     payload: OpPayload,
-    waits: Vec<EventId>,
     exec: Option<Box<dyn FnOnce() + Send>>,
 }
 
@@ -61,15 +80,15 @@ pub struct Gpu {
     spec: DeviceSpec,
     host: HostSpec,
     memory: MemoryPool,
-    num_streams: u32,
     next_op: u64,
-    next_event: u64,
     pending: Vec<PendingOp>,
-    pending_waits: HashMap<StreamId, Vec<EventId>>,
-    stream_ready: HashMap<StreamId, f64>,
-    engine_ready: HashMap<Engine, f64>,
-    event_time: HashMap<EventId, f64>,
-    history: Timeline,
+    /// Ready time per stream, indexed by [`StreamId`].
+    stream_ready: Vec<f64>,
+    /// Ready time per engine, indexed by `Engine as usize`.
+    engine_ready: [f64; 4],
+    /// Completion time per recorded event, indexed by [`EventId`]; NaN
+    /// until the event's record op resolves.
+    event_time: Vec<f64>,
 }
 
 impl Gpu {
@@ -80,15 +99,11 @@ impl Gpu {
             spec,
             host: HostSpec::i7_11700k(),
             memory,
-            num_streams: 0,
             next_op: 0,
-            next_event: 0,
             pending: Vec::new(),
-            pending_waits: HashMap::new(),
-            stream_ready: HashMap::new(),
-            engine_ready: HashMap::new(),
-            event_time: HashMap::new(),
-            history: Timeline::default(),
+            stream_ready: Vec::new(),
+            engine_ready: [0.0; 4],
+            event_time: Vec::new(),
         }
     }
 
@@ -104,29 +119,28 @@ impl Gpu {
 
     /// Creates a new stream.
     pub fn create_stream(&mut self) -> StreamId {
-        let id = StreamId(self.num_streams);
-        self.num_streams += 1;
+        let id = StreamId(self.stream_ready.len() as u32);
+        self.stream_ready.push(0.0);
         id
     }
 
     fn enqueue(
         &mut self,
         stream: StreamId,
-        label: impl Into<String>,
+        label: Option<Arc<str>>,
         payload: OpPayload,
         exec: Option<Box<dyn FnOnce() + Send>>,
     ) -> OpId {
-        assert!(stream.0 < self.num_streams, "unknown stream {stream:?}");
+        assert!((stream.0 as usize) < self.stream_ready.len(), "unknown stream {stream:?}");
         let id = self.next_op;
         self.next_op += 1;
-        let waits = self.pending_waits.remove(&stream).unwrap_or_default();
-        self.pending.push(PendingOp { id, stream, label: label.into(), payload, waits, exec });
+        self.pending.push(PendingOp { id, stream, label, payload, exec });
         OpId(id)
     }
 
     /// Enqueues an asynchronous host→device copy of `bytes`.
-    pub fn h2d(&mut self, stream: StreamId, bytes: u64, label: impl Into<String>) -> OpId {
-        self.enqueue(stream, label, OpPayload::Copy { bytes, h2d: true }, None)
+    pub fn h2d(&mut self, stream: StreamId, bytes: u64, label: impl Into<Arc<str>>) -> OpId {
+        self.enqueue(stream, Some(label.into()), OpPayload::Copy { bytes, h2d: true }, None)
     }
 
     /// Enqueues an H2D copy that also runs `f` when it resolves (e.g. to
@@ -135,15 +149,16 @@ impl Gpu {
         &mut self,
         stream: StreamId,
         bytes: u64,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         f: impl FnOnce() + Send + 'static,
     ) -> OpId {
+        let label = Some(label.into());
         self.enqueue(stream, label, OpPayload::Copy { bytes, h2d: true }, Some(Box::new(f)))
     }
 
     /// Enqueues an asynchronous device→host copy of `bytes`.
-    pub fn d2h(&mut self, stream: StreamId, bytes: u64, label: impl Into<String>) -> OpId {
-        self.enqueue(stream, label, OpPayload::Copy { bytes, h2d: false }, None)
+    pub fn d2h(&mut self, stream: StreamId, bytes: u64, label: impl Into<Arc<str>>) -> OpId {
+        self.enqueue(stream, Some(label.into()), OpPayload::Copy { bytes, h2d: false }, None)
     }
 
     /// Enqueues a kernel launch with the given configuration and workload.
@@ -155,10 +170,10 @@ impl Gpu {
         stream: StreamId,
         config: LaunchConfig,
         workload: KernelWorkload,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> OpId {
         config.validate(&self.spec).unwrap_or_else(|e| panic!("invalid launch {config}: {e}"));
-        self.enqueue(stream, label, OpPayload::Kernel { config, workload }, None)
+        self.enqueue(stream, Some(label.into()), OpPayload::Kernel { config, workload }, None)
     }
 
     /// Enqueues a kernel launch whose body `f` is functionally executed when
@@ -168,10 +183,11 @@ impl Gpu {
         stream: StreamId,
         config: LaunchConfig,
         workload: KernelWorkload,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         f: impl FnOnce() + Send + 'static,
     ) -> OpId {
         config.validate(&self.spec).unwrap_or_else(|e| panic!("invalid launch {config}: {e}"));
+        let label = Some(label.into());
         self.enqueue(stream, label, OpPayload::Kernel { config, workload }, Some(Box::new(f)))
     }
 
@@ -181,21 +197,22 @@ impl Gpu {
         stream: StreamId,
         flops: u64,
         bytes: u64,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         f: impl FnOnce() + Send + 'static,
     ) -> OpId {
+        let label = Some(label.into());
         self.enqueue(stream, label, OpPayload::HostTask { flops, bytes }, Some(Box::new(f)))
     }
 
     /// Enqueues a pure delay on `stream`: the stream's clock advances by
     /// `seconds` without occupying any engine. Models waits that burn no
     /// resource — retry backoff under fault injection.
-    pub fn stall(&mut self, stream: StreamId, seconds: f64, label: impl Into<String>) -> OpId {
+    pub fn stall(&mut self, stream: StreamId, seconds: f64, label: impl Into<Arc<str>>) -> OpId {
         assert!(
             seconds >= 0.0 && seconds.is_finite(),
             "stall must be a finite non-negative delay, got {seconds}"
         );
-        self.enqueue(stream, label, OpPayload::Stall { seconds }, None)
+        self.enqueue(stream, Some(label.into()), OpPayload::Stall { seconds }, None)
     }
 
     /// Advances every stream's ready time to at least `t` seconds (the
@@ -206,28 +223,25 @@ impl Gpu {
     pub fn advance_to(&mut self, t: f64) {
         assert!(self.pending.is_empty(), "synchronize before advancing the clock");
         assert!(t.is_finite(), "advance target must be finite, got {t}");
-        for s in 0..self.num_streams {
-            let e = self.stream_ready.entry(StreamId(s)).or_insert(0.0);
-            *e = e.max(t);
+        for ready in &mut self.stream_ready {
+            *ready = ready.max(t);
         }
     }
 
     /// Current simulated clock: the latest ready time across streams and
-    /// engines. Unlike [`Gpu::elapsed`] (which reads recorded spans) this
-    /// includes pure stalls and [`Gpu::advance_to`] jumps, which occupy
-    /// no engine and leave no span.
+    /// engines. Unlike a timeline's makespan (which reads recorded spans)
+    /// this includes pure stalls and [`Gpu::advance_to`] jumps, which
+    /// occupy no engine and leave no span.
     pub fn clock(&self) -> f64 {
-        let s = self.stream_ready.values().fold(0.0f64, |a, &b| a.max(b));
-        let e = self.engine_ready.values().fold(0.0f64, |a, &b| a.max(b));
-        s.max(e)
+        self.stream_ready.iter().chain(&self.engine_ready).fold(0.0f64, |a, &b| a.max(b))
     }
 
     /// Records an event on `stream`: it completes when every op enqueued on
     /// `stream` so far has completed.
     pub fn record_event(&mut self, stream: StreamId) -> EventId {
-        let event = EventId(self.next_event);
-        self.next_event += 1;
-        self.enqueue(stream, "event", OpPayload::EventRecord { event }, None);
+        let event = EventId(self.event_time.len() as u64);
+        self.event_time.push(f64::NAN);
+        self.enqueue(stream, None, OpPayload::EventRecord { event }, None);
         event
     }
 
@@ -237,10 +251,21 @@ impl Gpu {
     /// # Panics
     /// Panics if the event has not been recorded.
     pub fn wait_event(&mut self, stream: StreamId, event: EventId) {
-        assert!(event.0 < self.next_event, "event {event:?} was never recorded");
-        self.pending_waits.entry(stream).or_default().push(event);
+        assert!(event.0 < self.event_time.len() as u64, "event {event:?} was never recorded");
+        assert!((stream.0 as usize) < self.stream_ready.len(), "unknown stream {stream:?}");
+        // The wait resolves in submission order like any op, but it leaves
+        // no span, so it takes no op id.
+        let wait = OpPayload::EventWait { event };
+        self.pending.push(PendingOp {
+            id: self.next_op,
+            stream,
+            label: None,
+            payload: wait,
+            exec: None,
+        });
     }
 
+    /// Seconds an engine op occupies its engine.
     fn op_duration(&self, payload: &OpPayload) -> f64 {
         match payload {
             OpPayload::Copy { bytes, h2d } => {
@@ -253,89 +278,68 @@ impl Gpu {
                 t
             }
             OpPayload::HostTask { flops, bytes } => self.host.task_duration_s(*flops, *bytes),
-            OpPayload::EventRecord { .. } => 0.0,
-            OpPayload::Stall { seconds } => *seconds,
+            OpPayload::EventRecord { .. }
+            | OpPayload::EventWait { .. }
+            | OpPayload::Stall { .. } => {
+                unreachable!("only engine ops have a duration")
+            }
         }
     }
 
     /// Resolves every pending operation: computes the simulated schedule,
     /// runs the execution closures (submission order — consistent with all
-    /// stream/event dependencies), appends the spans to the history and
-    /// returns the timeline of *this batch*.
+    /// stream/event dependencies) and returns the timeline of *this
+    /// batch*.
     pub fn synchronize(&mut self) -> Timeline {
         let mut batch = Timeline::default();
-        let pending = std::mem::take(&mut self.pending);
-        for op in pending {
-            let duration = self.op_duration(&op.payload);
-            let stream_ready = self.stream_ready.get(&op.stream).copied().unwrap_or(0.0);
-            let waits: f64 = op
-                .waits
-                .iter()
-                .map(|e| {
-                    *self
-                        .event_time
-                        .get(e)
-                        .unwrap_or_else(|| panic!("wait on unresolved event {e:?}"))
-                })
-                .fold(0.0, f64::max);
-
+        let mut pending = std::mem::take(&mut self.pending);
+        for op in pending.drain(..) {
+            let s = op.stream.0 as usize;
             let (engine, kind) = match &op.payload {
-                OpPayload::Copy { h2d: true, .. } => (Some(Engine::H2D), SpanKind::CopyH2D),
-                OpPayload::Copy { h2d: false, .. } => (Some(Engine::D2H), SpanKind::CopyD2H),
-                OpPayload::Kernel { .. } => (Some(Engine::Compute), SpanKind::Kernel),
-                OpPayload::HostTask { .. } => (Some(Engine::Host), SpanKind::HostTask),
-                OpPayload::EventRecord { .. } | OpPayload::Stall { .. } => (None, SpanKind::Kernel),
+                OpPayload::Copy { h2d: true, .. } => (Engine::H2D, SpanKind::CopyH2D),
+                OpPayload::Copy { h2d: false, .. } => (Engine::D2H, SpanKind::CopyD2H),
+                OpPayload::Kernel { .. } => (Engine::Compute, SpanKind::Kernel),
+                OpPayload::HostTask { .. } => (Engine::Host, SpanKind::HostTask),
+                OpPayload::EventWait { event } => {
+                    let t = self.event_time[event.0 as usize];
+                    assert!(!t.is_nan(), "wait on unresolved event {event:?}");
+                    self.stream_ready[s] = self.stream_ready[s].max(t);
+                    continue;
+                }
+                OpPayload::EventRecord { event } => {
+                    self.event_time[event.0 as usize] = self.stream_ready[s];
+                    continue;
+                }
+                OpPayload::Stall { seconds } => {
+                    self.stream_ready[s] += seconds;
+                    continue;
+                }
             };
-
-            let engine_ready =
-                engine.and_then(|e| self.engine_ready.get(&e).copied()).unwrap_or(0.0);
-            let start = stream_ready.max(engine_ready).max(waits);
-            let end = start + duration;
-
-            self.stream_ready.insert(op.stream, end);
-            if let Some(e) = engine {
-                self.engine_ready.insert(e, end);
-                let span = Span {
-                    op: op.id,
-                    stream: op.stream.0,
-                    engine: e,
-                    kind,
-                    label: op.label,
-                    start,
-                    end,
-                };
-                batch.spans.push(span.clone());
-                self.history.spans.push(span);
-            }
-            if let OpPayload::EventRecord { event } = op.payload {
-                self.event_time.insert(event, end);
-            }
+            let e = engine as usize;
+            let start = self.stream_ready[s].max(self.engine_ready[e]);
+            let end = start + self.op_duration(&op.payload);
+            self.stream_ready[s] = end;
+            self.engine_ready[e] = end;
+            let label = op.label.expect("every op that occupies an engine carries a label");
+            let span = Span { op: op.id, stream: op.stream.0, engine, kind, label, start, end };
+            batch.spans.push(span);
             if let Some(f) = op.exec {
                 f();
             }
         }
+        // Keep the queue's capacity for the next batch.
+        self.pending = pending;
         batch
     }
 
-    /// The accumulated timeline across all synchronizations.
-    pub fn full_timeline(&self) -> &Timeline {
-        &self.history
-    }
-
-    /// Current simulated time (max readiness over streams and engines).
-    pub fn elapsed(&self) -> f64 {
-        self.history.makespan()
-    }
-
-    /// Clears the simulated clock and history while keeping streams and
-    /// memory accounting (start a fresh experiment on a warm device).
+    /// Clears the simulated clock while keeping streams and memory
+    /// accounting (start a fresh experiment on a warm device). Events
+    /// recorded before the reset can no longer be waited on.
     pub fn reset_clock(&mut self) {
         assert!(self.pending.is_empty(), "cannot reset with pending operations");
-        self.stream_ready.clear();
-        self.engine_ready.clear();
-        self.event_time.clear();
-        self.pending_waits.clear();
-        self.history = Timeline::default();
+        self.stream_ready.fill(0.0);
+        self.engine_ready = [0.0; 4];
+        self.event_time.fill(f64::NAN);
     }
 }
 
@@ -472,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn synchronize_batches_accumulate_history() {
+    fn synchronize_batches_continue_one_clock() {
         let mut g = gpu();
         let s = g.create_stream();
         g.h2d(s, 1_000_000, "a");
@@ -481,12 +485,24 @@ mod tests {
         let t2 = g.synchronize();
         assert_eq!(t1.spans.len(), 1);
         assert_eq!(t2.spans.len(), 1);
-        assert_eq!(g.full_timeline().spans.len(), 2);
         // Second batch continues after the first on the same clock.
         assert!(t2.spans[0].start >= t1.spans[0].end - 1e-15);
         g.reset_clock();
-        assert_eq!(g.full_timeline().spans.len(), 0);
-        assert_eq!(g.elapsed(), 0.0);
+        assert_eq!(g.clock(), 0.0);
+        g.h2d(s, 1_000_000, "c");
+        assert_eq!(g.synchronize().spans[0].start, 0.0, "a reset clock starts over");
+    }
+
+    #[test]
+    fn a_wait_holds_across_synchronize() {
+        let mut g = gpu();
+        let (s0, s1) = (g.create_stream(), g.create_stream());
+        g.h2d(s0, 100_000_000, "copy");
+        let ev = g.record_event(s0);
+        g.wait_event(s1, ev);
+        let copy_end = g.synchronize().spans[0].end;
+        g.launch(s1, LaunchConfig::new(256, 256), small_kernel(1_000), "k");
+        assert!(g.synchronize().spans[0].start >= copy_end, "the next op waits for the event");
     }
 
     #[test]
@@ -513,8 +529,8 @@ mod tests {
         g.stall(s0, 0.5, "backoff");
         g.h2d(s0, 1_000_000, "after-stall");
         let t = g.synchronize();
-        let delayed = t.spans.iter().find(|sp| sp.label == "after-stall").unwrap();
-        let other = t.spans.iter().find(|sp| sp.label == "other-stream").unwrap();
+        let delayed = t.spans.iter().find(|sp| &*sp.label == "after-stall").unwrap();
+        let other = t.spans.iter().find(|sp| &*sp.label == "other-stream").unwrap();
         assert!(delayed.start >= 0.5, "stall must push the stream's next op");
         assert_eq!(other.start, 0.0, "a stall must not block the H2D engine");
         assert_eq!(t.spans.len(), 2, "stalls leave no span");

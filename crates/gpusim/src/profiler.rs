@@ -7,6 +7,7 @@ use crate::device::DeviceSpec;
 use crate::launch::LaunchConfig;
 use crate::timeline::{SpanKind, Timeline};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Aggregated statistics for one span label.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,7 +54,7 @@ impl LabelStats {
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     /// Per-label statistics (sorted by label).
-    pub by_label: BTreeMap<String, LabelStats>,
+    pub by_label: BTreeMap<Arc<str>, LabelStats>,
     /// Per-kind totals.
     pub kernel_s: f64,
     /// Total H2D copy time.

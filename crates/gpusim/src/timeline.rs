@@ -5,6 +5,8 @@
 //! the end-to-end speedups of Fig. 10, and the segment/stream interplay of
 //! Fig. 11 all read straight off the spans collected here.
 
+use std::sync::Arc;
+
 /// The hardware engine a span occupied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Engine {
@@ -42,8 +44,9 @@ pub struct Span {
     pub engine: Engine,
     /// Operation kind.
     pub kind: SpanKind,
-    /// Human-readable label for reports.
-    pub label: String,
+    /// Human-readable label for reports, shared with the op that
+    /// produced the span (cloning a span copies no text).
+    pub label: Arc<str>,
     /// Simulated start time (seconds).
     pub start: f64,
     /// Simulated end time (seconds).
@@ -172,7 +175,7 @@ mod tests {
                 Engine::Compute => SpanKind::Kernel,
                 Engine::Host => SpanKind::HostTask,
             },
-            label: format!("op{op}"),
+            label: format!("op{op}").into(),
             start,
             end,
         }

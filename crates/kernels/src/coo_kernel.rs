@@ -83,7 +83,7 @@ impl CooAtomicKernel {
         factors: Arc<FactorSet>,
         mode: usize,
         out: Arc<AtomicF32Buffer>,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> OpId {
         let workload = Self::workload(stats, factors.rank() as u32);
         gpu.launch_exec(stream, config, workload, label, move || {

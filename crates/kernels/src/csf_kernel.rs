@@ -54,7 +54,7 @@ impl CsfFiberKernel {
         csf: Arc<CsfTensor>,
         factors: Arc<FactorSet>,
         out: Arc<AtomicF32Buffer>,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> OpId {
         let mode = csf.mode_order()[0];
         let stats = SegmentStats::compute(coo_segment, mode);

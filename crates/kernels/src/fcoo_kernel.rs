@@ -104,7 +104,7 @@ impl FCooKernel {
         fcoo: Arc<FCooTensor>,
         factors: Arc<FactorSet>,
         out: Arc<AtomicF32Buffer>,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> OpId {
         let workload =
             Self::workload(coo_stats, factors.rank() as u32, fcoo.num_partitions() as u64);

@@ -104,7 +104,7 @@ impl HiCooKernel {
         factors: Arc<FactorSet>,
         mode: usize,
         out: Arc<AtomicF32Buffer>,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> OpId {
         let workload = Self::workload(
             coo_stats,

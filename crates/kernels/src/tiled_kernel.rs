@@ -123,7 +123,7 @@ impl TiledKernel {
         factors: Arc<FactorSet>,
         mode: usize,
         out: Arc<AtomicF32Buffer>,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> OpId {
         let rank = factors.rank() as u32;
         let config = Self::config_with_smem(base_config, rank);

@@ -11,7 +11,7 @@
 //! [`SyntheticPreset::materialize`] for functional differential checks.
 
 use crate::stream::{assemble_plan, layout, StreamError};
-use scalfrag_exec::{KernelChoice, Plan, WorkUnit};
+use scalfrag_exec::{op_label, KernelChoice, Plan, WorkUnit};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::segment::{segment_by_nnz, Segment};
@@ -130,8 +130,8 @@ impl SyntheticPreset {
                 segment: i,
                 seg: seg.clone(),
                 alloc: None,
-                h2d_label: format!("seg{i} H2D (prefetch)"),
-                kernel_label: format!("seg{i} kernel"),
+                h2d_label: op_label(format_args!("seg{i} H2D (prefetch)")),
+                kernel_label: op_label(format_args!("seg{i} kernel")),
                 stats: self.segment_stats(seg.nnz() as u64),
             })
             .collect();

@@ -2,8 +2,8 @@
 //! under a byte budget, lowered as an explicit ScheduleIR op program.
 
 use scalfrag_exec::{
-    DeviceOps, KernelChoice, Plan, PlanMeta, PlanOp, Reduce, ShardDesc, ShardWork, StreamRef,
-    WorkUnit,
+    op_label, DeviceOps, KernelChoice, Plan, PlanMeta, PlanOp, Reduce, ShardDesc, ShardWork,
+    StreamRef, WorkUnit,
 };
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, SegmentStats};
@@ -99,8 +99,9 @@ const SLOT_FACTORS: usize = 0;
 const SLOT_OUTPUT: usize = 1;
 const SLOT_STAGE: usize = 2;
 
-/// Assembles the double-buffered op program over per-segment byte sizes.
-/// Segment `i` runs on worker stream `i % 2` in staging slot
+/// Assembles the double-buffered op program over the units' segments,
+/// whose op labels it shares. Segment `i` runs on worker stream `i % 2` in
+/// staging slot
 /// `SLOT_STAGE + i % 2`; before its `Prefetch`, segment `i - 2` (the
 /// slot's previous occupant, whose kernel the stream's FIFO has already
 /// drained past) is evicted clean — MTTKRP segments are read-only, so no
@@ -108,10 +109,11 @@ const SLOT_STAGE: usize = 2;
 pub(crate) fn assemble_program(
     factors_bytes: u64,
     out_bytes: u64,
-    seg_bytes: &[u64],
+    units: &[WorkUnit],
+    order: usize,
     cfg: LaunchConfig,
 ) -> Vec<PlanOp> {
-    let mut ops = Vec::with_capacity(seg_bytes.len() * 3 + 8);
+    let mut ops = Vec::with_capacity(units.len() * 3 + 8);
     ops.push(PlanOp::Alloc {
         slot: SLOT_FACTORS,
         bytes: factors_bytes,
@@ -127,13 +129,13 @@ pub(crate) fn assemble_program(
     ops.push(PlanOp::H2D {
         stream: StreamRef::Worker(0),
         bytes: factors_bytes,
-        label: "factors H2D".to_string(),
+        label: "factors H2D".into(),
     });
     ops.push(PlanOp::Barrier {
         record: vec![StreamRef::Worker(0)],
         wait: vec![StreamRef::Worker(1)],
     });
-    for (i, &bytes) in seg_bytes.iter().enumerate() {
+    for (i, u) in units.iter().enumerate() {
         let s = i % 2;
         let slot = SLOT_STAGE + s;
         if i >= 2 {
@@ -141,22 +143,22 @@ pub(crate) fn assemble_program(
                 stream: StreamRef::Worker(s),
                 slot,
                 writeback_bytes: 0,
-                label: format!("evict seg{}", i - 2),
+                label: op_label(format_args!("evict seg{}", i - 2)),
             });
         }
         ops.push(PlanOp::Prefetch {
             stream: StreamRef::Worker(s),
             slot,
-            bytes,
+            bytes: u.seg.byte_size(order) as u64,
             what: "segment must fit in the memory budget",
-            label: format!("seg{i} H2D (prefetch)"),
+            label: Arc::clone(&u.h2d_label),
         });
         ops.push(PlanOp::Launch {
             stream: StreamRef::Worker(s),
             unit: i,
             grid: cfg.grid,
             block: cfg.block,
-            label: format!("seg{i} kernel"),
+            label: Arc::clone(&u.kernel_label),
         });
     }
     ops.push(PlanOp::Barrier {
@@ -166,10 +168,10 @@ pub(crate) fn assemble_program(
     ops.push(PlanOp::D2H {
         stream: StreamRef::Worker(0),
         bytes: out_bytes,
-        label: "output D2H".to_string(),
+        label: "output D2H".into(),
     });
     // The last (up to) two resident segments leave cleanly.
-    for i in (0..seg_bytes.len()).rev().take(2) {
+    for i in (0..units.len()).rev().take(2) {
         ops.push(PlanOp::Free { slot: SLOT_STAGE + i % 2 });
     }
     ops
@@ -197,8 +199,7 @@ pub(crate) fn assemble_plan(
     let factors_bytes = factors.byte_size() as u64;
     let out_bytes = (rows * rank * 4) as u64;
     let cfg = kernel.full_config(config, rank as u32);
-    let seg_bytes: Vec<u64> = segments.iter().map(|s| s.byte_size(order) as u64).collect();
-    let program = assemble_program(factors_bytes, out_bytes, &seg_bytes, cfg);
+    let program = assemble_program(factors_bytes, out_bytes, &units, order, cfg);
 
     let mut capped = spec.clone();
     capped.global_mem_bytes = capped.global_mem_bytes.min(budget);
@@ -288,8 +289,8 @@ pub fn build_streaming_plan(
             segment: i,
             seg: seg.clone(),
             alloc: None, // the explicit program stages via Prefetch/Evict
-            h2d_label: format!("seg{i} H2D (prefetch)"),
-            kernel_label: format!("seg{i} kernel"),
+            h2d_label: op_label(format_args!("seg{i} H2D (prefetch)")),
+            kernel_label: op_label(format_args!("seg{i} kernel")),
             stats: SegmentStats::compute_range(&sorted, mode, seg.start..seg.end),
         })
         .collect();

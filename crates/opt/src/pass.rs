@@ -87,8 +87,9 @@ pub(crate) fn note_pass(plan: &mut Plan, name: &str) {
     plan.meta.optimizer.push_str(name);
 }
 
-/// The shared pass skeleton: rewrite each device's op program in place
-/// through `f(plan, device, ops)`, stamp provenance.
+/// The shared pass skeleton: edit each device's op program in place
+/// through `f(plan, device, ops)`, stamp provenance. No pass rebuilds a
+/// program: each removes, inserts or edits ops in the vector it is given.
 ///
 /// `f` sees the plan mid-rewrite: device `d`'s program is taken out
 /// (handed over as `ops`) and earlier devices' programs are already
@@ -97,11 +98,11 @@ pub(crate) fn note_pass(plan: &mut Plan, name: &str) {
 pub(crate) fn rewrite_programs(
     plan: &mut Plan,
     name: &str,
-    f: impl Fn(&Plan, &scalfrag_exec::DeviceOps, Vec<PlanOp>) -> Vec<PlanOp>,
+    f: impl Fn(&Plan, &scalfrag_exec::DeviceOps, &mut Vec<PlanOp>),
 ) {
     for d in 0..plan.devices.len() {
-        let ops = std::mem::take(&mut plan.devices[d].program);
-        let ops = f(plan, &plan.devices[d], ops);
+        let mut ops = std::mem::take(&mut plan.devices[d].program);
+        f(plan, &plan.devices[d], &mut ops);
         plan.devices[d].program = ops;
     }
     note_pass(plan, name);
@@ -142,6 +143,8 @@ impl Pipeline {
 
     /// Runs every pass in order over `plan` in place.
     pub fn rewrite(&self, plan: &mut Plan) {
+        // Room for every pass's provenance stamp, allocated once.
+        plan.meta.optimizer.reserve(self.passes.iter().map(|p| p.name().len() + 1).sum());
         for pass in &self.passes {
             pass.rewrite(plan);
         }

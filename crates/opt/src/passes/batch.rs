@@ -45,9 +45,9 @@ impl Pass for BatchH2d {
     }
 
     fn rewrite(&self, plan: &mut Plan) {
-        rewrite_programs(plan, self.name(), |_plan, _dev, mut ops| {
+        rewrite_programs(plan, self.name(), |_plan, _dev, ops| {
             let Some(i) = ops.iter().position(|o| matches!(o, PlanOp::H2D { .. })) else {
-                return ops;
+                return;
             };
             let anchor_stream = match &ops[i] {
                 PlanOp::H2D { stream, .. } => *stream,
@@ -96,7 +96,7 @@ impl Pass for BatchH2d {
                 }
             }
             if extra == 0 {
-                return ops;
+                return;
             }
             if let PlanOp::H2D { bytes, .. } = &mut ops[i] {
                 *bytes += extra;
@@ -104,7 +104,6 @@ impl Pass for BatchH2d {
             if !absorbed.is_empty() {
                 ops.insert(i + 1, PlanOp::Barrier { record: vec![anchor_stream], wait: absorbed });
             }
-            ops
         })
     }
 }

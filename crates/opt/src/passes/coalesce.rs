@@ -38,7 +38,7 @@ impl Pass for CoalesceH2d {
     }
 
     fn rewrite(&self, plan: &mut Plan) {
-        rewrite_programs(plan, self.name(), |_plan, _dev, mut ops| {
+        rewrite_programs(plan, self.name(), |_plan, _dev, ops| {
             let mut i = 0;
             while i < ops.len() {
                 let s = match &ops[i] {
@@ -66,7 +66,6 @@ impl Pass for CoalesceH2d {
                 }
                 i += 1;
             }
-            ops
         })
     }
 }

@@ -30,28 +30,20 @@ impl Pass for DeadOpElim {
 
     fn rewrite(&self, plan: &mut Plan) {
         rewrite_programs(plan, self.name(), |plan, dev, ops| {
-            ops.into_iter()
-                .filter_map(|op| match op {
-                    PlanOp::H2D { bytes: 0, .. } | PlanOp::D2H { bytes: 0, .. } => None,
-                    PlanOp::Launch { unit, .. }
-                        if dev.units[unit].seg.nnz() == 0 && !plan.is_virtual(&dev.units[unit]) =>
-                    {
-                        None
+            ops.retain_mut(|op| match op {
+                PlanOp::H2D { bytes: 0, .. } | PlanOp::D2H { bytes: 0, .. } => false,
+                PlanOp::Launch { unit, .. } => {
+                    let u = &dev.units[*unit];
+                    u.seg.nnz() > 0 || plan.is_virtual(u)
+                }
+                PlanOp::Barrier { record, wait } => {
+                    if let [only] = record[..] {
+                        wait.retain(|w| *w != only);
                     }
-                    PlanOp::Barrier { record, wait } => {
-                        let wait: Vec<_> = wait
-                            .into_iter()
-                            .filter(|w| !(record.len() == 1 && record[0] == *w))
-                            .collect();
-                        if record.is_empty() || wait.is_empty() {
-                            None
-                        } else {
-                            Some(PlanOp::Barrier { record, wait })
-                        }
-                    }
-                    op => Some(op),
-                })
-                .collect()
+                    !record.is_empty() && !wait.is_empty()
+                }
+                _ => true,
+            })
         })
     }
 }

@@ -39,7 +39,7 @@ impl Pass for HoistPrefetch {
     }
 
     fn rewrite(&self, plan: &mut Plan) {
-        rewrite_programs(plan, self.name(), |_plan, _dev, mut ops| {
+        rewrite_programs(plan, self.name(), |_plan, _dev, ops| {
             for i in 1..ops.len() {
                 let my_stream = match &ops[i] {
                     PlanOp::Prefetch { stream, .. } => *stream,
@@ -58,7 +58,6 @@ impl Pass for HoistPrefetch {
                     k -= 1;
                 }
             }
-            ops
         })
     }
 }

@@ -38,18 +38,15 @@ impl Pass for SlimFactors {
         let mode_bytes = (plan.rows * plan.rank * 4) as u64;
         rewrite_programs(plan, self.name(), |plan, _dev, ops| {
             if mode_bytes == 0 || mode_bytes >= plan.factors_bytes {
-                return ops;
+                return;
             }
-            ops.into_iter()
-                .map(|op| match op {
-                    PlanOp::H2D { stream, bytes, label }
-                        if label == "factors H2D" && bytes >= plan.factors_bytes =>
-                    {
-                        PlanOp::H2D { stream, bytes: bytes - mode_bytes, label }
+            for op in ops.iter_mut() {
+                if let PlanOp::H2D { bytes, label, .. } = op {
+                    if &**label == "factors H2D" && *bytes >= plan.factors_bytes {
+                        *bytes -= mode_bytes;
                     }
-                    op => op,
-                })
-                .collect()
+                }
+            }
         })
     }
 }

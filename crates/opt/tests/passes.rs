@@ -82,7 +82,7 @@ fn slim_factors_drops_exactly_the_output_mode_rows_and_only_once() {
             .iter()
             .flat_map(|d| &d.program)
             .find_map(|op| match op {
-                PlanOp::H2D { bytes, label, .. } if label == "factors H2D" => Some(*bytes),
+                PlanOp::H2D { bytes, label, .. } if &**label == "factors H2D" => Some(*bytes),
                 _ => None,
             })
             .expect("factors copy present")

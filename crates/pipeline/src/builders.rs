@@ -6,7 +6,7 @@
 use crate::hybrid::HybridSplit;
 use crate::plan::PipelinePlan;
 use scalfrag_exec::{
-    DeviceOps, KernelChoice, Plan, PlanBuilder, PlanMeta, Reduce, ResidueWork, ShardDesc,
+    op_label, DeviceOps, KernelChoice, Plan, PlanBuilder, PlanMeta, Reduce, ResidueWork, ShardDesc,
     ShardWork, WorkUnit,
 };
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
@@ -35,8 +35,8 @@ pub fn build_sync_plan(
         segment: 0,
         seg: Segment { start: 0, end: tensor.nnz() },
         alloc: None, // the prologue charged the whole tensor
-        h2d_label: "tensor H2D".to_string(),
-        kernel_label: "kernel".to_string(),
+        h2d_label: "tensor H2D".into(),
+        kernel_label: "kernel".into(),
         stats: SegmentStats::compute(tensor, mode),
     }];
     Plan {
@@ -116,8 +116,8 @@ pub fn build_shared_pipelined_plan(
             segment: i,
             seg: seg.clone(),
             alloc: Some("segment buffer must fit"),
-            h2d_label: format!("seg{i} H2D ({} nnz)", seg.nnz()),
-            kernel_label: format!("seg{i} kernel"),
+            h2d_label: op_label(format_args!("seg{i} H2D ({} nnz)", seg.nnz())),
+            kernel_label: op_label(format_args!("seg{i} kernel")),
             stats: SegmentStats::compute_range(&tensor, mode, seg.start..seg.end),
         })
         .collect();
@@ -318,8 +318,8 @@ pub fn lower_batched_plan(
             shard: j,
             segment: 0,
             alloc: Some("job tensor must fit"),
-            h2d_label: format!("job{} H2D ({} nnz)", job.id, seg.nnz()),
-            kernel_label: format!("job{} kernel", job.id),
+            h2d_label: op_label(format_args!("job{} H2D ({} nnz)", job.id, seg.nnz())),
+            kernel_label: op_label(format_args!("job{} kernel", job.id)),
             stats: *stats,
             seg,
         });
@@ -327,7 +327,7 @@ pub fn lower_batched_plan(
             shard: j,
             output_alloc: Some((out_bytes, "job output must fit")),
             units: vec![j],
-            d2h: Some((out_bytes, format!("job{} output D2H", job.id))),
+            d2h: Some((out_bytes, op_label(format_args!("job{} output D2H", job.id)))),
         });
         shards.push(ShardDesc { index: j, tensor: Arc::clone(&job.tensor), rows: None });
     }

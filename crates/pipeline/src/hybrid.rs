@@ -143,7 +143,7 @@ mod tests {
         let split = split_by_slice_population(&t, 0, 8);
         let run = run_hybrid(&split, &f);
         assert!(
-            run.trace.events.iter().any(|e| e.label == "host tail MTTKRP"),
+            run.trace.events.iter().any(|e| &*e.label == "host tail MTTKRP"),
             "the residue must be a first-class traced op"
         );
     }

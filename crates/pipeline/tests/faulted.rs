@@ -128,7 +128,7 @@ fn corrupted_output_readback_is_reissued_with_identical_bits() {
     assert_eq!(inj.log().injected(), 1, "the D2H must be polled");
     assert!(run.all_complete());
     assert_eq!(bits(&baseline(&t, &f)), bits(&run.output));
-    let readbacks = run.trace.events.iter().filter(|e| e.label == "output D2H").count();
+    let readbacks = run.trace.events.iter().filter(|e| &*e.label == "output D2H").count();
     assert_eq!(readbacks, 2, "the corrupted readback is re-issued");
     // Without retries the output never returns intact.
     let (lost, _) = faulted(&p, corrupt_d2h(), RetryPolicy::no_retry());

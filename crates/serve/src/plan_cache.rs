@@ -16,7 +16,7 @@
 
 use scalfrag_gpusim::LaunchConfig;
 use scalfrag_tensor::FeatureKey;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Format version written into (and required from) every snapshot.
 pub const SNAPSHOT_VERSION: u32 = 2;
@@ -195,7 +195,10 @@ impl PlanCache {
 
     /// Rebuilds a cache from [`PlanCache::snapshot`] output. The restored
     /// cache reproduces the original's entries, recency order, tick and
-    /// capacity; counters start at zero.
+    /// capacity; counters start at zero. A snapshot is outside input, so
+    /// every field is checked: a key field outside its type's range, a
+    /// repeated key or a repeated `last_use` tick (which would leave the
+    /// LRU victim to `HashMap` order) is [`SnapshotError::Corrupt`].
     pub fn restore(snapshot: &str) -> Result<Self, SnapshotError> {
         let corrupt =
             |line: usize, reason: &str| SnapshotError::Corrupt { line, reason: reason.to_string() };
@@ -225,6 +228,7 @@ impl PlanCache {
         }
         let mut cache = PlanCache::new(capacity);
         cache.tick = tick;
+        let mut ticks = HashSet::new();
         for (i, line) in lines {
             let lineno = i + 1;
             let body = line
@@ -242,19 +246,21 @@ impl PlanCache {
             if kf.len() != 12 {
                 return Err(corrupt(lineno, "key needs 12 fields"));
             }
+            let out_of_range = |_| corrupt(lineno, "key field out of range");
+            let bucket = |v: i64| i32::try_from(v).map_err(out_of_range);
             let key = FeatureKey {
-                order: kf[0] as usize,
-                mode: kf[1] as usize,
-                rank: kf[2] as u32,
-                nnz_bucket: kf[3] as i32,
-                slices_bucket: kf[4] as i32,
-                fibers_bucket: kf[5] as i32,
-                mode_dim_bucket: kf[6] as i32,
-                slice_ratio_bucket: kf[7] as i32,
-                fiber_ratio_bucket: kf[8] as i32,
-                imbalance_bucket: kf[9] as i32,
-                fiber_imbalance_bucket: kf[10] as i32,
-                gini_bucket: kf[11] as i32,
+                order: usize::try_from(kf[0]).map_err(out_of_range)?,
+                mode: usize::try_from(kf[1]).map_err(out_of_range)?,
+                rank: u32::try_from(kf[2]).map_err(out_of_range)?,
+                nnz_bucket: bucket(kf[3])?,
+                slices_bucket: bucket(kf[4])?,
+                fibers_bucket: bucket(kf[5])?,
+                mode_dim_bucket: bucket(kf[6])?,
+                slice_ratio_bucket: bucket(kf[7])?,
+                fiber_ratio_bucket: bucket(kf[8])?,
+                imbalance_bucket: bucket(kf[9])?,
+                fiber_imbalance_bucket: bucket(kf[10])?,
+                gini_bucket: bucket(kf[11])?,
             };
             let cf: Vec<&str> = parts[1].split_whitespace().collect();
             if cf.len() != 3 {
@@ -273,6 +279,9 @@ impl PlanCache {
             }
             if last_use > tick {
                 return Err(corrupt(lineno, "last_use beyond the snapshot tick"));
+            }
+            if !ticks.insert(last_use) {
+                return Err(corrupt(lineno, "repeated last_use tick"));
             }
             if cache.map.insert(key, (config, last_use)).is_some() {
                 return Err(corrupt(lineno, "duplicate key"));
@@ -447,6 +456,34 @@ mod tests {
             PlanCache::restore(&dup).unwrap_err(),
             SnapshotError::Corrupt { line: 4, reason: "duplicate key".to_string() }
         );
+    }
+
+    #[test]
+    fn a_repeated_last_use_tick_is_corrupt() {
+        // Two entries stamped with one tick would leave the LRU victim of
+        // the next insert to `HashMap` iteration order.
+        let equal = "scalfrag-plan-cache v2\ncapacity 2 tick 2\n\
+                     entry 3 0 16 1 10 12 14 8 1 2 1 2 | 1 256 0 | 1\n\
+                     entry 3 0 16 2 10 12 14 8 1 2 1 2 | 2 256 0 | 1\n";
+        assert_eq!(
+            PlanCache::restore(equal).unwrap_err(),
+            SnapshotError::Corrupt { line: 4, reason: "repeated last_use tick".to_string() }
+        );
+    }
+
+    #[test]
+    fn a_key_field_outside_its_type_is_corrupt() {
+        // 2^32 + 1 would narrow to an `nnz_bucket` of 1, and -1 to a huge
+        // `order`.
+        let base = "scalfrag-plan-cache v2\ncapacity 2 tick 1\n";
+        for key in ["3 0 16 4294967297 10 12 14 8 1 2 1 2", "-1 0 16 1 10 12 14 8 1 2 1 2"] {
+            let snap = format!("{base}entry {key} | 1 256 0 | 1\n");
+            assert_eq!(
+                PlanCache::restore(&snap).unwrap_err(),
+                SnapshotError::Corrupt { line: 3, reason: "key field out of range".to_string() },
+                "{key}"
+            );
+        }
     }
 
     #[test]

@@ -115,15 +115,40 @@ impl Default for QosConfig {
     }
 }
 
+/// One tenant's queue and WFQ state.
+struct TenantQueue {
+    /// The tenant's pending jobs.
+    jobs: VecDeque<Pending>,
+    /// Virtual finish tag of the last service charged to the tenant.
+    finish_vt: f64,
+    /// WFQ weight.
+    weight: f64,
+}
+
+impl TenantQueue {
+    /// The tenant's WFQ start tag if it dispatched next.
+    fn start_tag(&self, vtime: f64) -> f64 {
+        vtime.max(self.finish_vt)
+    }
+
+    /// Removes the job at `idx` and advances the tenant's virtual finish
+    /// tag by one service of it, scaled by the weight.
+    fn take(&mut self, idx: usize, vtime: f64) -> Pending {
+        let pending = self.jobs.remove(idx).expect("index in range");
+        self.finish_vt = self.start_tag(vtime) + pending.est_s / self.weight;
+        pending
+    }
+}
+
 /// The multi-tenant QoS queue: WFQ across tenants, SLO-aware EDF within.
 #[derive(Default)]
 pub struct QosQueues {
-    /// Per-tenant FIFO of pending jobs (BTreeMap for deterministic
-    /// iteration order).
-    queues: BTreeMap<String, VecDeque<Pending>>,
-    /// Per-tenant virtual finish tag of the last service charged to it.
-    finish_vt: BTreeMap<String, f64>,
-    /// Per-tenant WFQ weight (absent = 1.0).
+    /// Every tenant seen so far, with its queue (possibly empty) and WFQ
+    /// state. A tenant stays once seen, so queueing a job allocates
+    /// nothing but queue growth (BTreeMap for deterministic iteration
+    /// order).
+    tenants: BTreeMap<String, TenantQueue>,
+    /// Configured WFQ weights (absent = 1.0).
     weights: BTreeMap<String, f64>,
     /// Global virtual clock: the start tag of the last dispatch.
     vtime: f64,
@@ -169,41 +194,26 @@ impl QosQueues {
         self.backlog_s
     }
 
-    fn weight(&self, tenant: &str) -> f64 {
-        self.weights.get(tenant).copied().unwrap_or(1.0)
-    }
-
-    /// The tenant's WFQ start tag if it dispatched next.
-    fn start_tag(&self, tenant: &str) -> f64 {
-        self.vtime.max(self.finish_vt.get(tenant).copied().unwrap_or(0.0))
-    }
-
-    /// Advances the tenant's virtual finish tag by one service of
-    /// `est_s`, scaled by its weight.
-    fn charge(&mut self, tenant: &str, est_s: f64) {
-        let start = self.start_tag(tenant);
-        let finish = start + est_s / self.weight(tenant);
-        self.finish_vt.insert(tenant.to_string(), finish);
-    }
-
     /// Enqueues an admitted job under its tenant.
     pub fn push(&mut self, pending: Pending) {
-        let tenant = pending.job.tenant.clone();
         self.backlog_s += pending.est_s;
         self.len += 1;
         self.peak_depth = self.peak_depth.max(self.len);
-        self.queues.entry(tenant).or_default().push_back(pending);
+        match self.tenants.get_mut(&pending.job.tenant) {
+            Some(t) => t.jobs.push_back(pending),
+            None => {
+                let weight = self.weights.get(&pending.job.tenant).copied().unwrap_or(1.0);
+                let name = pending.job.tenant.clone();
+                let jobs = VecDeque::from([pending]);
+                self.tenants.insert(name, TenantQueue { jobs, finish_vt: 0.0, weight });
+            }
+        }
     }
 
-    fn remove_at(&mut self, tenant: &str, idx: usize) -> Pending {
-        let q = self.queues.get_mut(tenant).expect("tenant has a queue");
-        let pending = q.remove(idx).expect("index in range");
-        if q.is_empty() {
-            self.queues.remove(tenant);
-        }
+    /// Books one job's removal from the queue totals.
+    fn dequeued(&mut self, pending: &Pending) {
         self.len -= 1;
         self.backlog_s = (self.backlog_s - pending.est_s).max(0.0);
-        pending
     }
 
     /// Dequeues the next job per the WFQ → SLO-EDF rule and charges its
@@ -212,22 +222,23 @@ impl QosQueues {
         if self.len == 0 {
             return None;
         }
-        // 1. WFQ: the tenant with the smallest start tag (name-ordered
+        let vtime = self.vtime;
+        // 1. WFQ: the queued tenant with the smallest start tag (name-ordered
         //    iteration makes ties deterministic).
-        let tenant = self
-            .queues
-            .keys()
-            .min_by(|a, b| {
-                self.start_tag(a)
-                    .partial_cmp(&self.start_tag(b))
+        let (_, tenant) = self
+            .tenants
+            .iter_mut()
+            .filter(|(_, t)| !t.jobs.is_empty())
+            .min_by(|(a, ta), (b, tb)| {
+                ta.start_tag(vtime)
+                    .partial_cmp(&tb.start_tag(vtime))
                     .expect("finite virtual time")
                     .then(a.cmp(b))
             })
-            .expect("non-empty queues")
-            .clone();
+            .expect("non-empty queues");
         // 2. SLO-EDF within the tenant: earliest SLO target, then FIFO.
-        let q = &self.queues[&tenant];
-        let best_idx = q
+        let best_idx = tenant
+            .jobs
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
@@ -238,9 +249,9 @@ impl QosQueues {
             })
             .map(|(i, _)| i)
             .expect("tenant queue is non-empty");
-        self.vtime = self.start_tag(&tenant);
-        let pending = self.remove_at(&tenant, best_idx);
-        self.charge(&tenant, pending.est_s);
+        self.vtime = tenant.start_tag(vtime);
+        let pending = tenant.take(best_idx, self.vtime);
+        self.dequeued(&pending);
         Some(pending)
     }
 
@@ -253,27 +264,22 @@ impl QosQueues {
     where
         F: FnMut(&Pending) -> bool,
     {
-        if max == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        let mut picks: Vec<(u64, String)> = Vec::new();
-        for (tenant, q) in &self.queues {
-            for p in q {
-                if pred(p) {
-                    picks.push((p.seq, tenant.clone()));
+        let mut drained = Vec::new();
+        while drained.len() < max && self.len > 0 {
+            // The earliest-admitted match across every tenant.
+            let mut pick: Option<(u64, &mut TenantQueue, usize)> = None;
+            for t in self.tenants.values_mut() {
+                let first =
+                    t.jobs.iter().enumerate().filter(|(_, p)| pred(p)).min_by_key(|(_, p)| p.seq);
+                if let Some((i, p)) = first {
+                    if pick.as_ref().is_none_or(|(seq, _, _)| p.seq < *seq) {
+                        pick = Some((p.seq, t, i));
+                    }
                 }
             }
-        }
-        picks.sort();
-        picks.truncate(max);
-        let mut drained = Vec::with_capacity(picks.len());
-        for (seq, tenant) in picks {
-            let idx = self.queues[&tenant]
-                .iter()
-                .position(|p| p.seq == seq)
-                .expect("picked job still queued");
-            let pending = self.remove_at(&tenant, idx);
-            self.charge(&tenant, pending.est_s);
+            let Some((_, tenant, i)) = pick else { break };
+            let pending = tenant.take(i, self.vtime);
+            self.dequeued(&pending);
             drained.push(pending);
         }
         drained

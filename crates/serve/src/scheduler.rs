@@ -24,6 +24,8 @@ use scalfrag_exec::{run_plan, PlanBuilder};
 use scalfrag_faults::{DeviceHealth, FaultInjector, OpClass, OpVerdict, RecoveryAction};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig, SpanKind};
 use scalfrag_kernels::SegmentStats;
+use scalfrag_linalg::Mat;
+use scalfrag_opt::Pipeline;
 use scalfrag_pipeline::plan::MAX_SEGMENTS;
 use scalfrag_pipeline::{
     build_shared_pipelined_plan, lower_batched_plan, BatchedJobSpec, ExecMode, KernelChoice,
@@ -178,6 +180,10 @@ impl ScalFragServer {
         jobs.sort_by(|a, b| {
             a.arrival_s.partial_cmp(&b.arrival_s).expect("finite arrivals").then(a.id.cmp(&b.id))
         });
+        let mut completed: Vec<JobRecord> = Vec::with_capacity(jobs.len());
+        let mut arrivals = jobs.into_iter().peekable();
+        // The optimizer pipeline every dispatch's fused plan runs through.
+        let passes = scalfrag_opt::default_pipeline();
         let num_devices = self.pool.num_devices();
         let max_retries = self.config.max_retries;
         let batch_window = self.config.batch_window_s.max(0.0);
@@ -195,24 +201,22 @@ impl ScalFragServer {
             None => PlanCache::new(CACHE_CAPACITY),
         };
         let mut memo = PlannerMemo::default();
-        let mut completed: Vec<JobRecord> = Vec::with_capacity(jobs.len());
         let mut rejected: Vec<Rejected> = Vec::new();
         // Resubmitted jobs, sorted descending by (arrival, id, attempt) so
         // `pop()` yields the earliest; `job.arrival_s` is the resubmission
         // time, so these merge into the arrival stream like fresh jobs.
         let mut resubmit: Vec<(MttkrpJob, u32)> = Vec::new();
-        let mut next = 0usize;
         let mut seq = 0u64;
         let mut resubmissions = 0usize;
         let mut dispatch_groups = 0usize;
         let mut timing_inconsistencies = 0usize;
         let mut first_inconsistent_job = None;
 
-        while next < jobs.len() || !resubmit.is_empty() || !queue.is_empty() {
+        while arrivals.peek().is_some() || !resubmit.is_empty() || !queue.is_empty() {
             let (dev, dev_free) = earliest_free_active(&free_at, &active);
             // The next submission event across fresh arrivals and pending
             // resubmissions (earlier time wins, then lower id).
-            let fresh = jobs.get(next).map(|j| (j.arrival_s, j.id));
+            let fresh = arrivals.peek().map(|j| (j.arrival_s, j.id));
             let resub = resubmit.last().map(|(j, _)| (j.arrival_s, j.id));
             let take_fresh = match (fresh, resub) {
                 (Some(f), Some(r)) => f <= r,
@@ -229,9 +233,7 @@ impl ScalFragServer {
                 arrival_s.is_some_and(|t| queue.is_empty() || t <= dev_free + batch_window);
             if arrival_due {
                 let (job, attempt) = if take_fresh {
-                    let job = jobs[next].clone();
-                    next += 1;
-                    (job, 1)
+                    (arrivals.next().expect("fresh event implies a pending arrival"), 1)
                 } else {
                     resubmit.pop().expect("resub event implies non-empty resubmit list")
                 };
@@ -242,10 +244,11 @@ impl ScalFragServer {
                 // Per-tenant token bucket: the QoS gate in front of the
                 // shared admission gate.
                 if let Some(rate) = self.config.qos.rate_jobs_per_s {
-                    let burst = self.config.qos.burst;
-                    let bucket = buckets
-                        .entry(job.tenant.clone())
-                        .or_insert_with(|| TokenBucket::new(rate, burst));
+                    if !buckets.contains_key(&job.tenant) {
+                        let bucket = TokenBucket::new(rate, self.config.qos.burst);
+                        buckets.insert(job.tenant.clone(), bucket);
+                    }
+                    let bucket = buckets.get_mut(&job.tenant).expect("inserted above");
                     if let Err(retry_after_s) = bucket.try_acquire(now) {
                         if attempt <= max_retries {
                             let mut job = job;
@@ -359,17 +362,18 @@ impl ScalFragServer {
                         lead.job.tensor.byte_size(),
                         max_batch,
                     );
-                let mut members = vec![lead];
-                if fuse {
-                    let extra = queue.drain_compatible(max_batch - 1, |p| {
-                        BatchGroup::compatible(&members[0], p)
-                    });
-                    members.extend(extra);
-                }
-                let group = BatchGroup::new(members);
+                let members = if fuse {
+                    let mut members =
+                        queue.drain_compatible(max_batch - 1, |p| BatchGroup::compatible(&lead, p));
+                    members.insert(0, lead);
+                    members
+                } else {
+                    vec![lead]
+                };
+                let mut group = BatchGroup::new(members);
                 let group_start = group.group_start(dev_free);
-                let (records, group_finish) =
-                    self.execute_group(&group, dev, &spec, dev_free, &mut cache, &mut memo);
+                let run = self.execute_group(&group, &spec, &mut cache, &mut memo, &passes);
+                let group_finish = group_start + run.plan_s + run.makespan;
                 let failure = match injector.as_deref_mut() {
                     Some(inj) if !aborted => inj.fail_between(dev, group_start, group_finish),
                     _ => None,
@@ -409,12 +413,13 @@ impl ScalFragServer {
                     }
                     continue;
                 }
-                for r in records {
+                let served = completed.len();
+                run.complete(&mut group, dev, dev_free, &mut completed);
+                for r in &completed[served..] {
                     if r.timing.check_consistency().is_err() {
                         timing_inconsistencies += 1;
                         first_inconsistent_job.get_or_insert(r.id);
                     }
-                    completed.push(r);
                 }
                 dispatch_groups += 1;
                 free_at[dev] = group_finish;
@@ -473,39 +478,32 @@ impl ScalFragServer {
         (config, false, PLAN_MISS_S)
     }
 
-    /// Executes one batch group on pool device `dev`. `device` is the spec
-    /// to simulate against — normally the pool's, but a straggling device
-    /// passes a derated copy. Returns the per-member records plus the time
-    /// the device frees.
+    /// Executes one batch group on the pool device whose spec is `device` —
+    /// normally the pool's, but a straggling device passes a derated copy.
     ///
     /// The group becomes **one** fused ScheduleIR plan
     /// ([`lower_batched_plan`], with each member's sorted copy and
     /// statistics from the memo): the shared factor set crosses PCIe once,
     /// then each member's tensor staging, kernel and output return run as
     /// independent `job{id}`-labelled spans cycling the worker streams.
-    /// The `scalfrag-opt` default pipeline (bit-identical passes only)
-    /// rewrites the fused plan in place before interpretation, exactly
-    /// like the registered `serve-batched` builder the conformance suite
-    /// pins.
+    /// `passes` (the `scalfrag-opt` default pipeline, bit-identical passes
+    /// only, built once per served stream) edits the fused plan in place
+    /// before interpretation, exactly like the registered `serve-batched`
+    /// builder the conformance suite pins.
     ///
     /// Per-member phase accounting reads the interpreted trace back:
     /// `job{id}`-labelled spans bill that member; the remaining H2D time —
     /// the shared factor upload, plus whatever staging copy an optimizer
-    /// pass folded into it — is split across members proportionally to
-    /// their tensor payload bytes. A member's `total_s` is its own last
-    /// span's end on the plan timeline, so per-engine bounds keep holding;
-    /// planning time is charged once to the group and shown as an equal
-    /// per-member share (`plan_s / size`), keeping `total_plan_s` an
-    /// honest sum.
+    /// pass folded into it — is kept apart for [`GroupRun::complete`] to
+    /// split.
     fn execute_group(
         &self,
         group: &BatchGroup,
-        dev: usize,
         device: &DeviceSpec,
-        dev_free: f64,
         cache: &mut PlanCache,
         memo: &mut PlannerMemo,
-    ) -> (Vec<JobRecord>, f64) {
+        passes: &Pipeline,
+    ) -> GroupRun {
         let lead = &group.lead().job;
         let (config, cache_hit, plan_s) = self.plan(lead, cache, memo);
         // A cached config may have been made against a bigger card; fall
@@ -515,7 +513,6 @@ impl ScalFragServer {
         } else {
             LaunchConfig::parti_default(lead.tensor.nnz())
         };
-        let group_start = group.group_start(dev_free);
 
         let jobs: Vec<_> = group.members.iter().map(|m| memo.batched_job(&m.job)).collect();
         let mut fused = lower_batched_plan(
@@ -527,31 +524,27 @@ impl ScalFragServer {
             KernelChoice::Tiled,
             STREAMS,
         );
-        scalfrag_opt::default_pipeline().rewrite(&mut fused);
+        passes.rewrite(&mut fused);
         let exec = if self.config.functional { ExecMode::Functional } else { ExecMode::Dry };
         let outcome = run_plan(&fused, exec);
 
-        let n = group.size();
-        let id_to_idx: HashMap<u64, usize> =
-            group.members.iter().enumerate().map(|(i, m)| (m.job.id, i)).collect();
-        let mut h2d = vec![0.0f64; n];
-        let mut kernel = vec![0.0f64; n];
-        let mut d2h = vec![0.0f64; n];
-        let mut ends = vec![0.0f64; n];
-        let mut shared_h2d = 0.0f64;
-        let mut makespan = 0.0f64;
+        let mut phases = vec![Phases::default(); group.size()];
+        let (mut shared_h2d, mut makespan) = (0.0f64, 0.0f64);
         for e in &outcome.trace.events {
             makespan = makespan.max(e.end);
             let dur = e.end - e.start;
-            match job_of_label(&e.label).and_then(|id| id_to_idx.get(&id)) {
-                Some(&j) => {
+            let member = job_of_label(&e.label)
+                .and_then(|id| group.members.iter().position(|m| m.job.id == id));
+            match member {
+                Some(j) => {
+                    let p = &mut phases[j];
                     match e.kind {
-                        SpanKind::CopyH2D => h2d[j] += dur,
-                        SpanKind::Kernel => kernel[j] += dur,
-                        SpanKind::CopyD2H => d2h[j] += dur,
+                        SpanKind::CopyH2D => p.h2d_s += dur,
+                        SpanKind::Kernel => p.kernel_s += dur,
+                        SpanKind::CopyD2H => p.d2h_s += dur,
                         SpanKind::HostTask => {}
                     }
-                    ends[j] = ends[j].max(e.end);
+                    p.end_s = p.end_s.max(e.end);
                 }
                 None => {
                     if e.kind == SpanKind::CopyH2D {
@@ -560,46 +553,88 @@ impl ScalFragServer {
                 }
             }
         }
+        GroupRun { cache_hit, plan_s, phases, shared_h2d, makespan, outputs: outcome.shard_outputs }
+    }
+}
 
+/// One member's simulated phase seconds on its fused plan.
+#[derive(Clone, Copy, Default)]
+struct Phases {
+    h2d_s: f64,
+    kernel_s: f64,
+    d2h_s: f64,
+    /// The end of the member's last span.
+    end_s: f64,
+}
+
+/// One interpreted batch group, before its members become records.
+struct GroupRun {
+    cache_hit: bool,
+    plan_s: f64,
+    /// Per member, in member order.
+    phases: Vec<Phases>,
+    /// H2D time no member's label claims: the shared factor upload.
+    shared_h2d: f64,
+    makespan: f64,
+    /// Per-member outputs (functional runs only).
+    outputs: Vec<Mat>,
+}
+
+impl GroupRun {
+    /// Appends the served group's member records to `completed`. The shared
+    /// H2D time is split across members proportionally to their tensor
+    /// payload bytes. A member's `total_s` is its own last span's end on
+    /// the plan timeline, so per-engine bounds keep holding; planning time
+    /// is charged once to the group and shown as an equal per-member share
+    /// (`plan_s / size`), keeping `total_plan_s` an honest sum. The
+    /// members' tenant names and outputs move into their records.
+    fn complete(
+        self,
+        group: &mut BatchGroup,
+        dev: usize,
+        dev_free: f64,
+        completed: &mut Vec<JobRecord>,
+    ) {
+        let n = group.size();
+        let group_start = group.group_start(dev_free);
         let total_bytes = group.total_tensor_bytes() as f64;
-        let plan_share = plan_s / n as f64;
-        let mut records = Vec::with_capacity(n);
-        for (j, m) in group.members.iter().enumerate() {
+        let plan_share = self.plan_s / n as f64;
+        let mut outputs = self.outputs.into_iter();
+        for (j, p) in self.phases.iter().enumerate() {
+            let t_ready = group.t_ready(j, dev_free);
+            let batch_wait_s = group.batch_wait_s(j, dev_free);
+            let m = &mut group.members[j];
             let share = if total_bytes > 0.0 {
                 m.job.tensor.byte_size() as f64 / total_bytes
             } else {
                 1.0 / n as f64
             };
-            let t_ready = group.t_ready(j, dev_free);
             let timing = PhaseTiming {
-                h2d_s: h2d[j] + shared_h2d * share,
-                kernel_s: kernel[j],
-                d2h_s: d2h[j],
+                h2d_s: p.h2d_s + self.shared_h2d * share,
+                kernel_s: p.kernel_s,
+                d2h_s: p.d2h_s,
                 host_s: 0.0,
                 queue_s: (t_ready - m.job.arrival_s).max(0.0),
-                batch_wait_s: group.batch_wait_s(j, dev_free),
-                total_s: ends[j],
+                batch_wait_s,
+                total_s: p.end_s,
             };
-            let output =
-                if self.config.functional { outcome.shard_outputs.get(j).cloned() } else { None };
-            records.push(JobRecord {
+            completed.push(JobRecord {
                 id: m.job.id,
-                tenant: m.job.tenant.clone(),
+                tenant: std::mem::take(&mut m.job.tenant),
                 priority: m.job.priority,
                 device: dev,
                 arrival_s: m.job.arrival_s,
                 start_s: t_ready,
-                finish_s: group_start + plan_s + ends[j],
+                finish_s: group_start + self.plan_s + p.end_s,
                 plan_s: plan_share,
-                cache_hit,
+                cache_hit: self.cache_hit,
                 timing,
                 deadline_s: m.job.deadline_s,
                 attempt: m.attempt,
                 group_size: n,
-                output,
+                output: outputs.next(),
             });
         }
-        (records, group_start + plan_s + makespan)
     }
 }
 
