@@ -43,6 +43,15 @@ const GOLDEN_BATCHED_PLAN_TRACE_FINGERPRINT: u64 = 0x4a79_4e71_6d71_1c32;
 // registration — previously when the two balance builders joined).
 const GOLDEN_OPT_PLAN_TRACE_FINGERPRINT: u64 = 0x2c80_f8f5_d801_5bc1;
 const GOLDEN_STREAMING_TRACE_FINGERPRINT: u64 = 0x3d53_ffcf_3f4e_e0c3;
+const GOLDEN_PLAN_RENDER_DIGEST: u64 = 0x6a60_9c09_1ce9_56cf;
+const GOLDEN_RESCUE_TRACE_FINGERPRINT: u64 = 0x8268_fab4_323b_1fb1;
+
+/// FNV-1a folding of `bytes` into the running hash `h`.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
 
 fn serve_workload() -> Vec<MttkrpJob> {
     let dims = [64u32, 48, 32];
@@ -219,6 +228,64 @@ fn streaming_plan_trace_fingerprint_is_pinned() {
     let a = digest();
     assert_eq!(a, digest(), "same streaming plan, two trace digests in one process");
     print_or_assert("streaming-trace", a, GOLDEN_STREAMING_TRACE_FINGERPRINT);
+}
+
+/// Every registered builder's op program, as `Plan::render` prints it —
+/// raw and after the default optimizer pipeline, at every mode of the
+/// pinned tensor. Unlike the trace pins this sees the ops that make no
+/// span: `Alloc`/`Free`, their slot numbers and allocation messages.
+#[test]
+fn plan_render_digest_is_pinned() {
+    let dims = [80u32, 56, 40];
+    let tensor = gen::zipf_slices(&dims, 6_000, 1.1, 61);
+    let factors = FactorSet::random(&dims, 8, 62);
+    let digest = || {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for mode in 0..3 {
+            for b in scalfrag::conformance::all_plan_builders() {
+                let plan = (b.build)(&tensor, &factors, mode);
+                fnv1a(&mut h, plan.render().as_bytes());
+                fnv1a(&mut h, scalfrag::opt::optimize_default(&plan).render().as_bytes());
+            }
+        }
+        h
+    };
+    let a = digest();
+    assert_eq!(a, digest(), "same plans, two render digests in one process");
+    print_or_assert("plan-render", a, GOLDEN_PLAN_RENDER_DIGEST);
+}
+
+/// The rescue share a survivor runs for a dead device's units: a cluster
+/// plan on 3 devices and 6 shards, once with device 1 dying for good at
+/// its third polled op under re-sharding, once with device 0 down from
+/// the start under plain retry. Both runs must re-place work.
+#[test]
+fn rescue_trace_fingerprint_is_pinned() {
+    let dims = [80u32, 56, 40];
+    let tensor = gen::zipf_slices(&dims, 6_000, 1.1, 61);
+    let factors = FactorSet::random(&dims, 8, 62);
+    let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 3);
+    let opts = ClusterOptions::new(LaunchConfig::new(512, 256), 6);
+    let dead = |device, trigger| {
+        FaultPlan::new().fault(device, trigger, FaultKind::DeviceFail { down_s: None })
+    };
+    let digest = || {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (faults, policy) in [
+            (dead(1, FaultTrigger::AtOp(2)), FaultRecoveryPolicy::retry_reshard()),
+            (dead(0, FaultTrigger::AtTime(0.0)), FaultRecoveryPolicy::retry()),
+        ] {
+            let plan = build_cluster_plan(&node, &tensor, &factors, 0, &opts);
+            let mut inj = FaultInjector::new(faults);
+            let run = run_plan_faulted(&plan, ExecMode::Dry, &mut inj, &policy);
+            assert!(run.replaced_items > 0, "{policy:?}: the dead device's units must move");
+            fnv1a(&mut h, &run.trace.fingerprint().to_le_bytes());
+        }
+        h
+    };
+    let a = digest();
+    assert_eq!(a, digest(), "same faults, two rescue digests in one process");
+    print_or_assert("rescue-trace", a, GOLDEN_RESCUE_TRACE_FINGERPRINT);
 }
 
 #[test]
