@@ -12,6 +12,18 @@ saved=$(mktemp -d)
 cp --parents perfbench/Cargo.lock results/BENCH_*.json "$saved"
 trap 'cp -r "$saved"/. .; rm -rf "$saved"' EXIT
 
+echo "==> Rust line counts (report only, never fails)"
+# The two counts the ROADMAP's simplicity gates read: every .rs line in
+# crates/, shims/, src/, tests/ and examples/, and the non-test share of
+# it — each file outside a tests/ directory, up to its first top-level
+# #[cfg(test)]. xargs may split the file list, so the per-call counts sum.
+rust_dirs=(crates shims src tests examples)
+total=$(find "${rust_dirs[@]}" -name '*.rs' -print0 | xargs -0 cat | wc -l || true)
+nontest=$(find "${rust_dirs[@]}" -name '*.rs' -not -path 'tests/*' -not -path '*/tests/*' -print0 |
+    xargs -0 awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live { n++ }
+                  END { print n + 0 }' | awk '{ s += $1 } END { print s + 0 }' || true)
+echo "Rust lines: $total total, $nontest non-test"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

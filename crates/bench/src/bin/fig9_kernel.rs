@@ -12,6 +12,7 @@
 
 use scalfrag_bench::{factors_for, render_table, scaled_suite};
 use scalfrag_core::{Parti, ScalFrag};
+use scalfrag_exec::KernelChoice;
 
 fn main() {
     let ablate = std::env::args().any(|a| a == "--ablate");
@@ -23,7 +24,8 @@ fn main() {
     let scal = ScalFrag::builder().pipelined(false).build();
     // Ablations: adaptive launch with the plain COO kernel, and the tiled
     // kernel at ParTI's fixed launch.
-    let adaptive_only = ScalFrag::builder().pipelined(false).tiled_kernel(false).build();
+    let adaptive_only =
+        ScalFrag::builder().pipelined(false).kernel(KernelChoice::CooAtomic).build();
     let tiled_only = ScalFrag::builder().pipelined(false).adaptive_launch(false).build();
 
     let mut rows = Vec::new();

@@ -24,10 +24,10 @@
 
 use crate::node::{Interconnect, NodeSpec};
 use crate::schedule::{assign_shards, DeviceScheduler};
-use crate::shard::{shard_tensor, Shard, ShardPolicy};
+use crate::shard::{shard_tensor, ShardPolicy};
 use scalfrag_exec::{
-    op_label, ClusterPolicy, DeviceOps, KernelChoice, PlaceStrategy, Plan, PlanBuilder, PlanMeta,
-    Reduce, ShardDesc, ShardWork, WorkUnit,
+    lower_program, op_label, ClusterPolicy, DeviceOps, KernelChoice, PlaceStrategy, Plan,
+    PlanBuilder, PlanMeta, PlanOp, Reduce, ShardDesc, WorkUnit,
 };
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, SegmentStats};
@@ -75,7 +75,10 @@ impl ClusterOptions {
 }
 
 /// The placement callbacks a cluster plan carries: the re-placement
-/// strategy, the per-device speed proxy and the analytic reduction cost.
+/// strategy, the per-device speed proxy, the analytic reduction cost, and
+/// the lowering of a device's share — which the builder runs for every
+/// device and the interpreter, through [`ClusterPolicy::rescue`], for a
+/// survivor's rescued units.
 pub struct NodePlacement {
     node: NodeSpec,
     /// Each shard's owned row bounds, in shard-index order.
@@ -83,6 +86,42 @@ pub struct NodePlacement {
     scheduler: DeviceScheduler,
     rank: usize,
     rows: usize,
+    factors: Arc<FactorSet>,
+    /// The full launch configuration of every kernel.
+    launch: LaunchConfig,
+    /// Whether partials gather over peer links instead of returning D2H.
+    peer_reduce: bool,
+}
+
+impl NodePlacement {
+    /// Lowers one device's share: the factors, then each shard's
+    /// pipelined `H2D → Launch` units on round-robin streams with the
+    /// shard's partial D2H on the dedicated return stream (absent under
+    /// peer reduction).
+    fn lower_share(&self, units: &[WorkUnit]) -> Vec<PlanOp> {
+        let out_bytes = (self.rows * self.rank * 4) as u64;
+        lower_program(
+            &self.factors,
+            &[(self.factors.byte_size() as u64, "factor matrices must fit on each device")],
+            STREAMS_PER_DEVICE,
+            self.launch,
+            units,
+            Some("segment must fit"),
+            |u| {
+                let (si, j) = (u.shard, u.segment);
+                [
+                    op_label(format_args!("shard{si} seg{j} H2D")),
+                    op_label(format_args!("shard{si} seg{j} kernel")),
+                ]
+            },
+            |si| {
+                let bytes = shard_output_bytes(self.shard_rows[si], self.rank, out_bytes);
+                let d2h = (!self.peer_reduce).then(|| op_label(format_args!("shard{si} D2H")));
+                Some((bytes, "shard output must fit", d2h))
+            },
+            None,
+        )
+    }
 }
 
 impl ClusterPolicy for NodePlacement {
@@ -100,12 +139,15 @@ impl ClusterPolicy for NodePlacement {
     fn reduction_s(&self, assignment: &[Vec<usize>]) -> f64 {
         reduction_seconds(&self.node, &self.shard_rows, assignment, self.rows, self.rank)
     }
+
+    fn rescue(&self, units: &[WorkUnit]) -> Vec<PlanOp> {
+        self.lower_share(units)
+    }
 }
 
 /// Lowers one cluster MTTKRP: the mode-sorted tensor is sharded, shards
 /// are placed by the scheduler, and each device's shards become pipelined
-/// `H2D → Launch` units on round-robin streams with a per-shard partial
-/// D2H on a dedicated return stream (absent under peer reduction).
+/// `H2D → Launch` units ([`NodePlacement`] lowers them).
 pub fn build_cluster_plan(
     node: &NodeSpec,
     tensor: &CooTensor,
@@ -115,85 +157,65 @@ pub fn build_cluster_plan(
 ) -> Plan {
     let rank = factors.rank();
     let rows = tensor.dims()[mode] as usize;
-    let out_bytes = (rows * rank * 4) as u64;
-    let factors_bytes = factors.byte_size() as u64;
-
     let sorted = tensor.sorted_for_mode(mode);
-    let order = sorted.order();
     let shards = shard_tensor(&sorted, mode, opts.policy, opts.num_shards);
     let assignment = assign_shards(&shards, node, opts.scheduler, rank);
+    let factors = Arc::new(factors.clone());
+    let policy = NodePlacement {
+        node: node.clone(),
+        shard_rows: shards.iter().map(|s| s.rows).collect(),
+        scheduler: opts.scheduler,
+        rank,
+        rows,
+        factors: Arc::clone(&factors),
+        launch: opts.kernel.full_config(opts.config, rank as u32),
+        // Peer-linked nodes gather row-overlapping partials
+        // device-to-device, so the per-shard D2H hop disappears from the
+        // device timelines.
+        peer_reduce: opts.policy == ShardPolicy::NnzBalanced && node.peer_bandwidth_gbs().is_some(),
+    };
 
-    // Peer-linked nodes gather row-overlapping partials device-to-device,
-    // so the per-shard D2H hop disappears from the device timelines.
-    let peer_reduce =
-        opts.policy == ShardPolicy::NnzBalanced && node.peer_bandwidth_gbs().is_some();
-
-    let mut devices = Vec::with_capacity(node.num_devices());
-    for (d, shard_indices) in assignment.iter().enumerate() {
-        let spec = node.effective_device(d);
-        let mut units: Vec<WorkUnit> = Vec::new();
-        let mut shard_work: Vec<ShardWork> = Vec::new();
-        for &si in shard_indices {
-            let d2h_bytes = shard_output_bytes(&shards[si], rank, out_bytes);
-            let mut unit_ids = Vec::new();
-            for (j, seg) in
-                segment_by_nnz(shards[si].nnz(), SEGMENTS_PER_SHARD).into_iter().enumerate()
-            {
-                unit_ids.push(units.len());
-                units.push(WorkUnit {
-                    shard: si,
-                    segment: j,
-                    alloc: Some("segment must fit"),
-                    h2d_label: op_label(format_args!("shard{si} seg{j} H2D")),
-                    kernel_label: op_label(format_args!("shard{si} seg{j} kernel")),
-                    stats: SegmentStats::compute_range(
-                        &shards[si].tensor,
-                        mode,
-                        seg.start..seg.end,
-                    ),
-                    seg,
-                });
+    let devices = assignment
+        .iter()
+        .enumerate()
+        .map(|(d, shard_indices)| {
+            let mut units: Vec<WorkUnit> = Vec::new();
+            for &si in shard_indices {
+                let shard = &shards[si].tensor;
+                for (j, seg) in
+                    segment_by_nnz(shard.nnz(), SEGMENTS_PER_SHARD).into_iter().enumerate()
+                {
+                    let stats = SegmentStats::compute_range(shard, mode, seg.start..seg.end);
+                    units.push(WorkUnit { shard: si, segment: j, seg, stats });
+                }
             }
-            shard_work.push(ShardWork {
-                shard: si,
-                output_alloc: Some((d2h_bytes, "shard output must fit")),
-                units: unit_ids,
-                d2h: (!peer_reduce).then(|| (d2h_bytes, op_label(format_args!("shard{si} D2H")))),
-            });
-        }
-        devices.push(DeviceOps {
-            device: d,
-            spec,
-            worker_streams: STREAMS_PER_DEVICE,
-            dedicated_d2h: true,
-            residue: None,
-            prologue_allocs: vec![(factors_bytes, "factor matrices must fit on each device")],
-            units,
-            shard_work,
-            final_d2h: None,
-            program: Vec::new(),
-        });
-    }
+            let program = policy.lower_share(&units);
+            DeviceOps {
+                device: d,
+                spec: node.effective_device(d),
+                worker_streams: STREAMS_PER_DEVICE,
+                dedicated_d2h: true,
+                residue: None,
+                units,
+                program,
+            }
+        })
+        .collect();
 
-    let shard_rows: Vec<Option<(Idx, Idx)>> = shards.iter().map(|s| s.rows).collect();
+    let reduction_s = policy.reduction_s(&assignment);
     // Each shard's entries move into its descriptor, uncopied.
     let shard_descs: Vec<ShardDesc> = shards
         .into_iter()
         .map(|s| ShardDesc { index: s.index, tensor: Arc::new(s.tensor), rows: s.rows })
         .collect();
-    let reduction_s = reduction_seconds(node, &shard_rows, &assignment, rows, rank);
-    let policy =
-        NodePlacement { node: node.clone(), shard_rows, scheduler: opts.scheduler, rank, rows };
     Plan {
         name: "scalfrag-cluster",
         mode,
         rank,
         rows,
-        order,
         config: opts.config,
         kernel: opts.kernel,
-        factors: Arc::new(factors.clone()),
-        factors_bytes,
+        factors,
         shards: shard_descs,
         devices,
         reduce: Reduce::FoldShards,
@@ -212,13 +234,12 @@ pub fn build_cluster_plan(
             batch_jobs: 0,
         },
     }
-    .lowered()
 }
 
-/// Bytes of one shard's D2H result: its owned row block when slice-aligned,
-/// the full partial output otherwise.
-fn shard_output_bytes(shard: &Shard, rank: usize, full_out_bytes: u64) -> u64 {
-    match shard.rows {
+/// Bytes of one shard's D2H result: its owned row block `rows` when
+/// slice-aligned, the full partial output otherwise.
+fn shard_output_bytes(rows: Option<(Idx, Idx)>, rank: usize, full_out_bytes: u64) -> u64 {
+    match rows {
         Some((lo, hi)) => ((hi - lo + 1) as u64) * rank as u64 * 4,
         None => full_out_bytes,
     }

@@ -25,7 +25,7 @@ use scalfrag_cluster::{
     build_cluster_plan, ClusterOptions, DeviceScheduler, FaultRecoveryPolicy, NodeSpec, ShardPolicy,
 };
 use scalfrag_core::{ClusterScalFrag, Parti, ScalFrag};
-use scalfrag_exec::{run_plan_faulted, ExecMode, PlanBuilder};
+use scalfrag_exec::{run_plan_faulted, ExecMode, KernelChoice, PlanBuilder};
 use scalfrag_faults::{FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{
@@ -182,7 +182,7 @@ pub fn path_backends() -> Vec<Backend> {
             let ctx = ScalFrag::builder()
                 .fixed_config(CFG)
                 .pipelined(false)
-                .balanced_kernel(true)
+                .kernel(KernelChoice::Balanced)
                 .build();
             ctx.mttkrp(t, f, mode).output
         }),
@@ -190,7 +190,7 @@ pub fn path_backends() -> Vec<Backend> {
             let ctx = ScalFrag::builder()
                 .fixed_config(CFG)
                 .pipelined(false)
-                .mode_agnostic_kernel(true)
+                .kernel(KernelChoice::ModeAgnostic)
                 .build();
             ctx.mttkrp(t, f, mode).output
         }),

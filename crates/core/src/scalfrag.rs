@@ -20,18 +20,12 @@ pub struct ScalFragConfig {
     /// (§IV-B); otherwise fall back to `fixed_config` or the ParTI
     /// heuristic.
     pub adaptive_launch: bool,
-    /// Launch the shared-memory tiled kernel (§IV-A) instead of the plain
-    /// atomic COO kernel.
-    pub tiled_kernel: bool,
-    /// Launch the load-balanced segmented-scan kernel (`balance-segscan`):
-    /// fixed-nnz chunks + carry chain, immune to slice/fiber skew. Takes
-    /// priority over `tiled_kernel`.
-    pub balanced_kernel: bool,
-    /// Launch the FLYCOO mode-agnostic kernel (`balance-flycoo`): one
-    /// tensor copy + per-mode remap tables, no re-tiling between modes.
-    /// Takes priority over `tiled_kernel`; `balanced_kernel` wins if both
-    /// are set.
-    pub mode_agnostic_kernel: bool,
+    /// The kernel launched per segment: the shared-memory tiled kernel
+    /// (§IV-A, the default), the plain atomic COO kernel, or one of the
+    /// two balance arms — the load-balanced segmented scan
+    /// (`balance-segscan`) or the FLYCOO mode-agnostic kernel
+    /// (`balance-flycoo`).
+    pub kernel: KernelChoice,
     /// Segment the tensor and overlap transfers with compute (§IV-C);
     /// otherwise execute synchronously.
     pub pipelined: bool,
@@ -54,9 +48,7 @@ impl Default for ScalFragConfig {
     fn default() -> Self {
         Self {
             adaptive_launch: true,
-            tiled_kernel: true,
-            balanced_kernel: false,
-            mode_agnostic_kernel: false,
+            kernel: KernelChoice::Tiled,
             pipelined: true,
             hybrid: false,
             hybrid_threshold: 4,
@@ -88,23 +80,9 @@ impl ScalFragBuilder {
         self
     }
 
-    /// Enables/disables the tiled kernel.
-    pub fn tiled_kernel(mut self, on: bool) -> Self {
-        self.config.tiled_kernel = on;
-        self
-    }
-
-    /// Enables/disables the load-balanced segmented-scan kernel (takes
-    /// priority over `tiled_kernel`).
-    pub fn balanced_kernel(mut self, on: bool) -> Self {
-        self.config.balanced_kernel = on;
-        self
-    }
-
-    /// Enables/disables the FLYCOO mode-agnostic kernel (takes priority
-    /// over `tiled_kernel`; loses to `balanced_kernel`).
-    pub fn mode_agnostic_kernel(mut self, on: bool) -> Self {
-        self.config.mode_agnostic_kernel = on;
+    /// Selects the kernel launched per segment (default: tiled).
+    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
+        self.config.kernel = kernel;
         self
     }
 
@@ -219,18 +197,6 @@ impl ScalFrag {
         }
     }
 
-    fn kernel_choice(&self) -> KernelChoice {
-        if self.config.balanced_kernel {
-            KernelChoice::Balanced
-        } else if self.config.mode_agnostic_kernel {
-            KernelChoice::ModeAgnostic
-        } else if self.config.tiled_kernel {
-            KernelChoice::Tiled
-        } else {
-            KernelChoice::CooAtomic
-        }
-    }
-
     /// Runs one end-to-end MTTKRP (functional: the output is numerically
     /// real and validated against the CPU reference in the test suite).
     pub fn mttkrp(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> MttkrpReport {
@@ -250,7 +216,7 @@ impl ScalFrag {
     /// Panics if a pipelined or hybrid facade has a stream override of 0.
     pub fn plan(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> Plan {
         let cfg = self.select_config(tensor, mode, factors.rank() as u32);
-        let kernel = self.kernel_choice();
+        let kernel = self.config.kernel;
         if self.config.hybrid {
             let split = split_by_slice_population(tensor, mode, self.config.hybrid_threshold);
             let segs = self.config.segments.unwrap_or(4);
@@ -396,19 +362,18 @@ mod tests {
     #[test]
     fn balance_arms_match_reference_end_to_end() {
         let (t, f) = small();
-        for (balanced, agnostic) in [(true, false), (false, true)] {
+        for kernel in [KernelChoice::Balanced, KernelChoice::ModeAgnostic] {
             let ctx = ScalFrag::builder()
                 .fixed_config(LaunchConfig::new(1024, 256))
                 .pipelined(false)
-                .balanced_kernel(balanced)
-                .mode_agnostic_kernel(agnostic)
+                .kernel(kernel)
                 .build();
             for mode in 0..3 {
                 let r = ctx.mttkrp(&t, &f, mode);
                 let expect = mttkrp_seq(&t, &f, mode);
                 assert!(
                     r.output.max_abs_diff(&expect) < 1e-2,
-                    "balanced={balanced} agnostic={agnostic} mode={mode}: {}",
+                    "{kernel:?} mode={mode}: {}",
                     r.output.max_abs_diff(&expect)
                 );
                 assert_eq!(r.config.shared_mem_per_block, 0, "balance arms use no smem tile");

@@ -19,9 +19,10 @@
 //!   host residue its own work, and a lost `D2H` the partial results of
 //!   every shard launched on the device since the previous `D2H`.
 //! * A dead device's unlaunched units move onto the survivors through the
-//!   plan's [`ClusterPolicy`] strategy — always for a device already down
-//!   at bring-up, mid-run under [`RecoveryMode::RetryReShard`] — starting
-//!   no earlier than the failure was observed.
+//!   plan's [`ClusterPolicy`], which places them and lowers the program a
+//!   survivor runs them with — always for a device already down at
+//!   bring-up, mid-run under [`RecoveryMode::RetryReShard`] — starting no
+//!   earlier than the failure was observed.
 //!
 //! Kernel and residue bodies run only on the attempt that succeeds, and
 //! gpusim runs bodies in submission order, so a fully recovered run
@@ -32,7 +33,7 @@
 
 use crate::ir::{
     ClusterPolicy, DeviceOps, ExecMode, PlaceStrategy, Plan, PlanOp, Reduce, ResidueWork,
-    ShardDesc, ShardWork, StreamRef, WorkUnit,
+    ShardDesc, StreamRef, WorkUnit,
 };
 use crate::retry::{FaultRecoveryPolicy, RecoveryMode};
 use crate::trace::PlanTrace;
@@ -711,8 +712,8 @@ fn execute(
     // survivors, which start them no earlier than the failure was seen.
     let mut owner: Vec<Option<usize>> = vec![None; plan.shards.len()];
     for (d, dev) in plan.devices.iter().enumerate() {
-        for w in &dev.shard_work {
-            owner[w.shard] = Some(d);
+        for u in &dev.units {
+            owner[u.shard] = Some(d);
         }
     }
     let mut moved = false;
@@ -728,7 +729,7 @@ fn execute(
         let clocks: Vec<f64> = devs.iter().map(|s| s.gpu.clock().max(fail_clock)).collect();
         let mut extra: BTreeMap<usize, Vec<WorkUnit>> = BTreeMap::new();
         for (target, si, units) in
-            place(cluster.as_ref(), &survivors, &clocks, plan.order, by_shard)
+            place(cluster.as_ref(), &survivors, &clocks, plan.factors.order(), by_shard)
         {
             if let Some(f) = faults.as_mut() {
                 let from_device = owner[si].unwrap_or(target);
@@ -740,11 +741,10 @@ fn execute(
         }
         moved = true;
         for (target, units) in extra {
-            let rescue = rescue_ops(plan, &plan.devices[target], units);
+            let program = cluster.rescue(&units);
             let state = &mut devs[target];
             state.gpu.advance_to(fail_clock);
-            let lost =
-                state.run_program(&mut run, &rescue.units, None, &rescue.program, &mut faults);
+            let lost = state.run_program(&mut run, &units, None, &program, &mut faults);
             if state.dead {
                 fail_clock = fail_clock.max(state.gpu.clock());
                 if reshard {
@@ -852,32 +852,6 @@ fn place(
                 .collect()
         }
     }
-}
-
-/// The share a survivor runs for rescued units: the factors re-staged,
-/// then each shard's units with the shard's output allocation and return
-/// as its original device had them, lowered like any device share.
-fn rescue_ops(plan: &Plan, target: &DeviceOps, units: Vec<WorkUnit>) -> DeviceOps {
-    let mut shard_work: Vec<ShardWork> = Vec::new();
-    for (i, u) in units.iter().enumerate() {
-        if shard_work.last().is_none_or(|w| w.shard != u.shard) {
-            let own = plan.devices.iter().flat_map(|d| &d.shard_work).find(|w| w.shard == u.shard);
-            let own = own.expect("a launched unit's shard has its shard work");
-            shard_work.push(ShardWork { units: Vec::new(), ..own.clone() });
-        }
-        shard_work.last_mut().expect("pushed above").units.push(i);
-    }
-    let mut rescue = DeviceOps {
-        residue: None,
-        prologue_allocs: vec![(plan.factors_bytes, "factor matrices must fit")],
-        units,
-        shard_work,
-        final_d2h: None,
-        program: Vec::new(),
-        ..target.clone()
-    };
-    rescue.program = plan.lower_device(&rescue);
-    rescue
 }
 
 fn reduce_output(plan: &Plan, buffers: &[Arc<AtomicF32Buffer>], mode: ExecMode) -> Mat {

@@ -9,10 +9,11 @@
 //! order, so the op list plus the barrier edges form the schedule DAG.
 //! Cross-device reduction is a single analytic [`PlanOp::Reduce`] op.
 //!
-//! Builders lower their declarative schedule into these programs once
-//! ([`Plan::lowered`]); optimizer passes rewrite them; the interpreter
-//! and [`Plan::render`] both read them, so the IR dump is exactly what
-//! runs.
+//! A device's program is the plan's only schedule: builders lower it
+//! once ([`lower_program`]) and keep beside it only what its ops bind —
+//! streams, work units, the host residue. Optimizer passes rewrite it;
+//! the interpreter and [`Plan::render`] both read it, so the IR dump is
+//! exactly what runs.
 
 use crate::kernel::KernelChoice;
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
@@ -137,17 +138,8 @@ pub struct WorkUnit {
     /// Segment ordinal within the shard.
     pub segment: usize,
     /// The nnz range this unit covers; its H2D payload is
-    /// `seg.byte_size(order)` bytes, and the lowering places it on the
-    /// device's next round-robin worker stream.
+    /// `seg.byte_size(order)` bytes.
     pub seg: Segment,
-    /// Failure message of the per-unit segment-buffer allocation, which
-    /// charges the payload's bytes (`None` when the prologue already
-    /// charged it, as the sync plan does for the whole tensor).
-    pub alloc: Option<&'static str>,
-    /// H2D span label.
-    pub h2d_label: Arc<str>,
-    /// Kernel span label.
-    pub kernel_label: Arc<str>,
     /// Structural statistics of the unit's entries (`seg` of its shard)
     /// for the plan's mode, computed once by the builder where it cuts
     /// the segment. Every launch prices its cost-model workload from them
@@ -155,21 +147,6 @@ pub struct WorkUnit {
     /// materialise) carries the preset's analytic statistics instead; see
     /// [`Plan::is_virtual`].
     pub stats: SegmentStats,
-}
-
-/// One shard's slice of a device program: output allocation, units, and
-/// the per-shard partial-result return.
-#[derive(Clone, Debug)]
-pub struct ShardWork {
-    /// Index into [`Plan::shards`].
-    pub shard: usize,
-    /// Partial-output allocation charged before the shard's units.
-    pub output_alloc: Option<(u64, &'static str)>,
-    /// Indices into [`DeviceOps::units`].
-    pub units: Vec<usize>,
-    /// Per-shard D2H `(bytes, label)` on the dedicated return stream,
-    /// ordered after the shard's kernels (absent under peer reduction).
-    pub d2h: Option<(u64, Arc<str>)>,
 }
 
 /// The hybrid schedule's CPU residue.
@@ -185,7 +162,7 @@ pub struct ResidueWork {
     pub label: &'static str,
 }
 
-/// One device's share of the plan.
+/// One device's share of the plan: its op program and what the ops bind.
 #[derive(Clone, Debug)]
 pub struct DeviceOps {
     /// Device index within the plan (names it to the fault injector).
@@ -197,22 +174,15 @@ pub struct DeviceOps {
     pub worker_streams: usize,
     /// Whether partial results return on a dedicated D2H stream.
     pub dedicated_d2h: bool,
-    /// Hybrid CPU residue, submitted before any device work.
+    /// Hybrid CPU residue, which the program's `HostResidue` op folds.
     pub residue: Option<ResidueWork>,
-    /// Allocations charged before the factor upload.
-    pub prologue_allocs: Vec<(u64, &'static str)>,
-    /// Every work unit of this device.
+    /// Every work unit of this device; `Launch` ops index into it.
     pub units: Vec<WorkUnit>,
-    /// Units grouped per shard, in execution order.
-    pub shard_work: Vec<ShardWork>,
-    /// Final whole-output D2H `(bytes, label)` on worker stream 0, ordered
-    /// after all kernels (single-device plans).
-    pub final_d2h: Option<(u64, &'static str)>,
-    /// The op program the interpreter runs. Builders fill it once, from
-    /// the declarative fields above ([`Plan::lowered`]) or explicitly
-    /// where the generic lowering cannot express the schedule (the
-    /// out-of-core streaming plan's evict/prefetch loop); optimizer
-    /// passes rewrite it.
+    /// The op program the interpreter runs: the device's whole schedule.
+    /// Builders lower it once ([`lower_program`], or explicitly where the
+    /// generic lowering cannot express the schedule, as the out-of-core
+    /// streaming plan's evict/prefetch loop); optimizer passes rewrite
+    /// it.
     pub program: Vec<PlanOp>,
 }
 
@@ -244,9 +214,10 @@ pub enum PlaceStrategy {
 }
 
 /// Placement callbacks a multi-device plan carries: the strategy for
-/// moving a lost device's work onto survivors, its inputs, and the
-/// analytic reduction cost. Implemented by the cluster crate (it owns the
-/// node/interconnect model); the interpreter stays node-agnostic.
+/// moving a lost device's work onto survivors, its inputs, the program a
+/// survivor runs it with, and the analytic reduction cost. Implemented by
+/// the cluster crate (it owns the node/interconnect model and cut the
+/// shards); the interpreter stays node-agnostic.
 pub trait ClusterPolicy: Send + Sync {
     /// Strategy for re-placing orphaned work.
     fn strategy(&self) -> PlaceStrategy;
@@ -255,6 +226,11 @@ pub trait ClusterPolicy: Send + Sync {
     /// Analytic seconds of the cross-shard reduction for a final
     /// shard-to-device assignment.
     fn reduction_s(&self, assignment: &[Vec<usize>]) -> f64;
+    /// The program a survivor runs for the orphaned `units` placed on it,
+    /// grouped by shard: the factors re-staged, then each shard's units
+    /// with its output buffer and return, lowered as the builder lowered
+    /// every device's share. Its `Launch` ops index into `units`.
+    fn rescue(&self, units: &[WorkUnit]) -> Vec<PlanOp>;
 }
 
 /// Plan-level metadata: where the schedule came from.
@@ -285,16 +261,12 @@ pub struct Plan {
     pub rank: usize,
     /// Output rows (`dims[mode]`).
     pub rows: usize,
-    /// Tensor order.
-    pub order: usize,
     /// Base launch configuration.
     pub config: LaunchConfig,
     /// Kernel launched per segment.
     pub kernel: KernelChoice,
-    /// The factor matrices.
+    /// The factor matrices (their count is the tensor order).
     pub factors: Arc<FactorSet>,
-    /// Factor upload bytes.
-    pub factors_bytes: u64,
     /// The input shards (one for single-device plans).
     pub shards: Vec<ShardDesc>,
     /// Per-device programs.
@@ -344,119 +316,6 @@ impl Plan {
         self.devices.iter().map(|d| d.program.len()).sum()
     }
 
-    /// Lowers every device's declarative schedule into its op program —
-    /// the one lowering a builder runs before handing the plan out.
-    pub fn lowered(mut self) -> Self {
-        for d in 0..self.devices.len() {
-            let ops = self.lower_device(&self.devices[d]);
-            self.devices[d].program = ops;
-        }
-        self
-    }
-
-    /// Lowers one device's declarative share into a linear op program.
-    ///
-    /// Transient per-segment buffers get `Free` ops: each worker stream
-    /// keeps at most one segment buffer live (its FIFO queue guarantees
-    /// the previous segment's kernel drained before the buffer is
-    /// rewritten), so long plans hold `O(streams)` segment buffers
-    /// instead of monotonically consuming the pool.
-    pub(crate) fn lower_device(&self, dev: &DeviceOps) -> Vec<PlanOp> {
-        let mut ops = Vec::new();
-        let mut next_slot = 0usize;
-        if let Some(res) = &dev.residue {
-            ops.push(PlanOp::HostResidue { stream: StreamRef::Host, label: res.label });
-        }
-        for &(bytes, what) in &dev.prologue_allocs {
-            ops.push(PlanOp::Alloc { slot: next_slot, bytes, what, transient: false });
-            next_slot += 1;
-        }
-        ops.push(PlanOp::H2D {
-            stream: StreamRef::Worker(0),
-            bytes: self.factors_bytes,
-            label: factors_h2d_label(),
-        });
-        // Factors travel once on stream 0; every other stream waits.
-        if dev.worker_streams > 1 {
-            ops.push(PlanOp::Barrier {
-                record: vec![StreamRef::Worker(0)],
-                wait: (1..dev.worker_streams).map(StreamRef::Worker).collect(),
-            });
-        }
-        let cfg = self.kernel.full_config(self.config, self.rank as u32);
-        let mut next_stream = 0usize;
-        // The transient segment buffer each worker stream currently holds.
-        let mut live_seg: Vec<Option<usize>> = vec![None; dev.worker_streams];
-        // The worker streams the current shard's units run on.
-        let mut used: Vec<usize> = Vec::new();
-        for sw in &dev.shard_work {
-            if let Some((bytes, what)) = sw.output_alloc {
-                ops.push(PlanOp::Alloc { slot: next_slot, bytes, what, transient: false });
-                next_slot += 1;
-            }
-            used.clear();
-            for &ui in &sw.units {
-                let u = &dev.units[ui];
-                let s = next_stream % dev.worker_streams;
-                next_stream += 1;
-                if !used.contains(&s) {
-                    used.push(s);
-                }
-                let bytes = u.seg.byte_size(self.order) as u64;
-                if let Some(what) = u.alloc {
-                    if let Some(prev) = live_seg[s].take() {
-                        ops.push(PlanOp::Free { slot: prev });
-                    }
-                    ops.push(PlanOp::Alloc { slot: next_slot, bytes, what, transient: true });
-                    live_seg[s] = Some(next_slot);
-                    next_slot += 1;
-                }
-                ops.push(PlanOp::H2D {
-                    stream: StreamRef::Worker(s),
-                    bytes,
-                    label: Arc::clone(&u.h2d_label),
-                });
-                ops.push(PlanOp::Launch {
-                    stream: StreamRef::Worker(s),
-                    unit: ui,
-                    grid: cfg.grid,
-                    block: cfg.block,
-                    label: Arc::clone(&u.kernel_label),
-                });
-            }
-            if let Some((bytes, label)) = &sw.d2h {
-                // A stream's queue runs in order, so an event recorded at
-                // its tail marks the completion of every kernel queued on
-                // it — one event per used stream orders the shard's D2H
-                // after all its kernels.
-                if !used.is_empty() {
-                    ops.push(PlanOp::Barrier {
-                        record: used.iter().map(|&s| StreamRef::Worker(s)).collect(),
-                        wait: vec![StreamRef::D2h],
-                    });
-                }
-                ops.push(PlanOp::D2H {
-                    stream: StreamRef::D2h,
-                    bytes: *bytes,
-                    label: Arc::clone(label),
-                });
-            }
-        }
-        if let Some((bytes, label)) = dev.final_d2h {
-            if dev.worker_streams > 1 {
-                ops.push(PlanOp::Barrier {
-                    record: (0..dev.worker_streams).map(StreamRef::Worker).collect(),
-                    wait: vec![StreamRef::Worker(0)],
-                });
-            }
-            ops.push(PlanOp::D2H { stream: StreamRef::Worker(0), bytes, label: label.into() });
-        }
-        for slot in live_seg.into_iter().flatten() {
-            ops.push(PlanOp::Free { slot });
-        }
-        ops
-    }
-
     /// Renders the plan as a typed-op IR dump (what `plan_dump` prints).
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -497,6 +356,123 @@ impl Plan {
         }
         s
     }
+}
+
+/// Lowers one device's share into its op program — the one lowering
+/// every generic builder calls, once per device program.
+///
+/// The `prologue` allocations (slots `0..`) come first, then the factor
+/// upload on worker stream 0, which every other worker stream waits for.
+/// Unit `i` then stages its segment (`H2D`) and launches with `launch`'s
+/// grid and block on worker stream `i % worker_streams`; `labels` names
+/// the two ops. With `segment_alloc`, each segment first lands in a
+/// transient buffer with that failure message. Each worker stream keeps
+/// at most one such buffer live (its FIFO queue guarantees the previous
+/// segment's kernel drained before the buffer is rewritten), so long
+/// plans hold `O(streams)` segment buffers instead of monotonically
+/// consuming the pool.
+///
+/// Consecutive units of one shard form its share. `shard_output` gives
+/// the shard's partial-output buffer `(bytes, failure message)`, charged
+/// before its units, and the label of its D2H on the dedicated return
+/// stream, ordered after its kernels. `final_d2h` returns the whole
+/// output on worker stream 0 after every kernel.
+#[allow(clippy::too_many_arguments)]
+pub fn lower_program(
+    factors: &FactorSet,
+    prologue: &[(u64, &'static str)],
+    worker_streams: usize,
+    launch: LaunchConfig,
+    units: &[WorkUnit],
+    segment_alloc: Option<&'static str>,
+    mut labels: impl FnMut(&WorkUnit) -> [Arc<str>; 2],
+    mut shard_output: impl FnMut(usize) -> Option<(u64, &'static str, Option<Arc<str>>)>,
+    final_d2h: Option<(u64, &'static str)>,
+) -> Vec<PlanOp> {
+    let mut ops = Vec::with_capacity(prologue.len() + 4 + worker_streams + 7 * units.len());
+    let mut next_slot = 0usize;
+    for &(bytes, what) in prologue {
+        ops.push(PlanOp::Alloc { slot: next_slot, bytes, what, transient: false });
+        next_slot += 1;
+    }
+    ops.push(PlanOp::H2D {
+        stream: StreamRef::Worker(0),
+        bytes: factors.byte_size() as u64,
+        label: factors_h2d_label(),
+    });
+    // Factors travel once on stream 0; every other stream waits.
+    if worker_streams > 1 {
+        ops.push(PlanOp::Barrier {
+            record: vec![StreamRef::Worker(0)],
+            wait: (1..worker_streams).map(StreamRef::Worker).collect(),
+        });
+    }
+    // The transient segment buffer each worker stream currently holds.
+    let mut live_seg: Vec<Option<usize>> = vec![None; worker_streams];
+    // The worker streams the current shard's units run on, and the D2H
+    // that returns the shard after them.
+    let mut used: Vec<usize> = Vec::new();
+    let mut d2h: Option<(u64, Arc<str>)> = None;
+    for (ui, u) in units.iter().enumerate() {
+        if ui == 0 || units[ui - 1].shard != u.shard {
+            close_shard(&mut ops, &used, d2h.take());
+            used.clear();
+            if let Some((bytes, what, label)) = shard_output(u.shard) {
+                ops.push(PlanOp::Alloc { slot: next_slot, bytes, what, transient: false });
+                next_slot += 1;
+                d2h = label.map(|label| (bytes, label));
+            }
+        }
+        let s = ui % worker_streams;
+        if !used.contains(&s) {
+            used.push(s);
+        }
+        let bytes = u.seg.byte_size(factors.order()) as u64;
+        if let Some(what) = segment_alloc {
+            if let Some(prev) = live_seg[s].take() {
+                ops.push(PlanOp::Free { slot: prev });
+            }
+            ops.push(PlanOp::Alloc { slot: next_slot, bytes, what, transient: true });
+            live_seg[s] = Some(next_slot);
+            next_slot += 1;
+        }
+        let [h2d, kernel] = labels(u);
+        ops.push(PlanOp::H2D { stream: StreamRef::Worker(s), bytes, label: h2d });
+        ops.push(PlanOp::Launch {
+            stream: StreamRef::Worker(s),
+            unit: ui,
+            grid: launch.grid,
+            block: launch.block,
+            label: kernel,
+        });
+    }
+    close_shard(&mut ops, &used, d2h);
+    if let Some((bytes, label)) = final_d2h {
+        if worker_streams > 1 {
+            ops.push(PlanOp::Barrier {
+                record: (0..worker_streams).map(StreamRef::Worker).collect(),
+                wait: vec![StreamRef::Worker(0)],
+            });
+        }
+        ops.push(PlanOp::D2H { stream: StreamRef::Worker(0), bytes, label: label.into() });
+    }
+    for slot in live_seg.into_iter().flatten() {
+        ops.push(PlanOp::Free { slot });
+    }
+    ops
+}
+
+/// Returns a shard's partial result on the dedicated D2H stream. A
+/// stream's queue runs in order, so an event recorded at its tail marks
+/// the completion of every kernel queued on it — one event per `used`
+/// stream orders the D2H after all the shard's kernels.
+fn close_shard(ops: &mut Vec<PlanOp>, used: &[usize], d2h: Option<(u64, Arc<str>)>) {
+    let Some((bytes, label)) = d2h else { return };
+    ops.push(PlanOp::Barrier {
+        record: used.iter().map(|&s| StreamRef::Worker(s)).collect(),
+        wait: vec![StreamRef::D2h],
+    });
+    ops.push(PlanOp::D2H { stream: StreamRef::D2h, bytes, label });
 }
 
 fn render_stream(r: &StreamRef) -> String {

@@ -22,8 +22,8 @@ pub use interp::{
     run_plan, run_plan_faulted, run_plan_on, DeviceMemStats, ExecOutcome, UnitOutcome,
 };
 pub use ir::{
-    op_label, ClusterPolicy, DeviceOps, ExecMode, PlaceStrategy, Plan, PlanMeta, PlanOp, Reduce,
-    ResidueWork, ShardDesc, ShardWork, StreamRef, WorkUnit,
+    lower_program, op_label, ClusterPolicy, DeviceOps, ExecMode, PlaceStrategy, Plan, PlanMeta,
+    PlanOp, Reduce, ResidueWork, ShardDesc, StreamRef, WorkUnit,
 };
 pub use kernel::KernelChoice;
 pub use registry::{BuildFn, PlanBuilder};

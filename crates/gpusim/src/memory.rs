@@ -134,8 +134,9 @@ struct PoolInner {
     peak_in_use: u64,
     peak_reserved: u64,
     next_id: u64,
-    /// page size → stack of reusable page ids (LIFO, deterministic).
-    free_pages: BTreeMap<u64, Vec<u64>>,
+    /// page size → count of pooled free pages of that size. Pages of
+    /// one size are interchangeable, so a count is all reuse needs.
+    free_pages: BTreeMap<u64, u64>,
     carves: u64,
     reuses: u64,
     trimmed_pages: u64,
@@ -144,16 +145,15 @@ struct PoolInner {
 
 impl PoolInner {
     fn take_free(&mut self, page: u64) {
-        let ids = self.free_pages.get_mut(&page).expect("page size has a free list");
-        ids.pop().expect("free lists never hold empty vecs");
-        if ids.is_empty() {
+        let n = self.free_pages.get_mut(&page).expect("page size has free pages");
+        *n -= 1;
+        if *n == 0 {
             self.free_pages.remove(&page);
         }
     }
 
     fn trim_all(&mut self) {
-        for (page, ids) in std::mem::take(&mut self.free_pages) {
-            let n = ids.len() as u64;
+        for (page, n) in std::mem::take(&mut self.free_pages) {
             self.reserved -= page * n;
             self.trimmed_pages += n;
         }
@@ -299,7 +299,7 @@ impl MemoryPool {
         g.in_use -= alloc.page_bytes;
         g.requested -= alloc.requested;
         if alloc.page_bytes > 0 {
-            g.free_pages.entry(alloc.page_bytes).or_default().push(alloc.id);
+            *g.free_pages.entry(alloc.page_bytes).or_default() += 1;
         }
     }
 

@@ -11,7 +11,7 @@
 //! [`SyntheticPreset::materialize`] for functional differential checks.
 
 use crate::stream::{assemble_plan, layout, StreamError};
-use scalfrag_exec::{op_label, KernelChoice, Plan, WorkUnit};
+use scalfrag_exec::{KernelChoice, Plan};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::segment::{segment_by_nnz, Segment};
@@ -121,36 +121,20 @@ impl SyntheticPreset {
         let lay = layout(self.nnz, ENTRY_BYTES, budget, persistent)?;
         let segments: Vec<Segment> =
             if lay.k == 0 { Vec::new() } else { segment_by_nnz(self.nnz as usize, lay.k) };
-        let rank = self.rank;
-        let units: Vec<WorkUnit> = segments
-            .iter()
-            .enumerate()
-            .map(|(i, seg)| WorkUnit {
-                shard: 0,
-                segment: i,
-                seg: seg.clone(),
-                alloc: None,
-                h2d_label: op_label(format_args!("seg{i} H2D (prefetch)")),
-                kernel_label: op_label(format_args!("seg{i} kernel")),
-                stats: self.segment_stats(seg.nnz() as u64),
-            })
-            .collect();
         // The shard tensor carries dims only, so every unit's range lies
         // past its entries — which is what marks it virtual
         // (`Plan::is_virtual`). The factor matrices are real (dry mode
         // ignores them, but the plan type is uniform).
         let shard = Arc::new(CooTensor::new(&self.dims));
-        let factors = Arc::new(FactorSet::random(&self.dims, rank, self.seed));
+        let factors = Arc::new(FactorSet::random(&self.dims, self.rank, self.seed));
         Ok(assemble_plan(
             &DeviceSpec::rtx3090(),
             shard,
             factors,
             0,
-            self.dims[0] as usize,
-            3,
             budget,
             segments,
-            units,
+            |seg| self.segment_stats(seg.nnz() as u64),
             config,
             kernel,
             &lay,

@@ -2,8 +2,8 @@
 //! under a byte budget, lowered as an explicit ScheduleIR op program.
 
 use scalfrag_exec::{
-    op_label, DeviceOps, KernelChoice, Plan, PlanMeta, PlanOp, Reduce, ShardDesc, ShardWork,
-    StreamRef, WorkUnit,
+    op_label, DeviceOps, KernelChoice, Plan, PlanMeta, PlanOp, Reduce, ShardDesc, StreamRef,
+    WorkUnit,
 };
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, SegmentStats};
@@ -99,14 +99,13 @@ const SLOT_FACTORS: usize = 0;
 const SLOT_OUTPUT: usize = 1;
 const SLOT_STAGE: usize = 2;
 
-/// Assembles the double-buffered op program over the units' segments,
-/// whose op labels it shares. Segment `i` runs on worker stream `i % 2` in
-/// staging slot
+/// Assembles the double-buffered op program over the units' segments.
+/// Segment `i` runs on worker stream `i % 2` in staging slot
 /// `SLOT_STAGE + i % 2`; before its `Prefetch`, segment `i - 2` (the
 /// slot's previous occupant, whose kernel the stream's FIFO has already
 /// drained past) is evicted clean — MTTKRP segments are read-only, so no
 /// write-back bytes move.
-pub(crate) fn assemble_program(
+fn assemble_program(
     factors_bytes: u64,
     out_bytes: u64,
     units: &[WorkUnit],
@@ -151,14 +150,14 @@ pub(crate) fn assemble_program(
             slot,
             bytes: u.seg.byte_size(order) as u64,
             what: "segment must fit in the memory budget",
-            label: Arc::clone(&u.h2d_label),
+            label: op_label(format_args!("seg{i} H2D (prefetch)")),
         });
         ops.push(PlanOp::Launch {
             stream: StreamRef::Worker(s),
             unit: i,
             grid: cfg.grid,
             block: cfg.block,
-            label: Arc::clone(&u.kernel_label),
+            label: op_label(format_args!("seg{i} kernel")),
         });
     }
     ops.push(PlanOp::Barrier {
@@ -177,8 +176,9 @@ pub(crate) fn assemble_program(
     ops
 }
 
-/// Assembles the full [`Plan`] around an explicit streaming program. The
-/// device spec's `global_mem_bytes` is capped at the budget, so the
+/// Assembles the full [`Plan`] around an explicit streaming program over
+/// the `segments` of `shard`, each unit carrying `stats` of its segment.
+/// The device spec's `global_mem_bytes` is capped at the budget, so the
 /// pooled allocator itself enforces the limit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_plan(
@@ -186,35 +186,37 @@ pub(crate) fn assemble_plan(
     shard: Arc<CooTensor>,
     factors: Arc<FactorSet>,
     mode: usize,
-    rows: usize,
-    order: usize,
     budget: u64,
     segments: Vec<Segment>,
-    units: Vec<WorkUnit>,
+    stats: impl Fn(&Segment) -> SegmentStats,
     config: LaunchConfig,
     kernel: KernelChoice,
     layout: &StreamLayout,
 ) -> Plan {
     let rank = factors.rank();
-    let factors_bytes = factors.byte_size() as u64;
+    let rows = shard.dims()[mode] as usize;
     let out_bytes = (rows * rank * 4) as u64;
+    let k = segments.len();
+    let units: Vec<WorkUnit> = segments
+        .into_iter()
+        .enumerate()
+        .map(|(i, seg)| WorkUnit { shard: 0, segment: i, stats: stats(&seg), seg })
+        .collect();
     let cfg = kernel.full_config(config, rank as u32);
-    let program = assemble_program(factors_bytes, out_bytes, &units, order, cfg);
+    let program =
+        assemble_program(factors.byte_size() as u64, out_bytes, &units, factors.order(), cfg);
 
     let mut capped = spec.clone();
     capped.global_mem_bytes = capped.global_mem_bytes.min(budget);
 
-    let k = segments.len();
     Plan {
         name: "oom-stream",
         mode,
         rank,
         rows,
-        order,
         config,
         kernel,
         factors,
-        factors_bytes,
         shards: vec![ShardDesc { index: 0, tensor: shard, rows: None }],
         devices: vec![DeviceOps {
             device: 0,
@@ -222,18 +224,7 @@ pub(crate) fn assemble_plan(
             worker_streams: 2,
             dedicated_d2h: false,
             residue: None,
-            prologue_allocs: vec![
-                (factors_bytes, "factor matrices must fit in the memory budget"),
-                (out_bytes, "output matrix must fit in the memory budget"),
-            ],
-            shard_work: vec![ShardWork {
-                shard: 0,
-                output_alloc: None,
-                units: (0..k).collect(),
-                d2h: None,
-            }],
             units,
-            final_d2h: Some((out_bytes, "output D2H")),
             program,
         }],
         reduce: Reduce::Single,
@@ -270,40 +261,21 @@ pub fn build_streaming_plan(
     config: LaunchConfig,
     kernel: KernelChoice,
 ) -> Result<Plan, StreamError> {
-    let rank = factors.rank();
-    let rows = tensor.dims()[mode] as usize;
-    let order = tensor.order();
-    let entry_bytes = (order * 4 + 4) as u64;
-    let factors_bytes = factors.byte_size() as u64;
-    let out_bytes = (rows * rank * 4) as u64;
-    let persistent = factors_bytes + out_bytes;
+    let entry_bytes = (tensor.order() * 4 + 4) as u64;
+    let out_bytes = (tensor.dims()[mode] as usize * factors.rank() * 4) as u64;
+    let persistent = factors.byte_size() as u64 + out_bytes;
     let lay = layout(tensor.nnz() as u64, entry_bytes, budget, persistent)?;
 
-    let sorted = tensor.sorted_for_mode(mode);
+    let sorted = Arc::new(tensor.sorted_for_mode(mode));
     let segments = if lay.k == 0 { Vec::new() } else { segment_by_nnz(sorted.nnz(), lay.k) };
-    let units: Vec<WorkUnit> = segments
-        .iter()
-        .enumerate()
-        .map(|(i, seg)| WorkUnit {
-            shard: 0,
-            segment: i,
-            seg: seg.clone(),
-            alloc: None, // the explicit program stages via Prefetch/Evict
-            h2d_label: op_label(format_args!("seg{i} H2D (prefetch)")),
-            kernel_label: op_label(format_args!("seg{i} kernel")),
-            stats: SegmentStats::compute_range(&sorted, mode, seg.start..seg.end),
-        })
-        .collect();
     Ok(assemble_plan(
         spec,
-        Arc::new(sorted),
+        Arc::clone(&sorted),
         Arc::new(factors.clone()),
         mode,
-        rows,
-        order,
         budget,
         segments,
-        units,
+        |seg| SegmentStats::compute_range(&sorted, mode, seg.start..seg.end),
         config,
         kernel,
         &lay,

@@ -36,13 +36,14 @@ impl Pass for SlimFactors {
             return;
         }
         let mode_bytes = (plan.rows * plan.rank * 4) as u64;
-        rewrite_programs(plan, self.name(), |plan, _dev, ops| {
-            if mode_bytes == 0 || mode_bytes >= plan.factors_bytes {
+        let factors_bytes = plan.factors.byte_size() as u64;
+        rewrite_programs(plan, self.name(), |_, _, ops| {
+            if mode_bytes == 0 || mode_bytes >= factors_bytes {
                 return;
             }
             for op in ops.iter_mut() {
                 if let PlanOp::H2D { bytes, label, .. } = op {
-                    if &**label == "factors H2D" && *bytes >= plan.factors_bytes {
+                    if &**label == "factors H2D" && *bytes >= factors_bytes {
                         *bytes -= mode_bytes;
                     }
                 }

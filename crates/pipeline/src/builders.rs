@@ -6,8 +6,8 @@
 use crate::hybrid::HybridSplit;
 use crate::plan::PipelinePlan;
 use scalfrag_exec::{
-    op_label, DeviceOps, KernelChoice, Plan, PlanBuilder, PlanMeta, Reduce, ResidueWork, ShardDesc,
-    ShardWork, WorkUnit,
+    lower_program, op_label, DeviceOps, KernelChoice, Plan, PlanBuilder, PlanMeta, PlanOp, Reduce,
+    ResidueWork, ShardDesc, StreamRef, WorkUnit,
 };
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::{FactorSet, SegmentStats};
@@ -26,29 +26,37 @@ pub fn build_sync_plan(
 ) -> Plan {
     let rank = factors.rank();
     let rows = tensor.dims()[mode] as usize;
-    let order = tensor.order();
-    let factors_bytes = factors.byte_size() as u64;
     let out_bytes = (rows * rank * 4) as u64;
-    let tensor_bytes = tensor.byte_size() as u64;
     let units = vec![WorkUnit {
         shard: 0,
         segment: 0,
         seg: Segment { start: 0, end: tensor.nnz() },
-        alloc: None, // the prologue charged the whole tensor
-        h2d_label: "tensor H2D".into(),
-        kernel_label: "kernel".into(),
         stats: SegmentStats::compute(tensor, mode),
     }];
+    // The prologue charges the whole tensor, so the unit stages into it.
+    let program = lower_program(
+        factors,
+        &[
+            (factors.byte_size() as u64, "factors fit"),
+            (out_bytes, "output fits"),
+            (tensor.byte_size() as u64, "tensor fits"),
+        ],
+        1,
+        kernel.full_config(config, rank as u32),
+        &units,
+        None,
+        |_| ["tensor H2D".into(), "kernel".into()],
+        |_| None,
+        Some((out_bytes, "output D2H")),
+    );
     Plan {
         name: "scalfrag-sync",
         mode,
         rank,
         rows,
-        order,
         config,
         kernel,
         factors: Arc::new(factors.clone()),
-        factors_bytes,
         shards: vec![ShardDesc { index: 0, tensor: Arc::new(tensor.clone()), rows: None }],
         devices: vec![DeviceOps {
             device: 0,
@@ -56,15 +64,8 @@ pub fn build_sync_plan(
             worker_streams: 1,
             dedicated_d2h: false,
             residue: None,
-            prologue_allocs: vec![
-                (factors_bytes, "factors fit"),
-                (out_bytes, "output fits"),
-                (tensor_bytes, "tensor fits"),
-            ],
-            shard_work: vec![ShardWork { shard: 0, output_alloc: None, units: vec![0], d2h: None }],
             units,
-            final_d2h: Some((out_bytes, "output D2H")),
-            program: Vec::new(),
+            program,
         }],
         reduce: Reduce::Single,
         reduction_s: 0.0,
@@ -75,7 +76,6 @@ pub fn build_sync_plan(
             batch_jobs: 0,
         },
     }
-    .lowered()
 }
 
 /// Lowers the segmented pipeline of §IV-C over a *mode-sorted* tensor:
@@ -104,8 +104,6 @@ pub fn build_shared_pipelined_plan(
     let mode = plan.mode;
     let rank = factors.rank();
     let rows = tensor.dims()[mode] as usize;
-    let order = tensor.order();
-    let factors_bytes = factors.byte_size() as u64;
     let out_bytes = (rows * rank * 4) as u64;
     let units: Vec<WorkUnit> = plan
         .segments
@@ -115,23 +113,37 @@ pub fn build_shared_pipelined_plan(
             shard: 0,
             segment: i,
             seg: seg.clone(),
-            alloc: Some("segment buffer must fit"),
-            h2d_label: op_label(format_args!("seg{i} H2D ({} nnz)", seg.nnz())),
-            kernel_label: op_label(format_args!("seg{i} kernel")),
             stats: SegmentStats::compute_range(&tensor, mode, seg.start..seg.end),
         })
         .collect();
-    let unit_ids: Vec<usize> = (0..units.len()).collect();
+    let program = lower_program(
+        factors,
+        &[
+            (factors.byte_size() as u64, "factor matrices must fit on the device"),
+            (out_bytes, "output matrix must fit on the device"),
+        ],
+        plan.num_streams,
+        kernel.full_config(plan.config, rank as u32),
+        &units,
+        Some("segment buffer must fit"),
+        |u| {
+            let i = u.segment;
+            [
+                op_label(format_args!("seg{i} H2D ({} nnz)", u.seg.nnz())),
+                op_label(format_args!("seg{i} kernel")),
+            ]
+        },
+        |_| None,
+        Some((out_bytes, "output D2H")),
+    );
     Plan {
         name: "scalfrag-pipelined",
         mode,
         rank,
         rows,
-        order,
         config: plan.config,
         kernel,
         factors: Arc::new(factors.clone()),
-        factors_bytes,
         shards: vec![ShardDesc { index: 0, tensor, rows: None }],
         devices: vec![DeviceOps {
             device: 0,
@@ -139,19 +151,8 @@ pub fn build_shared_pipelined_plan(
             worker_streams: plan.num_streams,
             dedicated_d2h: false,
             residue: None,
-            prologue_allocs: vec![
-                (factors_bytes, "factor matrices must fit on the device"),
-                (out_bytes, "output matrix must fit on the device"),
-            ],
-            shard_work: vec![ShardWork {
-                shard: 0,
-                output_alloc: None,
-                units: unit_ids,
-                d2h: None,
-            }],
             units,
-            final_d2h: Some((out_bytes, "output D2H")),
-            program: Vec::new(),
+            program,
         }],
         reduce: Reduce::Single,
         reduction_s: 0.0,
@@ -166,12 +167,11 @@ pub fn build_shared_pipelined_plan(
             batch_jobs: 0,
         },
     }
-    .lowered()
 }
 
 /// Lowers the hybrid schedule of §I: the dense-slice bulk goes through
 /// the segmented pipeline, the sparse-slice tail becomes a `HostResidue`
-/// op folded concurrently on the host stream.
+/// op folded concurrently on the host stream, ahead of the device work.
 #[allow(clippy::too_many_arguments)]
 pub fn build_hybrid_plan(
     spec: &DeviceSpec,
@@ -190,12 +190,15 @@ pub fn build_hybrid_plan(
     if split.cpu_part.nnz() > 0 {
         let rank = factors.rank() as u32;
         let stats = SegmentStats::compute(&split.cpu_part, mode);
-        plan.devices[0].residue = Some(ResidueWork {
+        let label = "host tail MTTKRP";
+        let dev = &mut plan.devices[0];
+        dev.residue = Some(ResidueWork {
             tensor: Arc::new(split.cpu_part.clone()),
             flops: stats.flops(rank),
             bytes: stats.bytes_read(rank),
-            label: "host tail MTTKRP",
+            label,
         });
+        dev.program.insert(0, PlanOp::HostResidue { stream: StreamRef::Host, label });
     }
     plan.meta.segment_map = format!(
         "{} (host tail: {} nnz below threshold {})",
@@ -203,7 +206,7 @@ pub fn build_hybrid_plan(
         split.cpu_part.nnz(),
         split.threshold
     );
-    plan.lowered()
+    plan
 }
 
 /// Lowers the load-balanced segmented-scan schedule: the monolithic sync
@@ -304,43 +307,44 @@ pub fn lower_batched_plan(
     }
     let rank = factors.rank();
     let rows = dims[mode] as usize;
-    let order = dims.len();
-    let factors_bytes = factors.byte_size() as u64;
     let out_bytes = (rows * rank * 4) as u64;
     let worker_streams = streams.max(1).min(jobs.len());
 
     let mut units = Vec::with_capacity(jobs.len());
-    let mut shard_work = Vec::with_capacity(jobs.len());
     let mut shards = Vec::with_capacity(jobs.len());
     for (j, (job, stats)) in jobs.iter().enumerate() {
         let seg = Segment { start: 0, end: job.tensor.nnz() };
-        units.push(WorkUnit {
-            shard: j,
-            segment: 0,
-            alloc: Some("job tensor must fit"),
-            h2d_label: op_label(format_args!("job{} H2D ({} nnz)", job.id, seg.nnz())),
-            kernel_label: op_label(format_args!("job{} kernel", job.id)),
-            stats: *stats,
-            seg,
-        });
-        shard_work.push(ShardWork {
-            shard: j,
-            output_alloc: Some((out_bytes, "job output must fit")),
-            units: vec![j],
-            d2h: Some((out_bytes, op_label(format_args!("job{} output D2H", job.id)))),
-        });
+        units.push(WorkUnit { shard: j, segment: 0, seg, stats: *stats });
         shards.push(ShardDesc { index: j, tensor: Arc::clone(&job.tensor), rows: None });
     }
+    let program = lower_program(
+        &factors,
+        &[(factors.byte_size() as u64, "factor matrices must fit on the device")],
+        worker_streams,
+        kernel.full_config(config, rank as u32),
+        &units,
+        Some("job tensor must fit"),
+        |u| {
+            let id = jobs[u.shard].0.id;
+            [
+                op_label(format_args!("job{id} H2D ({} nnz)", u.seg.nnz())),
+                op_label(format_args!("job{id} kernel")),
+            ]
+        },
+        |j| {
+            let d2h = op_label(format_args!("job{} output D2H", jobs[j].0.id));
+            Some((out_bytes, "job output must fit", Some(d2h)))
+        },
+        None,
+    );
     Plan {
         name: "serve-batched",
         mode,
         rank,
         rows,
-        order,
         config,
         kernel,
         factors,
-        factors_bytes,
         shards,
         devices: vec![DeviceOps {
             device: 0,
@@ -348,11 +352,8 @@ pub fn lower_batched_plan(
             worker_streams,
             dedicated_d2h: true,
             residue: None,
-            prologue_allocs: vec![(factors_bytes, "factor matrices must fit on the device")],
             units,
-            shard_work,
-            final_d2h: None,
-            program: Vec::new(),
+            program,
         }],
         reduce: Reduce::PerJob,
         reduction_s: 0.0,
@@ -367,7 +368,6 @@ pub fn lower_batched_plan(
             batch_jobs: jobs.len(),
         },
     }
-    .lowered()
 }
 
 /// The batch-fused serving builder, registered separately so the

@@ -17,7 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Heap allocations a served job may cost: every `alloc`, `alloc_zeroed`
 /// and `realloc` call made on the serving thread, over completed jobs.
-const BUDGET: f64 = 45.0;
+/// The stream below reads 28.2; the budget leaves 3.8 (13 %) of headroom
+/// and only ever gets stricter.
+const BUDGET: f64 = 32.0;
 
 /// Forwards to the system allocator and counts the calls made while the
 /// calling thread's `COUNTING` flag is set.

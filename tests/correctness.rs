@@ -1,6 +1,7 @@
 //! Cross-crate correctness: every execution path of the stack must produce
 //! the same MTTKRP numbers as the sequential CPU reference.
 
+use scalfrag::exec::KernelChoice;
 use scalfrag::kernels::reference::mttkrp_seq;
 use scalfrag::kernels::{cpd_als, CpdOptions, CpuParallelBackend};
 use scalfrag::prelude::*;
@@ -58,7 +59,10 @@ fn all_ablations_agree_numerically() {
     let variants = [
         ScalFrag::builder().fixed_config(LaunchConfig::new(512, 128)).build(),
         ScalFrag::builder().fixed_config(LaunchConfig::new(512, 128)).pipelined(false).build(),
-        ScalFrag::builder().fixed_config(LaunchConfig::new(512, 128)).tiled_kernel(false).build(),
+        ScalFrag::builder()
+            .fixed_config(LaunchConfig::new(512, 128))
+            .kernel(KernelChoice::CooAtomic)
+            .build(),
         ScalFrag::builder()
             .fixed_config(LaunchConfig::new(512, 128))
             .hybrid(true)

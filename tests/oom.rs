@@ -184,7 +184,7 @@ fn registry_plan_streams_under_its_budget_with_frees_balanced() {
     // leak check inside the interpreter has already asserted no transient
     // slot survived.
     assert_eq!(mem.evictions + mem.frees, mem.prefetches);
-    assert_eq!(mem.staged_bytes, tensor.byte_size() as u64 + plan.factors_bytes);
+    assert_eq!(mem.staged_bytes, tensor.byte_size() as u64 + plan.factors.byte_size() as u64);
 }
 
 /// A program that allocates a transient staging slot and never frees it
