@@ -389,6 +389,9 @@ pub fn lower_program(
     mut shard_output: impl FnMut(usize) -> Option<(u64, &'static str, Option<Arc<str>>)>,
     final_d2h: Option<(u64, &'static str)>,
 ) -> Vec<PlanOp> {
+    // Each unit adds at most seven ops (a Free, an Alloc, its H2D and
+    // Launch, and its shard's Alloc, Barrier and D2H), so the program
+    // never regrows.
     let mut ops = Vec::with_capacity(prologue.len() + 4 + worker_streams + 7 * units.len());
     let mut next_slot = 0usize;
     for &(bytes, what) in prologue {
