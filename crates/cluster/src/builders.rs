@@ -84,7 +84,6 @@ pub struct NodePlacement {
     /// Each shard's owned row bounds, in shard-index order.
     shard_rows: Vec<Option<(Idx, Idx)>>,
     scheduler: DeviceScheduler,
-    rank: usize,
     rows: usize,
     factors: Arc<FactorSet>,
     /// The full launch configuration of every kernel.
@@ -99,7 +98,8 @@ impl NodePlacement {
     /// shard's partial D2H on the dedicated return stream (absent under
     /// peer reduction).
     fn lower_share(&self, units: &[WorkUnit]) -> Vec<PlanOp> {
-        let out_bytes = (self.rows * self.rank * 4) as u64;
+        let rank = self.factors.rank();
+        let out_bytes = (self.rows * rank * 4) as u64;
         lower_program(
             &self.factors,
             &[(self.factors.byte_size() as u64, "factor matrices must fit on each device")],
@@ -115,7 +115,7 @@ impl NodePlacement {
                 ]
             },
             |si| {
-                let bytes = shard_output_bytes(self.shard_rows[si], self.rank, out_bytes);
+                let bytes = shard_output_bytes(self.shard_rows[si], rank, out_bytes);
                 let d2h = (!self.peer_reduce).then(|| op_label(format_args!("shard{si} D2H")));
                 Some((bytes, "shard output must fit", d2h))
             },
@@ -133,11 +133,11 @@ impl ClusterPolicy for NodePlacement {
     }
 
     fn speed_proxy(&self, d: usize) -> f64 {
-        self.node.device_speed_proxy(d, self.rank)
+        self.node.device_speed_proxy(d, self.factors.rank())
     }
 
     fn reduction_s(&self, assignment: &[Vec<usize>]) -> f64 {
-        reduction_seconds(&self.node, &self.shard_rows, assignment, self.rows, self.rank)
+        reduction_seconds(&self.node, &self.shard_rows, assignment, self.rows, self.factors.rank())
     }
 
     fn rescue(&self, units: &[WorkUnit]) -> Vec<PlanOp> {
@@ -165,7 +165,6 @@ pub fn build_cluster_plan(
         node: node.clone(),
         shard_rows: shards.iter().map(|s| s.rows).collect(),
         scheduler: opts.scheduler,
-        rank,
         rows,
         factors: Arc::clone(&factors),
         launch: opts.kernel.full_config(opts.config, rank as u32),

@@ -99,8 +99,8 @@ const SLOT_FACTORS: usize = 0;
 const SLOT_OUTPUT: usize = 1;
 const SLOT_STAGE: usize = 2;
 
-/// Assembles the double-buffered op program over the units' segments.
-/// Segment `i` runs on worker stream `i % 2` in staging slot
+/// Assembles the double-buffered op program over the units' segments,
+/// rendering each segment's prefetch and kernel labels. Segment `i` runs on worker stream `i % 2` in staging slot
 /// `SLOT_STAGE + i % 2`; before its `Prefetch`, segment `i - 2` (the
 /// slot's previous occupant, whose kernel the stream's FIFO has already
 /// drained past) is evicted clean — MTTKRP segments are read-only, so no
