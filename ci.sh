@@ -4,13 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# The benchmark build may refresh the tracked perfbench/Cargo.lock, and the
+# The benchmark build may refresh the tracked perfbench/Cargo.lock, the
 # smoke steps below rewrite the measured numbers in the tracked
-# results/BENCH_*.json files. Their tracked copies go back on exit, so the
-# gate leaves the tree as it found it; the `test -s` checks run before that.
+# results/BENCH_*.json files, and the exhibit harnesses rewrite the tracked
+# results/*.svg figures. Their tracked copies go back on exit, so the gate
+# leaves the tree as it found it; the checks on them run before that.
 saved=$(mktemp -d)
-cp --parents perfbench/Cargo.lock results/BENCH_*.json "$saved"
-trap 'cp -r "$saved"/. .; rm -rf "$saved"' EXIT
+exhibits=$(mktemp -d)
+cp --parents perfbench/Cargo.lock results/BENCH_*.json results/*.svg "$saved"
+trap 'cp -r "$saved"/. .; rm -rf "$saved" "$exhibits"' EXIT
 
 echo "==> Rust line counts (report only, never fails)"
 # The two counts the ROADMAP's simplicity gates read: every .rs line in
@@ -117,6 +119,22 @@ cargo test --workspace -q
 
 echo "==> compile-check examples"
 cargo build --release --examples
+
+echo "==> exhibits (each deterministic figure harness reprints its results/ file)"
+# The simulator is deterministic, so each harness's stdout must equal its
+# committed results/<name>.txt byte for byte, and the figures it rewrites
+# must equal the committed results/*.svg. results/README.md names the
+# harnesses that stay manual (wall-clock columns or minutes of runtime).
+for name in table2 table3 fig4_heatmap fig5_breakdown fig9_kernel fig10_e2e \
+    fig11_segments_streams format_compare; do
+    cargo run --release -q -p scalfrag-bench --bin "$name" >"$exhibits/$name.txt"
+    if ! cmp -s "$exhibits/$name.txt" "results/$name.txt"; then
+        echo "$name: stdout differs from results/$name.txt"
+        diff "results/$name.txt" "$exhibits/$name.txt" || true
+        exit 1
+    fi
+done
+git diff --exit-code -- 'results/*.svg'
 
 echo "==> serving-layer smoke test (batch fusion >=1.5x + snapshot warm start; writes results/BENCH_serve.json)"
 cargo run --release -q -p scalfrag-bench --bin serve_load -- --smoke
