@@ -56,23 +56,59 @@ for toml in crates/*/Cargo.toml; do
 done
 test "$unused" -eq 0
 
-echo "==> public functions nothing names"
-# Every `pub fn` of crates/*/src and src/ must be named (as a word)
-# somewhere in the workspace or the benchmark, on a line that is neither
-# a `//` comment nor a `fn` line of that name. Each grep's output goes
-# into a variable: a pipe into `grep -q` can fail the producer with
-# SIGPIPE under pipefail.
-unnamed=0
-names=$(grep -rhoE --include='*.rs' 'pub fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src src | sort -u)
-for name in ${names//pub fn /}; do
-    uses=$(grep -rhw --include='*.rs' -- "$name" crates src tests examples shims perfbench/src || true)
-    named=$(grep -vE "^[[:space:]]*//|fn[[:space:]]+$name\b" <<<"$uses" || true)
-    if [ -z "$named" ]; then
-        echo "pub fn $name is never named outside comments and its own definition"
-        unnamed=1
-    fi
-done
-test "$unnamed" -eq 0
+echo "==> public functions only their own unit tests name"
+# Every `pub fn` of crates/*/src and src/ (outside unit tests) must be
+# named, as a word, somewhere in the workspace or the benchmark on a line
+# that counts as a use. A line does not count when it is a `//` comment,
+# part of a `pub use` statement, or in the unit tests of a file that
+# defines the name (past its first top-level #[cfg(test)]); nor does the
+# name right after `fn`. A function re-exported as `pub use a as b` is
+# looked for under `b`. The first pass collects the names, their
+# defining files and the aliases; the second looks for uses.
+rs_files=$(find crates src tests examples shims perfbench/src -name '*.rs' | sort)
+# shellcheck disable=SC2086 # the file list is meant to split
+unnamed=$(awk '
+    FNR == 1 { tail = 0; reexport = 0; lib = FILENAME ~ /^(crates\/[^\/]+\/)?src\// }
+    /^#\[cfg\(test\)\]/ { tail = 1 }
+    /^[[:space:]]*pub(\([a-z]+\))? use / { reexport = 1 }
+    reexport {
+        for (s = $0; pass == 1 && match(s, /[A-Za-z_][A-Za-z0-9_]* as [A-Za-z_][A-Za-z0-9_]*/);
+             s = substr(s, RSTART + RLENGTH)) {
+            split(substr(s, RSTART, RLENGTH), w, " as ")
+            alias[w[2]] = w[1]
+        }
+        if (/;/) reexport = 0
+        next
+    }
+    /^[[:space:]]*\/\// { next }
+    pass == 1 {
+        for (s = $0; lib && !tail && match(s, /pub fn [A-Za-z_][A-Za-z0-9_]*/);
+             s = substr(s, RSTART + RLENGTH)) {
+            n = substr(s, RSTART + 7, RLENGTH - 7)
+            public[n] = 1
+            defined[n, FILENAME] = 1
+        }
+        next
+    }
+    {
+        split("", def)
+        for (s = $0; match(s, /fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/); s = substr(s, RSTART + RLENGTH)) {
+            split(substr(s, RSTART, RLENGTH), w, /[[:space:]]+/)
+            def[w[2]] = 1
+        }
+        k = split($0, tok, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= k; i++) {
+            n = (tok[i] in alias) ? alias[tok[i]] : tok[i]
+            if ((n in public) && !(tok[i] in def) && !(tail && (n, FILENAME) in defined))
+                used[n] = 1
+        }
+    }
+    END { for (n in public) if (!(n in used)) print "pub fn " n " is named only by its definition, a pub use or its own unit tests" }
+' pass=1 $rs_files pass=2 $rs_files | sort)
+if [ -n "$unnamed" ]; then
+    echo "$unnamed"
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release

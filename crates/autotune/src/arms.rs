@@ -46,8 +46,6 @@
 //! re-sorts. Otherwise the verdict is the tiled baseline.
 
 use crate::sweep::KernelFlavor;
-use scalfrag_gpusim::{kernel_duration, DeviceSpec, LaunchConfig};
-use scalfrag_kernels::SegmentStats;
 use scalfrag_tensor::FeatureKey;
 
 /// Skew guard: minimum `gini_bucket` (eighths of the slice-population
@@ -102,37 +100,6 @@ pub fn predict_arm(key: &FeatureKey, objective: MttkrpObjective) -> ArmVerdict {
     ArmVerdict { flavor: KernelFlavor::Tiled, reason: "tiled-baseline" }
 }
 
-/// Ground truth for the threshold rule: the argmin of the gpusim cost
-/// model over the single-mode arms at one launch configuration.
-///
-/// The mode-agnostic arm is excluded — its value is the avoided re-tiling
-/// across modes, which a single-mode duration cannot see.
-pub fn modelled_best_arm(
-    device: &DeviceSpec,
-    stats: &SegmentStats,
-    rank: u32,
-    base: LaunchConfig,
-) -> (KernelFlavor, f64) {
-    [KernelFlavor::CooAtomic, KernelFlavor::Tiled, KernelFlavor::Balanced]
-        .into_iter()
-        .map(|f| {
-            let cfg = f.config(base, rank);
-            let w = match f {
-                KernelFlavor::CooAtomic => {
-                    scalfrag_kernels::workload::coo_atomic_workload(stats, rank)
-                }
-                KernelFlavor::Tiled => {
-                    scalfrag_kernels::workload::tiled_workload(stats, rank, cfg.block)
-                }
-                KernelFlavor::Balanced => scalfrag_balance::balanced_workload(stats, rank),
-                KernelFlavor::ModeAgnostic => unreachable!(),
-            };
-            (f, kernel_duration(device, &cfg, &w).total)
-        })
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        .unwrap()
-}
-
 /// Minimum modelled transfer speedup before the serving layer prefers a
 /// batch-fused dispatch over solo dispatches. Below this the fused plan's
 /// extra formation wait buys nothing measurable.
@@ -174,7 +141,27 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
+    use scalfrag_kernels::SegmentStats;
     use scalfrag_tensor::{gen, CooTensor};
+
+    /// Ground truth for the threshold rule: the argmin of the gpusim cost
+    /// model over the single-mode arms at one launch configuration.
+    ///
+    /// The mode-agnostic arm is excluded — its value is the avoided
+    /// re-tiling across modes, which a single-mode duration cannot see.
+    fn modelled_best_arm(
+        device: &DeviceSpec,
+        stats: &SegmentStats,
+        rank: u32,
+        base: LaunchConfig,
+    ) -> (KernelFlavor, f64) {
+        [KernelFlavor::CooAtomic, KernelFlavor::Tiled, KernelFlavor::Balanced]
+            .into_iter()
+            .map(|f| (f, f.duration(device, stats, rank, base)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .unwrap()
+    }
 
     /// A dominant slice (pct % of nnz in one mode-0 row) over a uniform
     /// sparse tail — the corpus `one-fiber-heavy` / `dense-slice` regime.

@@ -41,14 +41,14 @@ pub mod tuner;
 pub mod validate;
 
 pub use arms::{
-    batched_transfer_speedup, modelled_best_arm, predict_arm, prefer_batched, ArmVerdict,
-    MttkrpObjective, BATCH_SPEEDUP_GATE,
+    batched_transfer_speedup, predict_arm, prefer_batched, ArmVerdict, MttkrpObjective,
+    BATCH_SPEEDUP_GATE,
 };
 pub use boost::AdaBoostR2;
 pub use forest::BaggingForest;
 pub use importance::{tree_importance, FeatureImportance};
 pub use knn::KnnRegressor;
-pub use metrics::{mae, mape, r2, rmse};
+pub use metrics::{mape, r2};
 pub use predictor::{LaunchPredictor, TrainedPredictor, TRAIN_SEED};
 pub use ridge::RidgeRegression;
 pub use sweep::{sweep_tensor, SweepResult};

@@ -11,19 +11,6 @@ pub fn mape(truth: &[f64], pred: &[f64]) -> f64 {
         / truth.len() as f64
 }
 
-/// Mean absolute error.
-pub fn mae(truth: &[f64], pred: &[f64]) -> f64 {
-    check(truth, pred);
-    truth.iter().zip(pred).map(|(&t, &p)| (t - p).abs()).sum::<f64>() / truth.len() as f64
-}
-
-/// Root mean squared error.
-pub fn rmse(truth: &[f64], pred: &[f64]) -> f64 {
-    check(truth, pred);
-    (truth.iter().zip(pred).map(|(&t, &p)| (t - p).powi(2)).sum::<f64>() / truth.len() as f64)
-        .sqrt()
-}
-
 /// Coefficient of determination `R²` (1 = perfect, 0 = mean predictor,
 /// negative = worse than the mean).
 pub fn r2(truth: &[f64], pred: &[f64]) -> f64 {
@@ -55,8 +42,6 @@ mod tests {
     fn perfect_predictions() {
         let t = [1.0, 2.0, 4.0];
         assert_eq!(mape(&t, &t), 0.0);
-        assert_eq!(mae(&t, &t), 0.0);
-        assert_eq!(rmse(&t, &t), 0.0);
         assert_eq!(r2(&t, &t), 1.0);
     }
 
@@ -65,9 +50,7 @@ mod tests {
         let t = [2.0, 4.0];
         let p = [1.0, 5.0];
         assert!((mape(&t, &p) - 37.5).abs() < 1e-12); // (50% + 25%)/2
-        assert!((mae(&t, &p) - 1.0).abs() < 1e-12);
-        assert!((rmse(&t, &p) - 1.0).abs() < 1e-12);
-        // ss_tot = 2, ss_res = 2 -> r2 = 0
+                                                      // ss_tot = 2, ss_res = 2 -> r2 = 0
         assert!(r2(&t, &p).abs() < 1e-12);
     }
 
@@ -81,7 +64,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        let _ = mae(&[1.0], &[1.0, 2.0]);
+        let _ = mape(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl DecisionTree {
         Self { max_depth, min_samples_split, nodes }
     }
 
-    /// Number of leaves of the fitted tree.
-    pub fn num_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| matches!(n, Node::Leaf(_))).count()
-    }
-
     fn build(&mut self, x: &[Vec<f64>], y: &[f64], idx: &mut [usize], depth: usize) -> usize {
         let mean = idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64;
         if depth >= self.max_depth || idx.len() < self.min_samples_split {
@@ -184,6 +179,10 @@ impl Regressor for DecisionTree {
 mod tests {
     use super::*;
 
+    fn leaves(t: &DecisionTree) -> usize {
+        t.nodes.iter().filter(|n| matches!(n, Node::Leaf(_))).count()
+    }
+
     fn grid_xy(f: impl Fn(f64, f64) -> f64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut x = Vec::new();
         let mut y = Vec::new();
@@ -204,7 +203,7 @@ mod tests {
         t.fit(&x, &y);
         assert_eq!(t.predict(&[2.0, 7.0]), 1.0);
         assert_eq!(t.predict(&[8.0, 1.0]), 3.0);
-        assert!(t.num_leaves() <= 4, "a single split suffices");
+        assert!(leaves(&t) <= 4, "a single split suffices");
     }
 
     #[test]
@@ -225,7 +224,7 @@ mod tests {
         let y = vec![1.0, 2.0, 6.0];
         let mut t = DecisionTree::new(0, 2);
         t.fit(&x, &y);
-        assert_eq!(t.num_leaves(), 1);
+        assert_eq!(leaves(&t), 1);
         assert!((t.predict(&[5.0]) - 3.0).abs() < 1e-12);
     }
 
@@ -235,7 +234,7 @@ mod tests {
         let y = vec![7.0; 10];
         let mut t = DecisionTree::default_params();
         t.fit(&x, &y);
-        assert_eq!(t.num_leaves(), 1);
+        assert_eq!(leaves(&t), 1);
         assert_eq!(t.predict(&[100.0]), 7.0);
     }
 
@@ -256,7 +255,7 @@ mod tests {
         small.fit(&x, &y);
         let mut big = DecisionTree::new(20, 100);
         big.fit(&x, &y);
-        assert!(big.num_leaves() < small.num_leaves());
+        assert!(leaves(&big) < leaves(&small));
     }
 
     #[test]

@@ -63,12 +63,6 @@ impl PhaseTiming {
         self
     }
 
-    /// Returns `self` with the batch-formation wait filled in.
-    pub fn with_batch_wait(mut self, batch_wait_s: f64) -> Self {
-        self.batch_wait_s = batch_wait_s;
-        self
-    }
-
     /// Sum of all busy phases — H2D + kernel + D2H + host. Every phase is
     /// accounted for here; queue wait is idle time and deliberately not
     /// part of the sum.
@@ -307,7 +301,7 @@ mod tests {
     fn batch_wait_extends_total_but_not_busy() {
         let t =
             Timeline { spans: vec![span(Engine::H2D, 0.0, 2.0), span(Engine::Compute, 2.0, 3.0)] };
-        let p = PhaseTiming::from_timeline(&t).with_queue(1.0).with_batch_wait(0.5);
+        let p = PhaseTiming { batch_wait_s: 0.5, ..PhaseTiming::from_timeline(&t).with_queue(1.0) };
         assert_eq!(p.batch_wait_s, 0.5);
         assert_eq!(p.busy_s(), 3.0, "batch wait is idle time, not busy time");
         assert_eq!(p.total_s, 3.0, "makespan excludes the batch wait");

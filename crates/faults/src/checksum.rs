@@ -1,4 +1,4 @@
-//! FNV-1a fingerprints over tensors, matrices and raw value buffers.
+//! FNV-1a fingerprints over tensors and matrices.
 //!
 //! Two roles: (1) the ECC-style *detection* mechanism — a faulted plan
 //! run conceptually checksums every transfer, and the simulated
@@ -17,15 +17,6 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Fingerprint of a raw f32 buffer (bit-exact: hashes `to_bits`).
-pub fn buffer_checksum(values: &[f32]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &(values.len() as u64).to_le_bytes());
-    for v in values {
-        h = fnv1a(h, &v.to_bits().to_le_bytes());
     }
     h
 }
@@ -59,14 +50,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buffer_checksum_is_bit_sensitive() {
-        let a = buffer_checksum(&[1.0, 2.0, 3.0]);
-        assert_eq!(a, buffer_checksum(&[1.0, 2.0, 3.0]));
-        assert_ne!(a, buffer_checksum(&[1.0, 2.0, 3.0000002]));
-        assert_ne!(a, buffer_checksum(&[1.0, 2.0]));
+    fn mat_checksum_is_bit_sensitive() {
+        let row = |v: &[f32]| mat_checksum(&Mat::from_vec(1, v.len(), v.to_vec()));
+        let a = row(&[1.0, 2.0, 3.0]);
+        assert_eq!(a, row(&[1.0, 2.0, 3.0]));
+        assert_ne!(a, row(&[1.0, 2.0, 3.0000002]), "a one-ulp change");
+        assert_ne!(a, row(&[1.0, 2.0]));
         // 0.0 and -0.0 are distinct bit patterns: a corruption flipping
         // only the sign bit must still be caught.
-        assert_ne!(buffer_checksum(&[0.0]), buffer_checksum(&[-0.0]));
+        assert_ne!(row(&[0.0]), row(&[-0.0]));
     }
 
     #[test]

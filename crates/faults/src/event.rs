@@ -25,14 +25,6 @@ pub enum FaultKind {
     Straggler { derate: f64 },
 }
 
-impl FaultKind {
-    /// Whether a single retry (or waiting out the downtime) can recover
-    /// from this fault without moving work to another device.
-    pub fn is_recoverable_in_place(&self) -> bool {
-        !matches!(self, FaultKind::DeviceFail { down_s: None })
-    }
-}
-
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -60,9 +52,6 @@ pub enum RecoveryAction {
     /// The serve scheduler put a job back in the queue (device failed at
     /// or during its service).
     Requeue { job: u64 },
-    /// CPD-ALS rolled factors back to the checkpoint taken after
-    /// `to_sweep` completed sweeps.
-    Rollback { to_sweep: usize },
 }
 
 impl fmt::Display for RecoveryAction {
@@ -73,9 +62,6 @@ impl fmt::Display for RecoveryAction {
                 write!(f, "re-place shard {shard}: device {from_device} -> {to_device}")
             }
             RecoveryAction::Requeue { job } => write!(f, "requeue job {job}"),
-            RecoveryAction::Rollback { to_sweep } => {
-                write!(f, "roll back to checkpoint at sweep {to_sweep}")
-            }
         }
     }
 }
@@ -119,14 +105,6 @@ impl FaultLog {
     /// Number of recovery actions recorded.
     pub fn recoveries(&self) -> usize {
         self.records.iter().filter(|r| matches!(r.entry, LogEntry::Recovered { .. })).count()
-    }
-
-    /// Injected fault kinds, in observation order.
-    pub fn injected_kinds(&self) -> impl Iterator<Item = &FaultKind> {
-        self.records.iter().filter_map(|r| match &r.entry {
-            LogEntry::Injected { kind, .. } => Some(kind),
-            LogEntry::Recovered { .. } => None,
-        })
     }
 
     /// Order-sensitive, bit-stable fingerprint of the whole trace
@@ -199,7 +177,6 @@ mod tests {
         let log = sample_log();
         assert_eq!(log.injected(), 1);
         assert_eq!(log.recoveries(), 1);
-        assert_eq!(log.injected_kinds().collect::<Vec<_>>(), [&FaultKind::TransferCorruption]);
     }
 
     #[test]
@@ -212,14 +189,6 @@ mod tests {
         c.records[0].sim_time_s = 0.5000001;
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert_eq!(a.fingerprint(), sample_log().fingerprint());
-    }
-
-    #[test]
-    fn recoverability_classification() {
-        assert!(FaultKind::DeviceFail { down_s: Some(1e-3) }.is_recoverable_in_place());
-        assert!(!FaultKind::DeviceFail { down_s: None }.is_recoverable_in_place());
-        assert!(FaultKind::TransferCorruption.is_recoverable_in_place());
-        assert!(FaultKind::Straggler { derate: 2.0 }.is_recoverable_in_place());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   a typed [`OpVerdict`]; schedulers poll [`FaultInjector::health_at`]
 //!   for device state ([`DeviceHealth`]). Same plan + same execution ⇒
 //!   identical verdicts and an identical log.
-//! * **Checksums** ([`checksum`]) — FNV-1a fingerprints of tensors,
-//!   matrices and raw buffers: the detection mechanism for transfer
+//! * **Checksums** ([`checksum`]) — FNV-1a fingerprints of tensors and
+//!   matrices: the detection mechanism for transfer
 //!   corruption and the "zero numeric drift" witness used by the
 //!   `fault_storm` bench and the recovery property tests.
 //!
@@ -29,15 +29,14 @@
 //! Executors decide what a verdict means (charge the op and retry, stall
 //! for backoff, re-place work), which keeps timing policy reviewable in
 //! one place per layer — the `scalfrag-exec` interpreter retries ops and
-//! re-places a dead device's units, `scalfrag-serve` requeues jobs,
-//! `scalfrag-kernels` rolls CPD-ALS back to a checkpoint.
+//! re-places a dead device's units, and `scalfrag-serve` requeues jobs.
 
 pub mod checksum;
 pub mod event;
 pub mod injector;
 pub mod plan;
 
-pub use checksum::{buffer_checksum, mat_checksum, tensor_checksum};
+pub use checksum::{mat_checksum, tensor_checksum};
 pub use event::{FaultKind, FaultLog, LogEntry, LogRecord, RecoveryAction};
 pub use injector::{DeviceHealth, FaultInjector, OpClass, OpVerdict};
 pub use plan::{FaultPlan, FaultTrigger, ScheduledFault};

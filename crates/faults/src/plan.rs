@@ -57,12 +57,6 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Whether every scheduled fault is recoverable without abandoning the
-    /// device (i.e. no permanent `DeviceFail`).
-    pub fn is_recoverable(&self) -> bool {
-        self.faults.iter().all(|f| f.kind.is_recoverable_in_place())
-    }
-
     /// Draws a whole fault storm from one seed: per device, operation gaps
     /// follow a geometric-ish law with mean `mean_ops_between_faults`
     /// (the MTBF knob, in operations), truncated at `horizon_ops`. Fault
@@ -128,17 +122,6 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert_eq!(p.faults[0].device, 0);
         assert_eq!(p.faults[1].trigger, FaultTrigger::AtTime(0.5));
-        assert!(p.is_recoverable());
-    }
-
-    #[test]
-    fn permanent_failure_marks_plan_unrecoverable() {
-        let p = FaultPlan::new().fault(
-            0,
-            FaultTrigger::AtOp(1),
-            FaultKind::DeviceFail { down_s: None },
-        );
-        assert!(!p.is_recoverable());
     }
 
     #[test]
@@ -155,7 +138,9 @@ mod tests {
     fn recoverable_storms_never_schedule_permanent_failures() {
         for seed in 0..16u64 {
             let p = FaultPlan::seeded_storm(seed, 4, 4, 128, true);
-            assert!(p.is_recoverable(), "seed {seed} produced a permanent failure");
+            let permanent =
+                p.faults.iter().any(|f| f.kind == FaultKind::DeviceFail { down_s: None });
+            assert!(!permanent, "seed {seed} produced a permanent failure");
         }
     }
 

@@ -174,15 +174,6 @@ pub fn kernel_duration(
     }
 }
 
-/// Achieved GFLOP/s of a workload executed in `seconds`.
-pub fn gflops(w: &KernelWorkload, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        0.0
-    } else {
-        w.flops as f64 / seconds / 1e9
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,11 +318,43 @@ mod tests {
     }
 
     #[test]
-    fn gflops_inverse_of_time() {
-        let w = wl();
-        let g = gflops(&w, 1e-3);
-        assert!((g - w.flops as f64 / 1e-3 / 1e9).abs() < 1e-9);
-        assert_eq!(gflops(&w, 0.0), 0.0);
+    fn the_binding_roof_follows_the_workload() {
+        let d = dev();
+        let cfg = LaunchConfig::new(4096, 256);
+        let memory_bound = KernelWorkload {
+            work_items: 1_000_000,
+            bytes_read: 500_000_000,
+            flops: 1_000,
+            ..KernelWorkload::empty()
+        };
+        let b = kernel_duration(&d, &cfg, &memory_bound);
+        assert!(b.t_mem > b.t_compute.max(b.t_atomic).max(b.t_serial), "{b:?}");
+        let compute_bound = KernelWorkload {
+            work_items: 1_000_000,
+            bytes_read: 1_000,
+            flops: 50_000_000_000,
+            ..KernelWorkload::empty()
+        };
+        let b = kernel_duration(&d, &cfg, &compute_bound);
+        assert!(b.t_compute > b.t_mem.max(b.t_atomic).max(b.t_serial), "{b:?}");
+    }
+
+    #[test]
+    fn no_launch_beats_the_device_peaks() {
+        let d = dev();
+        let w = KernelWorkload {
+            work_items: 10_000_000,
+            bytes_read: 2_000_000_000,
+            flops: 1_000_000_000,
+            atomic_ops: 10_000_000,
+            ..KernelWorkload::empty()
+        };
+        let bytes = (w.bytes_read + w.bytes_written) as f64;
+        for cfg in LaunchConfig::sweep_space(&d).iter().step_by(7) {
+            let t = kernel_duration(&d, cfg, &w).total;
+            assert!(bytes / t <= d.mem_bandwidth_gbs * 1e9 * (1.0 + 1e-9), "{cfg}");
+            assert!(w.flops as f64 / t <= d.peak_gflops() * 1e9 * (1.0 + 1e-9), "{cfg}");
+        }
     }
 
     #[test]

@@ -143,19 +143,6 @@ impl Gpu {
         self.enqueue(stream, Some(label.into()), OpPayload::Copy { bytes, h2d: true }, None)
     }
 
-    /// Enqueues an H2D copy that also runs `f` when it resolves (e.g. to
-    /// stage data into a device-side mirror buffer).
-    pub fn h2d_exec(
-        &mut self,
-        stream: StreamId,
-        bytes: u64,
-        label: impl Into<Arc<str>>,
-        f: impl FnOnce() + Send + 'static,
-    ) -> OpId {
-        let label = Some(label.into());
-        self.enqueue(stream, label, OpPayload::Copy { bytes, h2d: true }, Some(Box::new(f)))
-    }
-
     /// Enqueues an asynchronous device→host copy of `bytes`.
     pub fn d2h(&mut self, stream: StreamId, bytes: u64, label: impl Into<Arc<str>>) -> OpId {
         self.enqueue(stream, Some(label.into()), OpPayload::Copy { bytes, h2d: false }, None)
@@ -331,16 +318,6 @@ impl Gpu {
         self.pending = pending;
         batch
     }
-
-    /// Clears the simulated clock while keeping streams and memory
-    /// accounting (start a fresh experiment on a warm device). Events
-    /// recorded before the reset can no longer be waited on.
-    pub fn reset_clock(&mut self) {
-        assert!(self.pending.is_empty(), "cannot reset with pending operations");
-        self.stream_ready.fill(0.0);
-        self.engine_ready = [0.0; 4];
-        self.event_time.fill(f64::NAN);
-    }
 }
 
 #[cfg(test)]
@@ -445,7 +422,7 @@ mod tests {
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
 
         let l = Arc::clone(&log);
-        g.h2d_exec(s0, 1000, "copy", move || l.lock().push("h2d"));
+        g.host_task(s0, 1000, 1000, "stage", move || l.lock().push("host"));
         let ev = g.record_event(s0);
         g.wait_event(s1, ev);
         let l = Arc::clone(&log);
@@ -453,7 +430,7 @@ mod tests {
             l.lock().push("kernel")
         });
         g.synchronize();
-        assert_eq!(*log.lock(), vec!["h2d", "kernel"]);
+        assert_eq!(*log.lock(), vec!["host", "kernel"]);
     }
 
     #[test]
@@ -487,10 +464,6 @@ mod tests {
         assert_eq!(t2.spans.len(), 1);
         // Second batch continues after the first on the same clock.
         assert!(t2.spans[0].start >= t1.spans[0].end - 1e-15);
-        g.reset_clock();
-        assert_eq!(g.clock(), 0.0);
-        g.h2d(s, 1_000_000, "c");
-        assert_eq!(g.synchronize().spans[0].start, 0.0, "a reset clock starts over");
     }
 
     #[test]

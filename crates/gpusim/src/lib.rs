@@ -35,7 +35,6 @@ pub mod gpu;
 pub mod launch;
 pub mod memory;
 pub mod occupancy;
-pub mod profiler;
 pub mod racecheck;
 pub mod timeline;
 pub mod trace;
@@ -46,7 +45,6 @@ pub use gpu::{EventId, Gpu, OpId, StreamId};
 pub use launch::LaunchConfig;
 pub use memory::{size_class, Allocation, MemStats, MemoryPool, OutOfMemory, MIN_CLASS_BYTES};
 pub use occupancy::{occupancy, Limiter, Occupancy};
-pub use profiler::{analyze_kernel, profile, KernelAnalysis, LabelStats, Profile};
 pub use racecheck::{
     block_of_item, grid_stride_thread, AccessKind, AccessLog, AddrSpace, RaceConflict, RaceReport,
     SimThread,

@@ -106,17 +106,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Internal fragmentation: page bytes live allocations hold beyond
-    /// what was requested (the cost of reusing larger pooled pages).
-    pub fn internal_frag_bytes(&self) -> u64 {
-        self.in_use - self.requested
-    }
-
-    /// Bytes sitting in class free lists (reserved but reusable).
-    pub fn pooled_free_bytes(&self) -> u64 {
-        self.reserved - self.in_use
-    }
-
     /// Memory pressure in `[0, 1]`: fraction of capacity reserved.
     pub fn pressure(&self) -> f64 {
         if self.capacity == 0 {
@@ -339,7 +328,7 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.reuses, 1);
         assert_eq!(s.carves, 1);
-        assert_eq!(s.internal_frag_bytes(), 100, "reused page is 100 B over");
+        assert_eq!(s.in_use - s.requested, 100, "reused page is 100 B over");
         pool.free(b);
         // Different class: a tiny request must not squat the 400 B page.
         let c = pool.alloc(64).unwrap();
@@ -378,7 +367,8 @@ mod tests {
         // best-fits into the pooled 1000 B page despite the class gap.
         let b = pool.alloc(200).unwrap();
         assert_eq!(b.page_bytes(), 1_000);
-        assert_eq!(pool.stats().internal_frag_bytes(), 800);
+        let s = pool.stats();
+        assert_eq!(s.in_use - s.requested, 800);
         pool.free(b);
         // A request bigger than any pooled page only fits once the
         // pooled 1000 B page is trimmed back to capacity.
@@ -399,13 +389,13 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.requested, 300);
         assert_eq!(s.in_use, 512);
-        assert_eq!(s.internal_frag_bytes(), 212);
-        assert_eq!(s.pooled_free_bytes(), 0);
+        assert_eq!(s.in_use - s.requested, 212, "internal fragmentation");
+        assert_eq!(s.reserved - s.in_use, 0, "nothing pooled");
         assert!(s.pressure() > 0.0 && s.pressure() < 1.0);
         pool.free(b);
         let s = pool.stats();
-        assert_eq!(s.pooled_free_bytes(), 512);
-        assert_eq!(s.internal_frag_bytes(), 0);
+        assert_eq!(s.reserved - s.in_use, 512, "the page is pooled");
+        assert_eq!(s.in_use - s.requested, 0);
     }
 
     #[test]
@@ -481,6 +471,6 @@ mod tests {
         assert_eq!(st.carves, 2, "a steady-state stream carves once per slot");
         assert_eq!(st.reuses, 62);
         assert_eq!(st.peak_in_use, 200_000);
-        assert_eq!(st.internal_frag_bytes(), 0);
+        assert_eq!(st.in_use - st.requested, 0);
     }
 }

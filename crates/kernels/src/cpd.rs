@@ -8,7 +8,6 @@
 //! convergence, computed without ever materialising `X̂`.
 
 use crate::backend::MttkrpBackend;
-use crate::checkpoint::{FallibleMttkrpBackend, MttkrpFailure, Reliable};
 use crate::factors::FactorSet;
 use scalfrag_linalg::{gram, hadamard_assign, matmul, pinv_spd, Mat};
 use scalfrag_tensor::CooTensor;
@@ -66,13 +65,11 @@ pub fn cpd_als(
     assert!(opts.rank > 0 && opts.max_iters > 0, "rank and max_iters must be positive");
     let mut factors = FactorSet::random(tensor.dims(), opts.rank, opts.seed);
     let norm_x_sq = tensor_norm_sq(tensor);
-    let mut reliable = Reliable(backend);
 
     let mut fits = Vec::new();
     let mut iters = 0;
     for _sweep in 0..opts.max_iters {
-        let fit = als_sweep(tensor, &mut factors, opts, norm_x_sq, &mut reliable)
-            .expect("a Reliable backend never fails");
+        let fit = als_sweep(tensor, &mut factors, opts, norm_x_sq, backend);
         iters += 1;
         let prev = fits.last().copied();
         fits.push(fit);
@@ -87,25 +84,19 @@ pub fn cpd_als(
 }
 
 /// `‖X‖²` of the COO tensor in f64.
-pub(crate) fn tensor_norm_sq(tensor: &CooTensor) -> f64 {
+fn tensor_norm_sq(tensor: &CooTensor) -> f64 {
     tensor.values().iter().map(|&v| (v as f64) * (v as f64)).sum()
 }
 
 /// One full ALS sweep: updates every factor in place and returns the fit
-/// after the sweep. This is the *shared* sweep body — [`cpd_als`] and
-/// [`crate::checkpoint::cpd_als_checkpointed`] both call it, so their
-/// trajectories are bitwise identical given identical backend numerics.
-///
-/// On `Err` the factors may be partially updated (the failed sweep got
-/// through some modes); callers that keep going must roll back to a
-/// checkpointed copy.
-pub(crate) fn als_sweep(
+/// after the sweep.
+fn als_sweep(
     tensor: &CooTensor,
     factors: &mut FactorSet,
     opts: &CpdOptions,
     norm_x_sq: f64,
-    backend: &mut dyn FallibleMttkrpBackend,
-) -> Result<f64, MttkrpFailure> {
+    backend: &mut dyn MttkrpBackend,
+) -> f64 {
     let order = tensor.order();
     let mut last_m: Option<Mat> = None;
     for n in 0..order {
@@ -117,7 +108,7 @@ pub(crate) fn als_sweep(
                 hadamard_assign(&mut v, &gram(factors.get(m)));
             }
         }
-        let m_out = backend.try_mttkrp(tensor, factors, n)?;
+        let m_out = backend.mttkrp(tensor, factors, n);
         let mut updated = matmul(&m_out, &pinv_spd(&v));
         assert!(updated.is_finite(), "ALS produced non-finite factors at mode {n}");
         if opts.nonnegative {
@@ -144,7 +135,7 @@ pub(crate) fn als_sweep(
     }
     let norm_model_sq: f64 = g.as_slice().iter().map(|&x| x as f64).sum();
     let resid_sq = (norm_x_sq + norm_model_sq - 2.0 * inner).max(0.0);
-    Ok(1.0 - (resid_sq.sqrt() / norm_x_sq.sqrt().max(1e-30)))
+    1.0 - (resid_sq.sqrt() / norm_x_sq.sqrt().max(1e-30))
 }
 
 #[cfg(test)]

@@ -19,14 +19,10 @@
 //!   owner per output row (no atomics at all).
 //! * [`cpd`] — the CPD-ALS loop of Algorithm 1 parameterised over any
 //!   [`MttkrpBackend`], with fit tracking.
-//! * [`checkpoint`] — iteration-level checkpoint/rollback for CPD-ALS over
-//!   fallible backends: a failed MTTKRP rolls the factors back to the last
-//!   snapshot and re-runs, bitwise identical to a fault-free run.
 
 pub mod atomic_buf;
 pub mod backend;
 pub mod bcsf_kernel;
-pub mod checkpoint;
 pub mod coo_kernel;
 pub mod cpd;
 pub mod csf_kernel;
@@ -37,18 +33,12 @@ pub mod partials;
 pub mod race;
 pub mod reference;
 pub mod simd;
-pub mod spttm;
 pub mod tiled_kernel;
-pub mod tucker;
 pub mod workload;
 
 pub use atomic_buf::AtomicF32Buffer;
 pub use backend::{CpuParallelBackend, CpuSequentialBackend, MttkrpBackend};
 pub use bcsf_kernel::BcsfKernel;
-pub use checkpoint::{
-    cpd_als_checkpointed, CheckpointConfig, CheckpointedCpdResult, FallibleMttkrpBackend,
-    MttkrpFailure, Reliable, ScriptedFailureBackend,
-};
 pub use coo_kernel::CooAtomicKernel;
 pub use cpd::{cpd_als, CpdOptions, CpdResult};
 pub use csf_kernel::CsfFiberKernel;
@@ -61,5 +51,4 @@ pub use race::{
     trace_racy_balanced_carry, trace_racy_coo, trace_tiled,
 };
 pub use tiled_kernel::TiledKernel;
-pub use tucker::{tucker_hosvd, TuckerResult};
 pub use workload::SegmentStats;

@@ -5,14 +5,14 @@
 //! `x(i₁,…,i_N)` and every rank column `f`,
 //! `M(i_n, f) += x · Π_{m≠n} A⁽ᵐ⁾(i_m, f)`.
 //!
-//! Three flavours: sequential over COO, host-pool-parallel over COO (row-sharded
-//! to stay deterministic up to f32 association within a row), and a dense
-//! validator that literally materialises `X₍ₙ₎` and the Khatri-Rao chain
-//! for tiny tensors.
+//! Two flavours over COO, sequential and host-pool-parallel (row-sharded to
+//! stay deterministic up to f32 association within a row), plus one over
+//! CSF. The unit tests hold them to a dense validator that literally
+//! materialises `X₍ₙ₎` and the Khatri-Rao chain for tiny tensors.
 
 use crate::{simd, FactorSet};
-use scalfrag_linalg::{khatri_rao_chain, matmul, Mat};
-use scalfrag_tensor::{matricize, CooTensor, CsfTensor};
+use scalfrag_linalg::Mat;
+use scalfrag_tensor::{CooTensor, CsfTensor};
 
 /// Fixed partial count for [`mttkrp_par`]. Deliberately **not** derived
 /// from `scalfrag_host::current_num_threads()`: with the work-stealing pool the
@@ -167,20 +167,6 @@ fn accumulate_subtree(
     // their own factor row happen in the caller.
 }
 
-/// Dense-path validation: materialises `X₍ₙ₎` and the Khatri-Rao chain and
-/// multiplies them — Equation (4) literally. Only for tiny tensors.
-pub fn mttkrp_dense_validation(tensor: &CooTensor, factors: &FactorSet, mode: usize) -> Mat {
-    check_shapes(tensor, factors, mode);
-    let (rows, cols, x) = matricize::to_dense_matricized(tensor, mode);
-    let xmat = Mat::from_vec(rows, cols, x);
-    // Column linearisation in `matricize` runs highest mode slowest, so the
-    // Khatri-Rao chain must be A^(N) ⊙ ... skipping mode n ... ⊙ A^(1).
-    let mats: Vec<&Mat> =
-        (0..tensor.order()).rev().filter(|&m| m != mode).map(|m| factors.get(m)).collect();
-    let kr = khatri_rao_chain(&mats);
-    matmul(&xmat, &kr)
-}
-
 fn check_shapes(tensor: &CooTensor, factors: &FactorSet, mode: usize) {
     assert!(mode < tensor.order(), "mode out of range");
     assert_eq!(factors.order(), tensor.order(), "factor count != tensor order");
@@ -192,6 +178,22 @@ fn check_shapes(tensor: &CooTensor, factors: &FactorSet, mode: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalfrag_linalg::{khatri_rao_chain, matmul};
+    use scalfrag_tensor::matricize;
+
+    /// Dense-path validation: materialises `X₍ₙ₎` and the Khatri-Rao chain
+    /// and multiplies them — Equation (4) literally. Only for tiny tensors.
+    fn mttkrp_dense_validation(tensor: &CooTensor, factors: &FactorSet, mode: usize) -> Mat {
+        check_shapes(tensor, factors, mode);
+        let (rows, cols, x) = matricize::to_dense_matricized(tensor, mode);
+        let xmat = Mat::from_vec(rows, cols, x);
+        // Column linearisation in `matricize` runs highest mode slowest, so
+        // the Khatri-Rao chain must be A^(N) ⊙ ... skipping mode n ... ⊙ A^(1).
+        let mats: Vec<&Mat> =
+            (0..tensor.order()).rev().filter(|&m| m != mode).map(|m| factors.get(m)).collect();
+        let kr = khatri_rao_chain(&mats);
+        matmul(&xmat, &kr)
+    }
 
     fn max_diff(a: &Mat, b: &Mat) -> f32 {
         a.max_abs_diff(b)

@@ -75,13 +75,6 @@ impl SegmentStats {
         self.nnz * (idx_val + factor_rows)
     }
 
-    /// COO device bytes of the segment (what an H2D transfer moves).
-    pub fn coo_bytes(&self) -> u64 {
-        self.nnz
-            * (self.order as u64 * std::mem::size_of::<Idx>() as u64
-                + std::mem::size_of::<Val>() as u64)
-    }
-
     /// Output matrix bytes (`mode_dim × rank` f32).
     pub fn output_bytes(&self, rank: u32) -> u64 {
         self.mode_dim * rank as u64 * 4
@@ -198,7 +191,6 @@ mod tests {
         assert!((s.avg_nnz_per_slice - 2.0).abs() < 1e-12);
         // flops = 4 nnz * rank * (3+1).
         assert_eq!(s.flops(8), 4 * 8 * 4);
-        assert_eq!(s.coo_bytes(), 4 * 16);
         assert_eq!(s.output_bytes(8), 4 * 8 * 4);
     }
 

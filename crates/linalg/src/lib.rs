@@ -23,10 +23,8 @@ pub mod pinv;
 
 pub use eig::{jacobi_eigen, JacobiOptions};
 pub use mat::Mat;
-pub use ops::{
-    gram, hadamard, hadamard_assign, khatri_rao, khatri_rao_chain, matmul, matmul_transb,
-};
-pub use pinv::{pinv_spd, solve_normal_equations};
+pub use ops::{gram, hadamard_assign, khatri_rao, khatri_rao_chain, matmul, matmul_transb};
+pub use pinv::pinv_spd;
 
 /// Tolerance used across the crate when deciding whether an eigenvalue is
 /// numerically zero relative to the largest one.

@@ -122,11 +122,6 @@ impl Mat {
         self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt() as f32
     }
 
-    /// Squared Frobenius norm accumulated in `f64`.
-    pub fn frob_norm_sq(&self) -> f64 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>()
-    }
-
     /// Maximum absolute entry-wise difference to `other`.
     ///
     /// # Panics
@@ -156,28 +151,6 @@ impl Mat {
     /// after ALS updates.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Normalises every column to unit Euclidean length and returns the
-    /// vector of original column norms (the CPD "lambda" weights). Columns
-    /// with zero norm are left untouched and report a norm of 0.
-    pub fn normalize_columns(&mut self) -> Vec<f32> {
-        let mut norms = vec![0.0f64; self.cols];
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let v = self[(r, c)] as f64;
-                norms[c] += v * v;
-            }
-        }
-        let norms: Vec<f32> = norms.into_iter().map(|n| n.sqrt() as f32).collect();
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if norms[c] > 0.0 {
-                    self[(r, c)] /= norms[c];
-                }
-            }
-        }
-        norms
     }
 }
 
@@ -266,7 +239,6 @@ mod tests {
     fn frob_norm_matches_manual() {
         let m = Mat::from_vec(1, 2, vec![3.0, 4.0]);
         assert!((m.frob_norm() - 5.0).abs() < 1e-6);
-        assert!((m.frob_norm_sq() - 25.0).abs() < 1e-9);
     }
 
     #[test]
@@ -277,18 +249,6 @@ mod tests {
         assert_eq!(a.as_slice(), &[6.0, 7.0, 8.0]);
         a.scale(2.0);
         assert_eq!(a.as_slice(), &[12.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn normalize_columns_unit_norm() {
-        let mut m = Mat::from_vec(2, 2, vec![3.0, 0.0, 4.0, 0.0]);
-        let norms = m.normalize_columns();
-        assert!((norms[0] - 5.0).abs() < 1e-6);
-        assert_eq!(norms[1], 0.0);
-        assert!((m[(0, 0)] - 0.6).abs() < 1e-6);
-        assert!((m[(1, 0)] - 0.8).abs() < 1e-6);
-        // zero column untouched
-        assert_eq!(m[(0, 1)], 0.0);
     }
 
     #[test]

@@ -67,17 +67,7 @@ pub fn gram(a: &Mat) -> Mat {
     g
 }
 
-/// Element-wise (Hadamard, `*` in the paper) product `A * B`.
-///
-/// # Panics
-/// Panics if the shapes differ.
-pub fn hadamard(a: &Mat, b: &Mat) -> Mat {
-    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "shape mismatch");
-    let data = a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| x * y).collect();
-    Mat::from_vec(a.rows(), a.cols(), data)
-}
-
-/// In-place Hadamard product `a *= b`.
+/// In-place Hadamard (`*` in the paper) product `a *= b`.
 ///
 /// # Panics
 /// Panics if the shapes differ.
@@ -178,7 +168,6 @@ mod tests {
     fn hadamard_known() {
         let a = Mat::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Mat::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(hadamard(&a, &b).as_slice(), &[5.0, 12.0, 21.0, 32.0]);
         let mut c = a.clone();
         hadamard_assign(&mut c, &b);
         assert_eq!(c.as_slice(), &[5.0, 12.0, 21.0, 32.0]);

@@ -38,17 +38,6 @@ pub fn pinv_spd(a: &Mat) -> Mat {
     matmul_transb(&matmul(&vecs, &dinv), &vecs)
 }
 
-/// Solves the ALS normal equations `out = M · V†` where `M` is the MTTKRP
-/// result (`I × F`) and `v` the `F×F` Hadamard-of-Grams matrix — exactly
-/// line 5 of Algorithm 1.
-///
-/// # Panics
-/// Panics if `m.cols() != v.rows()`.
-pub fn solve_normal_equations(m: &Mat, v: &Mat) -> Mat {
-    assert_eq!(m.cols(), v.rows(), "MTTKRP result and normal matrix rank mismatch");
-    matmul(m, &pinv_spd(v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,8 +80,9 @@ mod tests {
     }
 
     #[test]
-    fn solve_normal_equations_recovers_factor() {
-        // If M = A_true · V for an invertible V, then M · V† = A_true.
+    fn pinv_solves_the_als_normal_equations() {
+        // Line 5 of Algorithm 1: if M = A_true · V for an invertible V,
+        // then M · V† = A_true.
         let mut rng = rand::rngs::mock::StepRng::new(99, 0x9E3779B97F4A7C15);
         let a_true = Mat::random(9, 4, &mut rng);
         let b = Mat::random(20, 4, &mut rng);
@@ -101,7 +91,7 @@ mod tests {
             v[(i, i)] += 0.5;
         }
         let m = matmul(&a_true, &v);
-        let rec = solve_normal_equations(&m, &v);
+        let rec = matmul(&m, &pinv_spd(&v));
         assert!(rec.max_abs_diff(&a_true) < 1e-2);
     }
 }

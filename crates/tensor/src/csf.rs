@@ -184,18 +184,6 @@ impl CsfTensor {
         }
         CooTensor::from_parts(&self.dims, inds, self.vals.clone())
     }
-
-    /// The entry range (leaf span) of root slice `s` — used for slice-level
-    /// work partitioning.
-    pub fn slice_leaf_range(&self, s: usize) -> std::ops::Range<usize> {
-        // Descend the pointer arrays from level 0 to the leaf level.
-        let (mut lo, mut hi) = (s, s + 1);
-        for l in 0..self.order() - 1 {
-            lo = self.fptr[l][lo];
-            hi = self.fptr[l][hi];
-        }
-        lo..hi
-    }
 }
 
 #[cfg(test)]
@@ -284,19 +272,6 @@ mod tests {
         assert_eq!(csf.num_slices(), 1);
         assert_eq!(csf.num_fibers(), 50);
         assert!(csf.byte_size() < coo.byte_size() * 2, "CSF should not blow up");
-    }
-
-    #[test]
-    fn slice_leaf_range_partitions_leaves() {
-        let base = CooTensor::random_uniform(&[12, 10, 8], 150, 5);
-        let csf = CsfTensor::from_coo(&base, 0);
-        let mut covered = 0;
-        for s in 0..csf.num_slices() {
-            let r = csf.slice_leaf_range(s);
-            assert_eq!(r.start, covered, "ranges must tile the leaves");
-            covered = r.end;
-        }
-        assert_eq!(covered, csf.nnz());
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod matricize;
 pub mod permute;
 pub mod reorder;
 pub mod segment;
-pub mod semisparse;
 
 pub use chunked::{BoundaryRow, ChunkedTensor};
 pub use coo::CooTensor;
@@ -55,7 +54,6 @@ pub use frostt::DatasetPreset;
 pub use hicoo::HiCooTensor;
 pub use permute::ModePermutation;
 pub use segment::{segment_by_nnz, Segment};
-pub use semisparse::SemiSparseTensor;
 
 /// Index type for tensor coordinates. Mode sizes in the FROSTT datasets
 /// reach 28 M (`flickr`), comfortably inside `u32`, and halving the index

@@ -35,15 +35,6 @@ impl ModePermutation {
         Self { perm: (0..n).collect() }
     }
 
-    /// The permutation that brings `mode` to the front, keeping the other
-    /// modes in ascending order — the ordering every mode-`n` format uses.
-    pub fn mode_first(n: usize, mode: usize) -> Self {
-        assert!(mode < n, "mode out of range");
-        let mut perm = vec![mode];
-        perm.extend((0..n).filter(|&m| m != mode));
-        Self { perm }
-    }
-
     /// Number of modes.
     pub fn order(&self) -> usize {
         self.perm.len()
@@ -57,15 +48,6 @@ impl ModePermutation {
     /// `new_mode` for an `old_mode`.
     pub fn new_of_old(&self, old_mode: usize) -> usize {
         self.perm.iter().position(|&p| p == old_mode).expect("valid permutation")
-    }
-
-    /// The inverse permutation.
-    pub fn inverse(&self) -> ModePermutation {
-        let mut inv = vec![0usize; self.perm.len()];
-        for (new, &old) in self.perm.iter().enumerate() {
-            inv[old] = new;
-        }
-        ModePermutation { perm: inv }
     }
 
     /// Applies the permutation to a tensor: output mode `m` is input mode
@@ -87,8 +69,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_first_layout() {
-        let p = ModePermutation::mode_first(4, 2);
+    fn old_and_new_modes_map_both_ways() {
+        let p = ModePermutation::new(vec![2, 0, 1, 3]);
         assert_eq!(p.old_of_new(0), 2);
         assert_eq!(p.old_of_new(1), 0);
         assert_eq!(p.new_of_old(2), 0);
@@ -98,8 +80,8 @@ mod tests {
     fn apply_then_inverse_is_identity() {
         let t = CooTensor::random_uniform(&[6, 5, 4, 3], 100, 3);
         let p = ModePermutation::new(vec![2, 0, 3, 1]);
-        let back = p.inverse().apply(&p.apply(&t));
-        assert_eq!(back, t);
+        let inverse = ModePermutation::new((0..4).map(|m| p.new_of_old(m)).collect());
+        assert_eq!(inverse.apply(&p.apply(&t)), t);
     }
 
     #[test]

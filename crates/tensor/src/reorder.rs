@@ -43,11 +43,6 @@ impl SliceOrder {
         self.new_of_old[old as usize]
     }
 
-    /// Original index of new slice `new` (for mapping results back).
-    pub fn old_index(&self, new: Idx) -> Idx {
-        self.old_of_new[new as usize]
-    }
-
     /// Applies the relabeling to a tensor, returning the renumbered copy.
     pub fn apply(&self, tensor: &CooTensor) -> CooTensor {
         let mut inds: Vec<Vec<Idx>> =
@@ -98,13 +93,13 @@ mod tests {
         let t = skewed();
         let order = SliceOrder::by_descending_population(&t, 0);
         for old in 0..50u32 {
-            assert_eq!(order.old_index(order.new_index(old)), old);
+            assert_eq!(order.old_of_new[order.new_index(old) as usize], old);
         }
     }
 
     #[test]
     fn mttkrp_commutes_with_reordering() {
-        // MTTKRP(reorder(X)) row j == MTTKRP(X) row old_index(j): verified
+        // MTTKRP(reorder(X)) row j == MTTKRP(X) row old_of_new[j]: verified
         // through the unpermute helper using a cheap proxy computation
         // (row sums of slice values).
         let t = skewed();

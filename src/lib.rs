@@ -57,8 +57,8 @@
 //!   invariant catalogue, and the simulated-race checker driver.
 //! * [`faults`] — deterministic fault injection (device failures, transfer
 //!   corruption, kernel aborts, stragglers) and the recovery machinery:
-//!   op retries and unit re-placement in [`exec::run_plan_faulted`], job
-//!   requeue in [`serve`] and checkpoint/rollback in [`kernels`].
+//!   op retries and unit re-placement in [`exec::run_plan_faulted`] and
+//!   job requeue in [`serve`].
 //!
 //! ## Quickstart
 //!

@@ -7,9 +7,6 @@
 use proptest::prelude::*;
 use scalfrag::cluster::{build_cluster_plan, ClusterOptions};
 use scalfrag::faults::mat_checksum;
-use scalfrag::kernels::{
-    cpd_als, cpd_als_checkpointed, CheckpointConfig, CpuSequentialBackend, ScriptedFailureBackend,
-};
 use scalfrag::prelude::*;
 
 const DEVICES: usize = 3;
@@ -128,32 +125,6 @@ fn serving_requeues_through_a_transient_outage_deterministically() {
     assert_eq!(done_a, 24, "retries must carry every job through the outage");
     assert_eq!((fp_a, log_a), (fp_b, log_b), "faulted serving must be bit-reproducible");
     assert_eq!(done_a, done_b);
-}
-
-/// Checkpointed CPD-ALS rolls back through scripted kernel aborts and
-/// still lands on the exact fault-free trajectory.
-#[test]
-fn checkpointed_cpd_recovers_the_fault_free_trajectory() {
-    let (tensor, _) = workload(23);
-    let opts = scalfrag::kernels::CpdOptions {
-        rank: 6,
-        max_iters: 8,
-        tol: 0.0,
-        seed: 5,
-        ..Default::default()
-    };
-    let clean = cpd_als(&tensor, &opts, &mut CpuSequentialBackend);
-    let mut backend = ScriptedFailureBackend::new(CpuSequentialBackend, vec![7, 16]);
-    let ckpt = cpd_als_checkpointed(&tensor, &opts, &CheckpointConfig::default(), &mut backend)
-        .expect("two scripted aborts fit the rollback budget");
-    assert_eq!(ckpt.rollbacks, 2);
-    for mode in 0..tensor.dims().len() {
-        assert_eq!(
-            mat_checksum(clean.factors.get(mode)),
-            mat_checksum(ckpt.result.factors.get(mode)),
-            "rollback must reproduce the clean bits for mode {mode}"
-        );
-    }
 }
 
 fn registry_tensor() -> (CooTensor, FactorSet) {

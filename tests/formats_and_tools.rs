@@ -1,10 +1,10 @@
-//! Integration coverage of the secondary formats (F-COO, HiCOO), SpTTM,
-//! slice reordering and the tooling layer (profiler, Chrome trace) through
-//! the facade crate.
+//! Integration coverage of the secondary formats (F-COO, HiCOO), slice
+//! reordering, the Chrome trace and the kernel cost model through the
+//! facade crate.
 
-use scalfrag::gpusim::{profiler, trace, DeviceSpec};
+use scalfrag::gpusim::{kernel_duration, trace, DeviceSpec, SpanKind};
 use scalfrag::kernels::reference::mttkrp_seq;
-use scalfrag::kernels::{spttm, AtomicF32Buffer, FCooKernel, HiCooKernel};
+use scalfrag::kernels::{AtomicF32Buffer, FCooKernel, HiCooKernel};
 use scalfrag::prelude::*;
 use scalfrag::tensor::reorder::SliceOrder;
 use scalfrag::tensor::{FCooTensor, HiCooTensor};
@@ -64,22 +64,7 @@ fn mttkrp_after_slice_reordering_maps_back() {
 }
 
 #[test]
-fn spttm_composes_with_mttkrp_shapes() {
-    // SpTTM then reading fibers gives a semi-sparse tensor with the rank
-    // as the dense extent — the building block of Tucker-style chains.
-    let t = tensor();
-    let f = FactorSet::random(t.dims(), 8, 80);
-    let semi = spttm::spttm_with_factor(&t, &f, 2);
-    assert_eq!(semi.r(), 8);
-    assert_eq!(semi.mode(), 2);
-    assert_eq!(semi.num_fibers(), t.num_fibers(2));
-    let back = semi.to_coo();
-    assert_eq!(back.dims()[2], 8);
-    assert!(back.nnz() > 0);
-}
-
-#[test]
-fn profiler_and_trace_cover_a_real_pipeline_run() {
+fn trace_covers_a_real_pipeline_run() {
     let mut t = tensor();
     t.sort_for_mode(0);
     let f = FactorSet::random(t.dims(), 8, 81);
@@ -88,12 +73,14 @@ fn profiler_and_trace_cover_a_real_pipeline_run() {
     let p = scalfrag::pipeline::build_pipelined_plan(&DeviceSpec::rtx3090(), &t, &f, &plan, kernel);
     let run = run_plan(&p, ExecMode::Dry);
 
-    let p = profiler::profile(&run.timeline);
-    assert_eq!(p.by_label.iter().filter(|(l, _)| l.contains("kernel")).count(), 4);
-    assert!(p.h2d_s > 0.0 && p.kernel_s > 0.0 && p.d2h_s > 0.0);
-    assert!((p.makespan_s - run.makespan()).abs() < 1e-15);
-    let rendered = p.render();
-    assert!(rendered.contains("seg0 kernel"));
+    let spans = &run.timeline.spans;
+    let kernels: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Kernel).collect();
+    assert_eq!(kernels.len(), 4, "one kernel per segment");
+    assert!(kernels.iter().any(|s| &*s.label == "seg0 kernel"));
+    for kind in [SpanKind::CopyH2D, SpanKind::Kernel, SpanKind::CopyD2H] {
+        assert!(spans.iter().any(|s| s.kind == kind && s.duration() > 0.0), "{kind:?}");
+    }
+    assert!((run.timeline.makespan() - run.makespan()).abs() < 1e-15);
 
     let json = trace::chrome_trace_string(&run.timeline);
     assert_eq!(json.matches("\"ph\":\"X\"").count(), run.timeline.spans.len());
@@ -108,8 +95,8 @@ fn kernel_analysis_explains_the_fig4_corner() {
     let t = tensor();
     let stats = scalfrag::kernels::SegmentStats::compute(&t, 0);
     let w = scalfrag::kernels::workload::coo_atomic_workload(&stats, 16);
-    let corner = profiler::analyze_kernel(&d, &LaunchConfig::new(32, 32), &w);
-    assert_ne!(corner.bound_by, "compute");
-    let good = profiler::analyze_kernel(&d, &LaunchConfig::new(2048, 256), &w);
-    assert!(good.breakdown.total < corner.breakdown.total);
+    let corner = kernel_duration(&d, &LaunchConfig::new(32, 32), &w);
+    assert!(corner.t_compute < corner.t_mem.max(corner.t_atomic).max(corner.t_serial));
+    let good = kernel_duration(&d, &LaunchConfig::new(2048, 256), &w);
+    assert!(good.total < corner.total);
 }

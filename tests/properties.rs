@@ -156,17 +156,6 @@ proptest! {
     }
 
     #[test]
-    fn spttm_identity_is_a_permuted_copy(t in arb_tensor(), mode in 0usize..3) {
-        let u = Mat::identity(t.dims()[mode] as usize);
-        let semi = scalfrag::kernels::spttm::spttm_par(&t, &u, mode);
-        let mut sorted = t.clone();
-        let mut order: Vec<usize> = (0..3).filter(|&m| m != mode).collect();
-        order.push(mode);
-        sorted.sort_by_order(&order);
-        prop_assert_eq!(semi.to_coo().to_dense(), sorted.to_dense());
-    }
-
-    #[test]
     fn bcsf_split_is_a_partition(t in arb_tensor(), threshold in 1u32..40) {
         let mut sorted = t.clone();
         sorted.sort_for_mode(0);
