@@ -56,15 +56,17 @@ for toml in crates/*/Cargo.toml; do
 done
 test "$unused" -eq 0
 
-echo "==> public functions only their own unit tests name"
-# Every `pub fn` of crates/*/src and src/ (outside unit tests) must be
-# named, as a word, somewhere in the workspace or the benchmark on a line
-# that counts as a use. A line does not count when it is a `//` comment,
-# part of a `pub use` statement, or in the unit tests of a file that
-# defines the name (past its first top-level #[cfg(test)]); nor does the
-# name right after `fn`. A function re-exported as `pub use a as b` is
-# looked for under `b`. The first pass collects the names, their
-# defining files and the aliases; the second looks for uses.
+echo "==> public functions and constants only their own unit tests name"
+# Every `pub fn`, `pub const` and `pub static` of crates/*/src and src/
+# (outside unit tests) must be named, as a word, somewhere in the
+# workspace or the benchmark on a line that counts as a use; a
+# `pub const fn` is a function. A line does not count when it is a `//`
+# comment, part of a `pub use` statement, or in the unit tests of a file
+# that defines the name (past its first top-level #[cfg(test)]); nor does
+# the name right after `fn`, `const` or `static`. An item re-exported as
+# `pub use a as b` is looked for under `b`. The first pass collects the
+# names, their kinds, their defining files and the aliases; the second
+# looks for uses.
 rs_files=$(find crates src tests examples shims perfbench/src -name '*.rs' | sort)
 # shellcheck disable=SC2086 # the file list is meant to split
 unnamed=$(awk '
@@ -82,19 +84,20 @@ unnamed=$(awk '
     }
     /^[[:space:]]*\/\// { next }
     pass == 1 {
-        for (s = $0; lib && !tail && match(s, /pub fn [A-Za-z_][A-Za-z0-9_]*/);
+        for (s = $0; lib && !tail && match(s, /pub (const fn|fn|const|static) [A-Za-z_][A-Za-z0-9_]*/);
              s = substr(s, RSTART + RLENGTH)) {
-            n = substr(s, RSTART + 7, RLENGTH - 7)
-            public[n] = 1
-            defined[n, FILENAME] = 1
+            k = split(substr(s, RSTART, RLENGTH), w, " ")
+            public[w[k]] = (w[2] == "fn" || w[3] == "fn") ? "fn" : w[2]
+            defined[w[k], FILENAME] = 1
         }
         next
     }
     {
         split("", def)
-        for (s = $0; match(s, /fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/); s = substr(s, RSTART + RLENGTH)) {
-            split(substr(s, RSTART, RLENGTH), w, /[[:space:]]+/)
-            def[w[2]] = 1
+        for (s = $0; match(s, /(^|[^A-Za-z0-9_'"'"'])(const[[:space:]]+fn|fn|const|static)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/);
+             s = substr(s, RSTART + RLENGTH)) {
+            k = split(substr(s, RSTART, RLENGTH), w, /[^A-Za-z0-9_]+/)
+            def[w[k]] = 1
         }
         k = split($0, tok, /[^A-Za-z0-9_]+/)
         for (i = 1; i <= k; i++) {
@@ -103,7 +106,7 @@ unnamed=$(awk '
                 used[n] = 1
         }
     }
-    END { for (n in public) if (!(n in used)) print "pub fn " n " is named only by its definition, a pub use or its own unit tests" }
+    END { for (n in public) if (!(n in used)) print "pub " public[n] " " n " is named only by its definition, a pub use or its own unit tests" }
 ' pass=1 $rs_files pass=2 $rs_files | sort)
 if [ -n "$unnamed" ]; then
     echo "$unnamed"

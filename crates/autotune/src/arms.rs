@@ -1,4 +1,4 @@
-//! Verdict arms: which *kernel flavor* should ScalFrag launch?
+//! Verdict arms: which *kernel arm* should ScalFrag launch?
 //!
 //! The launch predictor (§IV-B) answers "which `<<<grid, block>>>`?"; this
 //! module answers the question one level up — which of the four kernel arms
@@ -38,14 +38,14 @@
 //!    kernel's block-reduction cap, so tiled cannot amortise the hotspot
 //!    into its shared tile.
 //!
-//! When all three hold the verdict is [`KernelFlavor::Balanced`]. When the
+//! When all three hold the verdict is [`KernelChoice::Balanced`]. When the
 //! caller's objective is a full CPD-ALS sweep over every mode
 //! ([`MttkrpObjective::AllModes`]) and the balanced arm is not forced, the
-//! verdict is [`KernelFlavor::ModeAgnostic`] — one FLYCOO copy serves all
+//! verdict is [`KernelChoice::ModeAgnostic`] — one FLYCOO copy serves all
 //! modes without re-tiling, trading a gather per entry for `N−1` avoided
 //! re-sorts. Otherwise the verdict is the tiled baseline.
 
-use crate::sweep::KernelFlavor;
+use scalfrag_balance::KernelChoice;
 use scalfrag_tensor::FeatureKey;
 
 /// Skew guard: minimum `gini_bucket` (eighths of the slice-population
@@ -80,7 +80,7 @@ pub enum MttkrpObjective {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArmVerdict {
     /// The chosen kernel arm.
-    pub flavor: KernelFlavor,
+    pub kernel: KernelChoice,
     /// Human-readable name of the decisive rule (stable; used in reports).
     pub reason: &'static str,
 }
@@ -92,12 +92,12 @@ pub fn predict_arm(key: &FeatureKey, objective: MttkrpObjective) -> ArmVerdict {
     let dominant_share = 2 * key.imbalance_bucket - key.slices_bucket >= DOMINANT_SHARE_MARGIN;
     let sparse_tail = key.nnz_bucket - 2 * key.slices_bucket < AVG_BELOW_TILE_CAP;
     if skewed && dominant_share && sparse_tail {
-        return ArmVerdict { flavor: KernelFlavor::Balanced, reason: "dominant-slice-sparse-tail" };
+        return ArmVerdict { kernel: KernelChoice::Balanced, reason: "dominant-slice-sparse-tail" };
     }
     if objective == MttkrpObjective::AllModes {
-        return ArmVerdict { flavor: KernelFlavor::ModeAgnostic, reason: "all-modes-no-retiling" };
+        return ArmVerdict { kernel: KernelChoice::ModeAgnostic, reason: "all-modes-no-retiling" };
     }
-    ArmVerdict { flavor: KernelFlavor::Tiled, reason: "tiled-baseline" }
+    ArmVerdict { kernel: KernelChoice::Tiled, reason: "tiled-baseline" }
 }
 
 /// Minimum modelled transfer speedup before the serving layer prefers a
@@ -155,10 +155,10 @@ mod tests {
         stats: &SegmentStats,
         rank: u32,
         base: LaunchConfig,
-    ) -> (KernelFlavor, f64) {
-        [KernelFlavor::CooAtomic, KernelFlavor::Tiled, KernelFlavor::Balanced]
+    ) -> (KernelChoice, f64) {
+        [KernelChoice::CooAtomic, KernelChoice::Tiled, KernelChoice::Balanced]
             .into_iter()
-            .map(|f| (f, f.duration(device, stats, rank, base)))
+            .map(|k| (k, k.duration(device, stats, rank, base)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap()
     }
@@ -180,14 +180,14 @@ mod tests {
         t
     }
 
-    fn verdict_and_truth(t: &CooTensor) -> (ArmVerdict, KernelFlavor, f64, f64) {
+    fn verdict_and_truth(t: &CooTensor) -> (ArmVerdict, KernelChoice, f64, f64) {
         let d = DeviceSpec::rtx3090();
         let base = LaunchConfig::new(1024, 256);
         let stats = SegmentStats::compute(t, 0);
         let key = FeatureKey::of(t, 0, 16);
         let v = predict_arm(&key, MttkrpObjective::SingleMode);
         let (best, t_best) = modelled_best_arm(&d, &stats, 16, base);
-        let t_bal = KernelFlavor::Balanced.duration(&d, &stats, 16, base);
+        let t_bal = KernelChoice::Balanced.duration(&d, &stats, 16, base);
         (v, best, t_best, t_bal)
     }
 
@@ -196,9 +196,9 @@ mod tests {
         for pct in [40, 50, 60] {
             let t = heavy_slice(&[20_000, 200, 200], 100_000, pct, 5);
             let (v, best, _, _) = verdict_and_truth(&t);
-            assert_eq!(v.flavor, KernelFlavor::Balanced, "pct={pct}");
+            assert_eq!(v.kernel, KernelChoice::Balanced, "pct={pct}");
             assert_eq!(v.reason, "dominant-slice-sparse-tail");
-            assert_eq!(best, KernelFlavor::Balanced, "cost-model argmin, pct={pct}");
+            assert_eq!(best, KernelChoice::Balanced, "cost-model argmin, pct={pct}");
         }
     }
 
@@ -210,9 +210,9 @@ mod tests {
         let base = LaunchConfig::new(1024, 256);
         let t = heavy_slice(&[20_000, 200, 200], 100_000, 60, 5);
         let stats = SegmentStats::compute(&t, 0);
-        let coo = KernelFlavor::CooAtomic.duration(&d, &stats, 16, base);
-        let tiled = KernelFlavor::Tiled.duration(&d, &stats, 16, base);
-        let bal = KernelFlavor::Balanced.duration(&d, &stats, 16, base);
+        let coo = KernelChoice::CooAtomic.duration(&d, &stats, 16, base);
+        let tiled = KernelChoice::Tiled.duration(&d, &stats, 16, base);
+        let bal = KernelChoice::Balanced.duration(&d, &stats, 16, base);
         assert!(
             coo.min(tiled) / bal >= 1.2,
             "modelled speedup {:.2} below the 1.2x gate",
@@ -224,8 +224,8 @@ mod tests {
     fn uniform_stays_tiled_and_the_model_agrees() {
         let t = gen::uniform(&[20_000, 200, 200], 100_000, 5);
         let (v, best, _, _) = verdict_and_truth(&t);
-        assert_eq!(v.flavor, KernelFlavor::Tiled);
-        assert_eq!(best, KernelFlavor::Tiled);
+        assert_eq!(v.kernel, KernelChoice::Tiled);
+        assert_eq!(best, KernelChoice::Tiled);
     }
 
     #[test]
@@ -236,8 +236,8 @@ mod tests {
         for skew in [0.8, 1.1, 1.6, 2.0] {
             let t = gen::zipf_slices(&[20_000, 200, 200], 100_000, skew, 5);
             let (v, best, _, _) = verdict_and_truth(&t);
-            assert_eq!(v.flavor, KernelFlavor::Tiled, "skew={skew}");
-            assert_eq!(best, KernelFlavor::Tiled, "cost-model argmin, skew={skew}");
+            assert_eq!(v.kernel, KernelChoice::Tiled, "skew={skew}");
+            assert_eq!(best, KernelChoice::Tiled, "cost-model argmin, skew={skew}");
         }
     }
 
@@ -247,8 +247,8 @@ mod tests {
         // and the cost model indeed keeps tiled ahead there.
         let t = heavy_slice(&[2_000, 64, 64], 20_000, 30, 7);
         let (v, best, _, _) = verdict_and_truth(&t);
-        assert_eq!(v.flavor, KernelFlavor::Tiled);
-        assert_eq!(best, KernelFlavor::Tiled);
+        assert_eq!(v.kernel, KernelChoice::Tiled);
+        assert_eq!(best, KernelChoice::Tiled);
     }
 
     #[test]
@@ -256,13 +256,13 @@ mod tests {
         let uni = gen::uniform(&[200, 200, 200], 50_000, 9);
         let key = FeatureKey::of(&uni, 0, 16);
         let v = predict_arm(&key, MttkrpObjective::AllModes);
-        assert_eq!(v.flavor, KernelFlavor::ModeAgnostic);
+        assert_eq!(v.kernel, KernelChoice::ModeAgnostic);
         assert_eq!(v.reason, "all-modes-no-retiling");
 
         // …but a dominant slice still forces the balanced arm.
         let heavy = heavy_slice(&[20_000, 200, 200], 100_000, 60, 5);
         let key = FeatureKey::of(&heavy, 0, 16);
-        assert_eq!(predict_arm(&key, MttkrpObjective::AllModes).flavor, KernelFlavor::Balanced);
+        assert_eq!(predict_arm(&key, MttkrpObjective::AllModes).kernel, KernelChoice::Balanced);
     }
 
     #[test]

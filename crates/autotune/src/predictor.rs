@@ -157,7 +157,8 @@ impl TrainedPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{sweep_tensor, KernelFlavor};
+    use crate::sweep::sweep_tensor;
+    use scalfrag_balance::KernelChoice;
 
     #[test]
     fn trained_predictor_picks_near_optimal_configs() {
@@ -172,8 +173,8 @@ mod tests {
         for t in &tensors {
             let cfg = p.predict(t, 0);
             assert!(cfg.validate(&d).is_ok());
-            let sweep = sweep_tensor(&d, KernelFlavor::Tiled, t, 0, 16, &space);
-            let t_sel = KernelFlavor::Tiled.duration(
+            let sweep = sweep_tensor(&d, KernelChoice::Tiled, t, 0, 16, &space);
+            let t_sel = KernelChoice::Tiled.duration(
                 &d,
                 &scalfrag_kernels::SegmentStats::compute(t, 0),
                 16,

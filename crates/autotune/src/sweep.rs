@@ -6,54 +6,10 @@
 //! on hardware, which label the training data and define the ground-truth
 //! optimum the predictor is scored against.
 
-use scalfrag_gpusim::{kernel_duration, DeviceSpec, LaunchConfig};
-use scalfrag_kernels::workload::{coo_atomic_workload, tiled_smem_bytes, tiled_workload};
+use scalfrag_balance::KernelChoice;
+use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::SegmentStats;
 use scalfrag_tensor::CooTensor;
-
-/// Which kernel implementation a sweep times.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelFlavor {
-    /// The ParTI-style nnz-parallel atomic COO kernel.
-    CooAtomic,
-    /// The ScalFrag shared-memory tiled kernel.
-    Tiled,
-    /// The load-balanced segmented-scan kernel (`balance-segscan`).
-    Balanced,
-    /// The FLYCOO mode-agnostic kernel (`balance-flycoo`).
-    ModeAgnostic,
-}
-
-impl KernelFlavor {
-    /// The full launch configuration for a `(grid, block)` point, including
-    /// this kernel's dynamic shared-memory request.
-    pub fn config(&self, base: LaunchConfig, rank: u32) -> LaunchConfig {
-        match self {
-            KernelFlavor::CooAtomic | KernelFlavor::Balanced | KernelFlavor::ModeAgnostic => base,
-            KernelFlavor::Tiled => {
-                LaunchConfig::with_shared(base.grid, base.block, tiled_smem_bytes(rank, base.block))
-            }
-        }
-    }
-
-    /// Simulated duration of this kernel at one configuration.
-    pub fn duration(
-        &self,
-        device: &DeviceSpec,
-        stats: &SegmentStats,
-        rank: u32,
-        base: LaunchConfig,
-    ) -> f64 {
-        let cfg = self.config(base, rank);
-        let w = match self {
-            KernelFlavor::CooAtomic => coo_atomic_workload(stats, rank),
-            KernelFlavor::Tiled => tiled_workload(stats, rank, cfg.block),
-            KernelFlavor::Balanced => scalfrag_balance::balanced_workload(stats, rank),
-            KernelFlavor::ModeAgnostic => scalfrag_balance::flycoo_workload(stats, rank),
-        };
-        kernel_duration(device, &cfg, &w).total
-    }
-}
 
 /// The result of sweeping one `(tensor, mode)` over a launch space.
 #[derive(Clone, Debug)]
@@ -98,29 +54,29 @@ impl SweepResult {
     }
 }
 
-/// Sweeps `tensor`'s mode-`mode` MTTKRP over `space` for `flavor`.
+/// Sweeps `tensor`'s mode-`mode` MTTKRP over `space` for `kernel`.
 pub fn sweep_tensor(
     device: &DeviceSpec,
-    flavor: KernelFlavor,
+    kernel: KernelChoice,
     tensor: &CooTensor,
     mode: usize,
     rank: u32,
     space: &[LaunchConfig],
 ) -> SweepResult {
     let stats = SegmentStats::compute(tensor, mode);
-    sweep_stats(device, flavor, &stats, rank, space)
+    sweep_stats(device, kernel, &stats, rank, space)
 }
 
 /// Sweeps precomputed segment statistics (avoids re-walking the tensor).
 pub fn sweep_stats(
     device: &DeviceSpec,
-    flavor: KernelFlavor,
+    kernel: KernelChoice,
     stats: &SegmentStats,
     rank: u32,
     space: &[LaunchConfig],
 ) -> SweepResult {
     let entries =
-        space.iter().map(|&cfg| (cfg, flavor.duration(device, stats, rank, cfg))).collect();
+        space.iter().map(|&cfg| (cfg, kernel.duration(device, stats, rank, cfg))).collect();
     SweepResult { entries, flops: stats.flops(rank) }
 }
 
@@ -136,7 +92,7 @@ mod tests {
     fn sweep_covers_space_and_finds_interior_best() {
         let (d, t) = setup();
         let space = LaunchConfig::sweep_space(&d);
-        let res = sweep_tensor(&d, KernelFlavor::Tiled, &t, 0, 16, &space);
+        let res = sweep_tensor(&d, KernelChoice::Tiled, &t, 0, 16, &space);
         assert_eq!(res.entries.len(), space.len());
         let (best, t_best) = res.best();
         let (_, t_worst) = res.worst();
@@ -158,8 +114,8 @@ mod tests {
         let small = scalfrag_tensor::gen::uniform(&[100, 50, 50], 2_000, 2);
         let large = scalfrag_tensor::gen::uniform(&[2000, 1500, 1500], 400_000, 3);
         let space = LaunchConfig::sweep_space(&d);
-        let b_small = sweep_tensor(&d, KernelFlavor::Tiled, &small, 0, 16, &space).best().0;
-        let b_large = sweep_tensor(&d, KernelFlavor::Tiled, &large, 0, 16, &space).best().0;
+        let b_small = sweep_tensor(&d, KernelChoice::Tiled, &small, 0, 16, &space).best().0;
+        let b_large = sweep_tensor(&d, KernelChoice::Tiled, &large, 0, 16, &space).best().0;
         assert!(
             b_small.total_threads() < b_large.total_threads(),
             "small tensor {b_small} should want fewer threads than large {b_large}"
@@ -170,8 +126,8 @@ mod tests {
     fn tiled_best_beats_coo_best_under_skew() {
         let (d, t) = setup();
         let space = LaunchConfig::sweep_space(&d);
-        let coo = sweep_tensor(&d, KernelFlavor::CooAtomic, &t, 0, 16, &space);
-        let tiled = sweep_tensor(&d, KernelFlavor::Tiled, &t, 0, 16, &space);
+        let coo = sweep_tensor(&d, KernelChoice::CooAtomic, &t, 0, 16, &space);
+        let tiled = sweep_tensor(&d, KernelChoice::Tiled, &t, 0, 16, &space);
         assert!(tiled.best().1 < coo.best().1);
     }
 
@@ -179,7 +135,7 @@ mod tests {
     fn gflops_conversion() {
         let (d, t) = setup();
         let space = [LaunchConfig::new(1024, 256)];
-        let res = sweep_tensor(&d, KernelFlavor::CooAtomic, &t, 0, 16, &space);
+        let res = sweep_tensor(&d, KernelChoice::CooAtomic, &t, 0, 16, &space);
         let g = res.gflops_at(res.entries[0].1);
         assert!(g > 0.0 && g < d.peak_gflops());
     }

@@ -1,11 +1,12 @@
 //! The offline training pipeline of Fig. 7: generate tensors → execute
 //! MTTKRP sweeps → collect data & train → evaluate.
 
-use crate::sweep::{sweep_tensor, KernelFlavor, SweepResult};
+use crate::sweep::{sweep_tensor, SweepResult};
 use crate::{
     model_features, AdaBoostR2, BaggingForest, DecisionTree, KnnRegressor, Regressor,
     RidgeRegression,
 };
+use scalfrag_balance::KernelChoice;
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_tensor::{gen, CooTensor, TensorFeatures};
 use std::time::Instant;
@@ -44,7 +45,7 @@ pub fn generate_corpus(
     let mut items = Vec::new();
     let mut push = |tensor: CooTensor, mode: usize| {
         let features = TensorFeatures::extract(&tensor, mode).to_vec();
-        let sweep = sweep_tensor(device, KernelFlavor::Tiled, &tensor, mode, rank, space);
+        let sweep = sweep_tensor(device, KernelChoice::Tiled, &tensor, mode, rank, space);
         items.push(CorpusItem { tensor, mode, features, sweep });
     };
 

@@ -15,7 +15,8 @@
 //! inference time (there is nothing to run).
 
 use crate::predictor::LaunchPredictor;
-use crate::sweep::{sweep_stats, KernelFlavor};
+use crate::sweep::sweep_stats;
+use scalfrag_balance::KernelChoice;
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::SegmentStats;
 use scalfrag_tensor::{CooTensor, TensorFeatures};
@@ -106,7 +107,7 @@ pub fn tune(
 ) -> TuningOutcome {
     assert!(!space.is_empty(), "tuning space must be non-empty");
     let stats = SegmentStats::compute(tensor, mode);
-    let sweep = sweep_stats(device, KernelFlavor::Tiled, &stats, rank, space);
+    let sweep = sweep_stats(device, KernelChoice::Tiled, &stats, rank, space);
     let (_, optimal_time_s) = sweep.best();
 
     let t0 = std::time::Instant::now();
@@ -181,7 +182,7 @@ pub fn tune(
         .iter()
         .find(|(c, _)| *c == chosen)
         .map(|&(_, t)| t)
-        .unwrap_or_else(|| KernelFlavor::Tiled.duration(device, &stats, rank, chosen));
+        .unwrap_or_else(|| KernelChoice::Tiled.duration(device, &stats, rank, chosen));
 
     TuningOutcome {
         strategy: strategy.name(),

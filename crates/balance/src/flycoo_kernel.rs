@@ -13,10 +13,9 @@
 //! range — one strict left-to-right fold per output row, bit-stable
 //! across partition counts.
 
-use scalfrag_gpusim::{Gpu, KernelWorkload, LaunchConfig, OpId, StreamId};
+use scalfrag_gpusim::KernelWorkload;
 use scalfrag_kernels::{partials, simd, AtomicF32Buffer, FactorSet, SegmentStats};
 use scalfrag_tensor::FlycooTensor;
-use std::sync::Arc;
 
 /// The FLYCOO mode-agnostic MTTKRP kernel.
 pub struct FlycooKernel;
@@ -98,26 +97,6 @@ impl FlycooKernel {
             }
             flush(out, b.row as usize * rank, &mut acc);
         }
-    }
-
-    /// Enqueues this kernel for one mode on the simulated GPU.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue(
-        gpu: &mut Gpu,
-        stream: StreamId,
-        config: LaunchConfig,
-        coo_stats: &SegmentStats,
-        fly: Arc<FlycooTensor>,
-        mode: usize,
-        factors: Arc<FactorSet>,
-        out: Arc<AtomicF32Buffer>,
-        label: impl Into<Arc<str>>,
-    ) -> OpId {
-        let workload =
-            Self::workload(coo_stats, factors.rank() as u32, fly.num_partitions() as u64);
-        gpu.launch_exec(stream, config, workload, label, move || {
-            Self::execute(&fly, &factors, mode, &out);
-        })
     }
 }
 
@@ -239,36 +218,11 @@ mod tests {
         let t = gen::zipf_slices(&[100, 80, 60], 10_000, 1.4, 45);
         let stats = SegmentStats::compute(&t, 0);
         let w = FlycooKernel::workload(&stats, 16, 79);
-        let seg_w = crate::balanced_workload(&stats, 16);
+        let seg_w = crate::BalancedKernel::workload(&stats, 16, 40);
         assert_eq!(w.atomic_hotness, 0.0);
         // The remap gather shows up as extra read traffic vs the segscan arm.
         assert!(w.bytes_read > seg_w.bytes_read);
         assert!(w.coalescing < seg_w.coalescing);
-    }
-
-    #[test]
-    fn enqueue_runs() {
-        let t = CooTensor::random_uniform(&[20, 15, 10], 400, 51);
-        let f = Arc::new(FactorSet::random(&[20, 15, 10], 4, 52));
-        let stats = SegmentStats::compute(&t, 1);
-        let fly = Arc::new(FlycooTensor::from_coo(&t, 64));
-        let out = Arc::new(AtomicF32Buffer::new(15 * 4));
-        let mut gpu = Gpu::new(scalfrag_gpusim::DeviceSpec::rtx3090());
-        let s = gpu.create_stream();
-        FlycooKernel::enqueue(
-            &mut gpu,
-            s,
-            LaunchConfig::new(64, 64),
-            &stats,
-            fly,
-            1,
-            Arc::clone(&f),
-            Arc::clone(&out),
-            "flycoo",
-        );
-        gpu.synchronize();
-        let m = Mat::from_vec(15, 4, out.to_vec());
-        assert!(m.max_abs_diff(&mttkrp_seq(&t, &f, 1)) < 1e-3);
     }
 
     #[test]

@@ -28,15 +28,20 @@
 //! Herfindahl index of the row distribution and makes the COO/tiled arms
 //! collapse on skew — simply does not apply. That is the modelled speedup
 //! the `balance_bench` gate measures.
+//!
+//! [`KernelChoice`] names one of the four arms (these two, the ParTI COO
+//! kernel and the tiled kernel). The autotuner prices an arm with
+//! [`KernelChoice::duration`] and the interpreter launches it with
+//! [`KernelChoice::enqueue`], at the same price. It lives here because this
+//! crate already depends on every kernel it dispatches to.
 
+pub mod choice;
 pub mod flycoo_kernel;
 pub mod segscan;
 
+pub use choice::KernelChoice;
 pub use flycoo_kernel::FlycooKernel;
 pub use segscan::BalancedKernel;
-
-use scalfrag_gpusim::KernelWorkload;
-use scalfrag_kernels::SegmentStats;
 
 /// Entries per chunk of the load-balanced kernel. 256 matches the
 /// BCSF heavy-chunk granularity: big enough that carry traffic is ≪ 1 %
@@ -47,14 +52,3 @@ pub const CHUNK_LEN: usize = 256;
 /// Entries per partition of the FLYCOO kernel's remap walk (the same
 /// granularity the F-COO differential backend uses).
 pub const FLYCOO_SEG_LEN: usize = 128;
-
-/// [`BalancedKernel`] workload at the crate's fixed [`CHUNK_LEN`] — the
-/// form the execution layer and the autotune sweep consume.
-pub fn balanced_workload(stats: &SegmentStats, rank: u32) -> KernelWorkload {
-    BalancedKernel::workload(stats, rank, stats.nnz.div_ceil(CHUNK_LEN as u64))
-}
-
-/// [`FlycooKernel`] workload at the crate's fixed [`FLYCOO_SEG_LEN`].
-pub fn flycoo_workload(stats: &SegmentStats, rank: u32) -> KernelWorkload {
-    FlycooKernel::workload(stats, rank, stats.nnz.div_ceil(FLYCOO_SEG_LEN as u64))
-}

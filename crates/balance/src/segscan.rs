@@ -18,10 +18,9 @@
 //! entries in mode-sorted order, independent of the chunk count — the
 //! bit-stability contract `bit_stable_across_chunk_counts` asserts.
 
-use scalfrag_gpusim::{Gpu, KernelWorkload, LaunchConfig, OpId, StreamId};
+use scalfrag_gpusim::KernelWorkload;
 use scalfrag_kernels::{partials, simd, AtomicF32Buffer, FactorSet, SegmentStats};
 use scalfrag_tensor::ChunkedTensor;
-use std::sync::Arc;
 
 /// The load-balanced segmented-scan MTTKRP kernel.
 pub struct BalancedKernel;
@@ -113,25 +112,6 @@ impl BalancedKernel {
             }
             flush(out, b.row as usize * rank, &mut acc);
         }
-    }
-
-    /// Enqueues this kernel on the simulated GPU.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue(
-        gpu: &mut Gpu,
-        stream: StreamId,
-        config: LaunchConfig,
-        coo_stats: &SegmentStats,
-        chunked: Arc<ChunkedTensor>,
-        factors: Arc<FactorSet>,
-        out: Arc<AtomicF32Buffer>,
-        label: impl Into<Arc<str>>,
-    ) -> OpId {
-        let workload =
-            Self::workload(coo_stats, factors.rank() as u32, chunked.num_chunks() as u64);
-        gpu.launch_exec(stream, config, workload, label, move || {
-            Self::execute(&chunked, &factors, &out);
-        })
     }
 }
 
@@ -251,30 +231,6 @@ mod tests {
         assert!(coo_w.atomic_hotness > 0.0);
         assert!(w.atomic_ops < coo_w.atomic_ops / 100);
         assert_eq!(w.work_items, stats.nnz);
-    }
-
-    #[test]
-    fn enqueue_runs() {
-        let t = CooTensor::random_uniform(&[20, 15, 10], 400, 7);
-        let f = Arc::new(FactorSet::random(&[20, 15, 10], 4, 8));
-        let stats = SegmentStats::compute(&t, 0);
-        let chunked = Arc::new(ChunkedTensor::from_coo(&t, 0, 64));
-        let out = Arc::new(AtomicF32Buffer::new(20 * 4));
-        let mut gpu = Gpu::new(scalfrag_gpusim::DeviceSpec::rtx3090());
-        let s = gpu.create_stream();
-        BalancedKernel::enqueue(
-            &mut gpu,
-            s,
-            LaunchConfig::new(64, 64),
-            &stats,
-            chunked,
-            Arc::clone(&f),
-            Arc::clone(&out),
-            "balanced",
-        );
-        gpu.synchronize();
-        let m = Mat::from_vec(20, 4, out.to_vec());
-        assert!(m.max_abs_diff(&mttkrp_seq(&t, &f, 0)) < 1e-3);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scalfrag_autotune::arms::{predict_arm, MttkrpObjective};
-use scalfrag_autotune::sweep::KernelFlavor;
+use scalfrag_exec::KernelChoice;
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::SegmentStats;
 use scalfrag_tensor::{gen, CooTensor, FeatureKey, FlycooTensor};
@@ -45,27 +45,27 @@ fn heavy_slice(dims: &[u32], nnz: usize, pct: usize, seed: u64) -> CooTensor {
     t
 }
 
-const ARMS: [KernelFlavor; 4] = [
-    KernelFlavor::CooAtomic,
-    KernelFlavor::Tiled,
-    KernelFlavor::Balanced,
-    KernelFlavor::ModeAgnostic,
+const ARMS: [KernelChoice; 4] = [
+    KernelChoice::CooAtomic,
+    KernelChoice::Tiled,
+    KernelChoice::Balanced,
+    KernelChoice::ModeAgnostic,
 ];
 
-fn arm_name(f: KernelFlavor) -> &'static str {
-    match f {
-        KernelFlavor::CooAtomic => "coo-atomic",
-        KernelFlavor::Tiled => "tiled",
-        KernelFlavor::Balanced => "balanced",
-        KernelFlavor::ModeAgnostic => "mode-agnostic",
+fn arm_name(k: KernelChoice) -> &'static str {
+    match k {
+        KernelChoice::CooAtomic => "coo-atomic",
+        KernelChoice::Tiled => "tiled",
+        KernelChoice::Balanced => "balanced",
+        KernelChoice::ModeAgnostic => "mode-agnostic",
     }
 }
 
 struct PresetRow {
     name: &'static str,
     zipf: Option<f64>,
-    durations: Vec<(KernelFlavor, f64)>,
-    predicted: KernelFlavor,
+    durations: Vec<(KernelChoice, f64)>,
+    predicted: KernelChoice,
     reason: &'static str,
     key: FeatureKey,
     speedup_vs_best_prev: f64,
@@ -105,27 +105,27 @@ fn main() {
     for (name, zipf, tensor) in &presets {
         let stats = SegmentStats::compute(tensor, 0);
         let key = FeatureKey::of(tensor, 0, rank);
-        let durations: Vec<(KernelFlavor, f64)> =
-            ARMS.iter().map(|&f| (f, f.duration(&device, &stats, rank, base))).collect();
+        let durations: Vec<(KernelChoice, f64)> =
+            ARMS.iter().map(|&k| (k, k.duration(&device, &stats, rank, base))).collect();
         let verdict = predict_arm(&key, MttkrpObjective::SingleMode);
-        let get = |f: KernelFlavor| durations.iter().find(|&&(g, _)| g == f).unwrap().1;
-        let best_prev = get(KernelFlavor::CooAtomic).min(get(KernelFlavor::Tiled));
-        let speedup = best_prev / get(KernelFlavor::Balanced);
+        let get = |k: KernelChoice| durations.iter().find(|&&(g, _)| g == k).unwrap().1;
+        let best_prev = get(KernelChoice::CooAtomic).min(get(KernelChoice::Tiled));
+        let speedup = best_prev / get(KernelChoice::Balanced);
         println!(
             "{:<16} {:>11.3e} {:>11.3e} {:>11.3e} {:>11.3e}  {:<14} {:>7.2}x",
             name,
-            get(KernelFlavor::CooAtomic),
-            get(KernelFlavor::Tiled),
-            get(KernelFlavor::Balanced),
-            get(KernelFlavor::ModeAgnostic),
-            arm_name(verdict.flavor),
+            get(KernelChoice::CooAtomic),
+            get(KernelChoice::Tiled),
+            get(KernelChoice::Balanced),
+            get(KernelChoice::ModeAgnostic),
+            arm_name(verdict.kernel),
             speedup
         );
         rows.push(PresetRow {
             name,
             zipf: *zipf,
             durations,
-            predicted: verdict.flavor,
+            predicted: verdict.kernel,
             reason: verdict.reason,
             key,
             speedup_vs_best_prev: speedup,
@@ -138,7 +138,7 @@ fn main() {
     let skewed = rows.iter().find(|r| r.name == "heavy-slice-60").unwrap();
     assert_eq!(
         skewed.predicted,
-        KernelFlavor::Balanced,
+        KernelChoice::Balanced,
         "predictor must pick the load-balanced arm on the skewed preset"
     );
     assert!(
@@ -149,17 +149,17 @@ fn main() {
     for r in rows.iter().filter(|r| r.name != "heavy-slice-60") {
         assert_eq!(
             r.predicted,
-            KernelFlavor::Tiled,
+            KernelChoice::Tiled,
             "{}: the tiled baseline must stay chosen off the dominant-slice regime",
             r.name
         );
         let (argmin, _) = r
             .durations
             .iter()
-            .filter(|&&(f, _)| f != KernelFlavor::ModeAgnostic)
+            .filter(|&&(k, _)| k != KernelChoice::ModeAgnostic)
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
-        assert_eq!(*argmin, KernelFlavor::Tiled, "{}: cost-model argmin disagrees", r.name);
+        assert_eq!(*argmin, KernelChoice::Tiled, "{}: cost-model argmin disagrees", r.name);
     }
 
     // The FLYCOO storage story: one entry copy plus per-mode remap tables

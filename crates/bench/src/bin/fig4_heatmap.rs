@@ -9,8 +9,9 @@
 //!
 //! Regenerate with `cargo run --release -p scalfrag-bench --bin fig4_heatmap`.
 
-use scalfrag_autotune::sweep::{sweep_tensor, KernelFlavor};
+use scalfrag_autotune::sweep::sweep_tensor;
 use scalfrag_bench::{scaled_small_suite, RANK};
+use scalfrag_exec::KernelChoice;
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 
 fn main() {
@@ -46,7 +47,7 @@ fn main() {
     ));
 
     for (name, tensor) in panels {
-        let sweep = sweep_tensor(&device, KernelFlavor::CooAtomic, &tensor, 0, RANK as u32, &space);
+        let sweep = sweep_tensor(&device, KernelChoice::CooAtomic, &tensor, 0, RANK as u32, &space);
         let lookup = |g: u32, b: u32| -> f64 {
             sweep
                 .entries

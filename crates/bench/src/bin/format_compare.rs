@@ -7,8 +7,8 @@
 //! Regenerate with `cargo run --release -p scalfrag-bench --bin format_compare`.
 
 use scalfrag_bench::{render_table, scaled_suite, RANK};
+use scalfrag_exec::KernelChoice;
 use scalfrag_gpusim::{kernel_duration, DeviceSpec, LaunchConfig};
-use scalfrag_kernels::workload::{coo_atomic_workload, tiled_smem_bytes, tiled_workload};
 use scalfrag_kernels::{CsfFiberKernel, FCooKernel, HiCooKernel, SegmentStats};
 use scalfrag_tensor::{CsfTensor, FCooTensor, HiCooTensor};
 
@@ -21,15 +21,8 @@ fn main() {
     let mut mem_rows = Vec::new();
     for (name, tensor) in scaled_suite() {
         let stats = SegmentStats::compute(&tensor, 0);
-        let t_coo = kernel_duration(&device, &cfg, &coo_atomic_workload(&stats, RANK as u32)).total;
-        let tiled_cfg = LaunchConfig::with_shared(
-            cfg.grid,
-            cfg.block,
-            tiled_smem_bytes(RANK as u32, cfg.block),
-        );
-        let t_tiled =
-            kernel_duration(&device, &tiled_cfg, &tiled_workload(&stats, RANK as u32, cfg.block))
-                .total;
+        let t_coo = KernelChoice::CooAtomic.duration(&device, &stats, RANK as u32, cfg);
+        let t_tiled = KernelChoice::Tiled.duration(&device, &stats, RANK as u32, cfg);
 
         let fcoo = FCooTensor::from_coo(&tensor, 0, 1024);
         let t_fcoo = kernel_duration(

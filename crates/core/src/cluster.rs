@@ -284,36 +284,6 @@ impl ClusterMttkrpReport {
             output: run.output,
         }
     }
-
-    /// Number of devices in the node (including idle ones).
-    pub fn num_devices(&self) -> usize {
-        self.per_device.len()
-    }
-
-    /// End-to-end achieved GFLOP/s across the node.
-    pub fn e2e_gflops(&self) -> f64 {
-        if self.total_s <= 0.0 {
-            0.0
-        } else {
-            self.flops as f64 / self.total_s / 1e9
-        }
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        let busiest = self.per_device.iter().map(|p| p.total_s).fold(0.0, f64::max);
-        format!(
-            "cluster   mode-{} {} gpus={} shards={} | busiest {:.3}ms reduce {:.3}ms | total {:.3}ms ({:.1} GF/s e2e)",
-            self.mode,
-            self.config,
-            self.num_devices(),
-            self.num_shards,
-            busiest * 1e3,
-            self.reduction_s * 1e3,
-            self.total_s * 1e3,
-            self.e2e_gflops(),
-        )
-    }
 }
 
 /// A [`ClusterMttkrpReport`] plus the fault-recovery bookkeeping of the
@@ -360,7 +330,7 @@ mod tests {
         let r = ctx.mttkrp(&t, &f, 0);
         let expect = mttkrp_seq(&t, &f, 0);
         assert!(r.output.max_abs_diff(&expect) < 1e-2, "diff {}", r.output.max_abs_diff(&expect));
-        assert_eq!(r.num_devices(), 2);
+        assert_eq!(r.per_device.len(), 2);
         assert_eq!(r.num_shards, 4, "default shards = 2 × devices");
         assert!(r.total_s > 0.0);
         assert_eq!(r.reduction_s, 0.0, "slice-aligned default reduces for free");
@@ -416,15 +386,5 @@ mod tests {
             .zip(r.report.output.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "recovered output must be bitwise identical to the fault-free run");
-    }
-
-    #[test]
-    fn report_summary_mentions_the_node_shape() {
-        let (t, f) = small();
-        let ctx =
-            ClusterScalFrag::builder().fixed_config(LaunchConfig::new(512, 256)).shards(3).build();
-        let r = ctx.mttkrp_dry(&t, &f, 1);
-        let s = r.summary();
-        assert!(s.contains("gpus=2") && s.contains("shards=3"), "{s}");
     }
 }

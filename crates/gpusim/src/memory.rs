@@ -25,7 +25,7 @@
 //!
 //! * **in use** — page bytes of live allocations ([`MemoryPool::used`]);
 //! * **reserved** — carved from capacity: in-use pages plus pooled free
-//!   pages ([`MemoryPool::reserved`]);
+//!   pages ([`MemStats::reserved`]);
 //! * **requested** — what callers actually asked for; `in_use −
 //!   requested` is the internal fragmentation of reusing pages larger
 //!   than their request.
@@ -67,19 +67,6 @@ pub struct Allocation {
     page_bytes: u64,
 }
 
-impl Allocation {
-    /// Bytes the caller requested.
-    pub fn bytes(&self) -> u64 {
-        self.requested
-    }
-
-    /// Bytes of the backing page (≥ [`Allocation::bytes`] when a larger
-    /// pooled page was reused).
-    pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
-    }
-}
-
 /// A point-in-time snapshot of the pool's accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
@@ -103,16 +90,6 @@ pub struct MemStats {
     pub trimmed_pages: u64,
     /// Allocation requests that failed with [`OutOfMemory`].
     pub failures: u64,
-}
-
-impl MemStats {
-    /// Memory pressure in `[0, 1]`: fraction of capacity reserved.
-    pub fn pressure(&self) -> f64 {
-        if self.capacity == 0 {
-            return 1.0;
-        }
-        self.reserved as f64 / self.capacity as f64
-    }
 }
 
 #[derive(Default)]
@@ -182,34 +159,14 @@ impl MemoryPool {
         Self { capacity, inner: Mutex::new(PoolInner::default()) }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Page bytes of live allocations.
     pub fn used(&self) -> u64 {
         self.inner.lock().in_use
     }
 
-    /// Bytes carved from capacity (live pages plus pooled free pages).
-    pub fn reserved(&self) -> u64 {
-        self.inner.lock().reserved
-    }
-
-    /// Bytes a fresh carve could still claim without trimming.
-    pub fn available(&self) -> u64 {
-        self.capacity - self.inner.lock().reserved
-    }
-
     /// High-watermark of live page bytes.
     pub fn peak(&self) -> u64 {
         self.inner.lock().peak_in_use
-    }
-
-    /// Memory pressure in `[0, 1]`: fraction of capacity reserved.
-    pub fn pressure(&self) -> f64 {
-        self.stats().pressure()
     }
 
     /// Snapshot of the full accounting state.
@@ -281,8 +238,8 @@ impl MemoryPool {
 
     /// Releases an allocation: the page parks in the free list keyed by
     /// its size and is reused by the next fitting request of its class.
-    /// Capacity is only recovered by [`MemoryPool::trim`] (or the
-    /// allocator's auto-trim under pressure) — exclusive-pool semantics.
+    /// Capacity is only recovered by the allocator's auto-trim under
+    /// pressure — exclusive-pool semantics.
     pub fn free(&self, alloc: Allocation) {
         let mut g = self.inner.lock();
         g.in_use -= alloc.page_bytes;
@@ -290,11 +247,6 @@ impl MemoryPool {
         if alloc.page_bytes > 0 {
             *g.free_pages.entry(alloc.page_bytes).or_default() += 1;
         }
-    }
-
-    /// Releases every pooled free page back to capacity.
-    pub fn trim(&self) {
-        self.inner.lock().trim_all();
     }
 }
 
@@ -316,15 +268,16 @@ mod tests {
     fn freed_pages_are_reused_within_their_size_class() {
         let pool = MemoryPool::new(1 << 20);
         let a = pool.alloc(400).unwrap();
-        assert_eq!(a.bytes(), 400);
-        assert_eq!(a.page_bytes(), 400, "carves are exact-size");
+        let s = pool.stats();
+        assert_eq!(s.requested, 400);
+        assert_eq!(s.in_use, 400, "carves are exact-size");
         assert_eq!(pool.used(), 400);
         pool.free(a);
         assert_eq!(pool.used(), 0);
-        assert_eq!(pool.reserved(), 400, "freed page stays pooled");
+        assert_eq!(pool.stats().reserved, 400, "freed page stays pooled");
         // Same class (256, 512]: served from the free list, no new carve.
         let b = pool.alloc(300).unwrap();
-        assert_eq!(b.page_bytes(), 400);
+        assert_eq!(pool.used(), 400);
         let s = pool.stats();
         assert_eq!(s.reuses, 1);
         assert_eq!(s.carves, 1);
@@ -332,7 +285,7 @@ mod tests {
         pool.free(b);
         // Different class: a tiny request must not squat the 400 B page.
         let c = pool.alloc(64).unwrap();
-        assert_eq!(c.page_bytes(), 64);
+        assert_eq!(pool.used(), 64);
         assert_eq!(pool.stats().carves, 2);
         pool.free(c);
     }
@@ -343,7 +296,7 @@ mod tests {
         // allocator's accounting down to the last byte.
         let pool = MemoryPool::new(1_000);
         let a = pool.alloc(999).unwrap();
-        assert_eq!(a.page_bytes(), 999);
+        assert_eq!(pool.used(), 999);
         let err = pool.alloc(30).unwrap_err();
         assert_eq!(err.requested, 30);
         assert_eq!(err.available, 1);
@@ -362,22 +315,22 @@ mod tests {
         let pool = MemoryPool::new(1_024);
         let a = pool.alloc(1_000).unwrap();
         pool.free(a);
-        assert_eq!(pool.reserved(), 1_000, "page pooled, capacity still reserved");
+        assert_eq!(pool.stats().reserved, 1_000, "page pooled, capacity still reserved");
         // 24 B of capacity remain: a 200 B request cannot carve, so it
         // best-fits into the pooled 1000 B page despite the class gap.
         let b = pool.alloc(200).unwrap();
-        assert_eq!(b.page_bytes(), 1_000);
+        assert_eq!(pool.used(), 1_000);
         let s = pool.stats();
         assert_eq!(s.in_use - s.requested, 800);
         pool.free(b);
         // A request bigger than any pooled page only fits once the
         // pooled 1000 B page is trimmed back to capacity.
         let c = pool.alloc(1_010).unwrap();
-        assert_eq!(c.page_bytes(), 1_010);
-        assert!(pool.stats().trimmed_pages >= 1, "auto-trim reclaimed the pooled page");
+        assert_eq!(pool.used(), 1_010);
+        let s = pool.stats();
+        assert!(s.trimmed_pages >= 1, "auto-trim reclaimed the pooled page");
+        assert_eq!(s.reserved, 1_010, "only the live page stays carved");
         pool.free(c);
-        pool.trim();
-        assert_eq!(pool.reserved(), 0);
     }
 
     #[test]
@@ -391,7 +344,6 @@ mod tests {
         assert_eq!(s.in_use, 512);
         assert_eq!(s.in_use - s.requested, 212, "internal fragmentation");
         assert_eq!(s.reserved - s.in_use, 0, "nothing pooled");
-        assert!(s.pressure() > 0.0 && s.pressure() < 1.0);
         pool.free(b);
         let s = pool.stats();
         assert_eq!(s.reserved - s.in_use, 512, "the page is pooled");
@@ -404,7 +356,7 @@ mod tests {
         let a = pool.alloc(0).unwrap();
         assert_eq!(pool.used(), 0);
         pool.free(a);
-        assert_eq!(pool.reserved(), 0);
+        assert_eq!(pool.stats().reserved, 0);
     }
 
     #[test]
@@ -446,7 +398,7 @@ mod tests {
         }
         assert_eq!(pool.used(), 0);
         assert!(pool.peak() <= 10_000);
-        assert!(pool.reserved() <= 10_000);
+        assert!(pool.stats().reserved <= 10_000);
     }
 
     #[test]

@@ -8,12 +8,9 @@
 
 use crate::atomic_buf::AtomicF32Buffer;
 use crate::factors::FactorSet;
-use crate::workload::{coo_atomic_workload, SegmentStats};
 use crate::{partials, simd};
-use scalfrag_gpusim::{Gpu, KernelWorkload, LaunchConfig, OpId, StreamId};
 use scalfrag_tensor::CooTensor;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Entries per parallel unit. Fixed (never thread-derived) so the unit
 /// decomposition — and with it the submission-order fold — is identical
@@ -26,11 +23,6 @@ pub struct CooAtomicKernel;
 impl CooAtomicKernel {
     /// Kernel name for reports.
     pub const NAME: &'static str = "coo-atomic";
-
-    /// Cost-model workload of this kernel over a segment.
-    pub fn workload(stats: &SegmentStats, rank: u32) -> KernelWorkload {
-        coo_atomic_workload(stats, rank)
-    }
 
     /// Functional body: computes `out[row·rank + f] += val · Π factor rows`
     /// for every entry in `range` of `seg`, in parallel, with atomic f32
@@ -66,29 +58,6 @@ impl CooAtomicKernel {
                 }
             }
         });
-    }
-
-    /// Enqueues this kernel over the entries `range` of `seg`, whose
-    /// statistics for `mode` are `stats`, on the simulated GPU: the
-    /// duration comes from the cost model, the numeric work from
-    /// [`CooAtomicKernel::execute`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue(
-        gpu: &mut Gpu,
-        stream: StreamId,
-        config: LaunchConfig,
-        stats: &SegmentStats,
-        seg: Arc<CooTensor>,
-        range: Range<usize>,
-        factors: Arc<FactorSet>,
-        mode: usize,
-        out: Arc<AtomicF32Buffer>,
-        label: impl Into<Arc<str>>,
-    ) -> OpId {
-        let workload = Self::workload(stats, factors.rank() as u32);
-        gpu.launch_exec(stream, config, workload, label, move || {
-            Self::execute(&seg, range, &factors, mode, &out);
-        })
     }
 }
 
@@ -129,33 +98,6 @@ mod tests {
             let b = mttkrp_seq(&t, &f, mode);
             assert!(a.max_abs_diff(&b) < 1e-3);
         }
-    }
-
-    #[test]
-    fn enqueued_kernel_executes_and_is_timed() {
-        let t = Arc::new(CooTensor::random_uniform(&[20, 15, 10], 400, 5));
-        let f = Arc::new(FactorSet::random(&[20, 15, 10], 8, 6));
-        let out = Arc::new(AtomicF32Buffer::new(20 * 8));
-        let mut gpu = Gpu::new(scalfrag_gpusim::DeviceSpec::rtx3090());
-        let s = gpu.create_stream();
-        CooAtomicKernel::enqueue(
-            &mut gpu,
-            s,
-            LaunchConfig::new(64, 128),
-            &SegmentStats::compute(&t, 0),
-            Arc::clone(&t),
-            0..400,
-            Arc::clone(&f),
-            0,
-            Arc::clone(&out),
-            "coo",
-        );
-        let tl = gpu.synchronize();
-        assert_eq!(tl.spans.len(), 1);
-        assert!(tl.spans[0].duration() > 0.0);
-        let m = Mat::from_vec(20, 8, out.to_vec());
-        let expect = mttkrp_seq(&t, &f, 0);
-        assert!(m.max_abs_diff(&expect) < 1e-3);
     }
 
     #[test]

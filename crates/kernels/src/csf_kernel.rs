@@ -8,9 +8,8 @@ use crate::atomic_buf::AtomicF32Buffer;
 use crate::factors::FactorSet;
 use crate::reference;
 use crate::workload::{csf_fiber_workload, SegmentStats};
-use scalfrag_gpusim::{Gpu, KernelWorkload, LaunchConfig, OpId, StreamId};
-use scalfrag_tensor::{CooTensor, CsfTensor};
-use std::sync::Arc;
+use scalfrag_gpusim::KernelWorkload;
+use scalfrag_tensor::CsfTensor;
 
 /// The slice-parallel CSF MTTKRP kernel.
 pub struct CsfFiberKernel;
@@ -43,26 +42,6 @@ impl CsfFiberKernel {
             }
         }
     }
-
-    /// Enqueues this kernel on the simulated GPU.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue(
-        gpu: &mut Gpu,
-        stream: StreamId,
-        config: LaunchConfig,
-        coo_segment: &CooTensor,
-        csf: Arc<CsfTensor>,
-        factors: Arc<FactorSet>,
-        out: Arc<AtomicF32Buffer>,
-        label: impl Into<Arc<str>>,
-    ) -> OpId {
-        let mode = csf.mode_order()[0];
-        let stats = SegmentStats::compute(coo_segment, mode);
-        let workload = Self::workload(&stats, factors.rank() as u32, csf.num_slices() as u64);
-        gpu.launch_exec(stream, config, workload, label, move || {
-            Self::execute(&csf, &factors, &out);
-        })
-    }
 }
 
 #[cfg(test)]
@@ -70,6 +49,7 @@ mod tests {
     use super::*;
     use crate::reference::mttkrp_seq;
     use scalfrag_linalg::Mat;
+    use scalfrag_tensor::CooTensor;
 
     #[test]
     fn matches_reference_all_modes() {
@@ -83,30 +63,5 @@ mod tests {
             let expect = mttkrp_seq(&t, &f, mode);
             assert!(m.max_abs_diff(&expect) < 1e-3, "mode {mode}");
         }
-    }
-
-    #[test]
-    fn enqueue_runs_and_matches() {
-        let t = CooTensor::random_uniform(&[20, 12, 8], 500, 3);
-        let f = Arc::new(FactorSet::random(&[20, 12, 8], 4, 4));
-        let csf = Arc::new(CsfTensor::from_coo(&t, 1));
-        let out = Arc::new(AtomicF32Buffer::new(12 * 4));
-        let mut gpu = Gpu::new(scalfrag_gpusim::DeviceSpec::rtx3090());
-        let s = gpu.create_stream();
-        CsfFiberKernel::enqueue(
-            &mut gpu,
-            s,
-            LaunchConfig::new(64, 64),
-            &t,
-            Arc::clone(&csf),
-            Arc::clone(&f),
-            Arc::clone(&out),
-            "csf",
-        );
-        let tl = gpu.synchronize();
-        assert!(tl.spans[0].duration() > 0.0);
-        let m = Mat::from_vec(12, 4, out.to_vec());
-        let expect = mttkrp_seq(&t, &f, 1);
-        assert!(m.max_abs_diff(&expect) < 1e-3);
     }
 }

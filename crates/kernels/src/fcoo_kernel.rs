@@ -11,9 +11,8 @@ use crate::atomic_buf::AtomicF32Buffer;
 use crate::factors::FactorSet;
 use crate::workload::SegmentStats;
 use crate::{partials, simd};
-use scalfrag_gpusim::{Gpu, KernelWorkload, LaunchConfig, OpId, StreamId};
+use scalfrag_gpusim::KernelWorkload;
 use scalfrag_tensor::FCooTensor;
-use std::sync::Arc;
 
 /// The flag-based segmented-reduction MTTKRP kernel.
 pub struct FCooKernel;
@@ -93,25 +92,6 @@ impl FCooKernel {
             }
         }
     }
-
-    /// Enqueues this kernel on the simulated GPU.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue(
-        gpu: &mut Gpu,
-        stream: StreamId,
-        config: LaunchConfig,
-        coo_stats: &SegmentStats,
-        fcoo: Arc<FCooTensor>,
-        factors: Arc<FactorSet>,
-        out: Arc<AtomicF32Buffer>,
-        label: impl Into<Arc<str>>,
-    ) -> OpId {
-        let workload =
-            Self::workload(coo_stats, factors.rank() as u32, fcoo.num_partitions() as u64);
-        gpu.launch_exec(stream, config, workload, label, move || {
-            Self::execute(&fcoo, &factors, &out);
-        })
-    }
 }
 
 #[cfg(test)]
@@ -165,30 +145,6 @@ mod tests {
         let coo_w = crate::workload::coo_atomic_workload(&stats, 16);
         assert!(w.atomic_ops < coo_w.atomic_ops / 100);
         assert_eq!(w.atomic_hotness, 0.0);
-    }
-
-    #[test]
-    fn enqueue_runs() {
-        let t = CooTensor::random_uniform(&[20, 15, 10], 400, 7);
-        let f = Arc::new(FactorSet::random(&[20, 15, 10], 4, 8));
-        let stats = SegmentStats::compute(&t, 0);
-        let fcoo = Arc::new(FCooTensor::from_coo(&t, 0, 64));
-        let out = Arc::new(AtomicF32Buffer::new(20 * 4));
-        let mut gpu = Gpu::new(scalfrag_gpusim::DeviceSpec::rtx3090());
-        let s = gpu.create_stream();
-        FCooKernel::enqueue(
-            &mut gpu,
-            s,
-            LaunchConfig::new(64, 64),
-            &stats,
-            fcoo,
-            Arc::clone(&f),
-            Arc::clone(&out),
-            "fcoo",
-        );
-        gpu.synchronize();
-        let m = Mat::from_vec(20, 4, out.to_vec());
-        assert!(m.max_abs_diff(&mttkrp_seq(&t, &f, 0)) < 1e-3);
     }
 
     #[test]

@@ -12,9 +12,8 @@ use crate::atomic_buf::AtomicF32Buffer;
 use crate::factors::FactorSet;
 use crate::workload::SegmentStats;
 use crate::{partials, simd};
-use scalfrag_gpusim::{Gpu, KernelWorkload, LaunchConfig, OpId, StreamId};
+use scalfrag_gpusim::KernelWorkload;
 use scalfrag_tensor::HiCooTensor;
-use std::sync::Arc;
 
 /// The block-parallel HiCOO MTTKRP kernel.
 pub struct HiCooKernel;
@@ -92,30 +91,6 @@ impl HiCooKernel {
             }
         });
     }
-
-    /// Enqueues this kernel on the simulated GPU.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue(
-        gpu: &mut Gpu,
-        stream: StreamId,
-        config: LaunchConfig,
-        coo_stats: &SegmentStats,
-        hicoo: Arc<HiCooTensor>,
-        factors: Arc<FactorSet>,
-        mode: usize,
-        out: Arc<AtomicF32Buffer>,
-        label: impl Into<Arc<str>>,
-    ) -> OpId {
-        let workload = Self::workload(
-            coo_stats,
-            factors.rank() as u32,
-            hicoo.avg_nnz_per_block(),
-            hicoo.block_edge(),
-        );
-        gpu.launch_exec(stream, config, workload, label, move || {
-            Self::execute(&hicoo, &factors, mode, &out);
-        })
-    }
 }
 
 #[cfg(test)]
@@ -162,30 +137,5 @@ mod tests {
         let wu = HiCooKernel::workload(&su, 16, hu.avg_nnz_per_block(), 16);
         assert!(wc.shared_tile_reduction > wu.shared_tile_reduction);
         assert!(wc.bytes_read < wu.bytes_read, "clustering amortises block coords");
-    }
-
-    #[test]
-    fn enqueue_runs_and_matches() {
-        let t = scalfrag_tensor::gen::blocked(&[64, 64, 64], 800, 8, 8, 5);
-        let f = Arc::new(FactorSet::random(&[64, 64, 64], 4, 6));
-        let h = Arc::new(HiCooTensor::from_coo(&t, 3));
-        let stats = SegmentStats::compute(&t, 1);
-        let out = Arc::new(AtomicF32Buffer::new(64 * 4));
-        let mut gpu = Gpu::new(scalfrag_gpusim::DeviceSpec::rtx3090());
-        let s = gpu.create_stream();
-        HiCooKernel::enqueue(
-            &mut gpu,
-            s,
-            LaunchConfig::new(64, 128),
-            &stats,
-            h,
-            Arc::clone(&f),
-            1,
-            Arc::clone(&out),
-            "hicoo",
-        );
-        gpu.synchronize();
-        let m = Mat::from_vec(64, 4, out.to_vec());
-        assert!(m.max_abs_diff(&mttkrp_seq(&t, &f, 1)) < 1e-3);
     }
 }

@@ -3,8 +3,9 @@
 //! The MTTKRP kernels of the ScalFrag reproduction and the CPD-ALS driver
 //! built on top of them.
 //!
-//! Three simulated GPU kernels (all functionally executed, all timed by the
-//! `scalfrag-gpusim` cost model) plus a CPU reference:
+//! Six simulated GPU kernels (all functionally executed, all priced by the
+//! `scalfrag-gpusim` cost model through their [`workload`] functions) plus
+//! a CPU reference:
 //!
 //! * [`reference`] — sequential and host-pool-parallel CPU MTTKRP over COO and
 //!   CSF; the correctness oracle for everything else, validated on small
@@ -17,8 +18,14 @@
 //!   block-level pre-reduction slashing the global atomic traffic.
 //! * [`csf_kernel`] — a fiber-parallel kernel over the CSF tree, with one
 //!   owner per output row (no atomics at all).
+//! * [`bcsf_kernel`], [`fcoo_kernel`] and [`hicoo_kernel`] — the BCSF,
+//!   F-COO and HiCOO members of the §II-D format space, which the
+//!   conformance harness checks beside the others.
 //! * [`cpd`] — the CPD-ALS loop of Algorithm 1 parameterised over any
 //!   [`MttkrpBackend`], with fit tracking.
+//!
+//! A plan launches the COO and tiled kernels (and the two balance arms)
+//! through `scalfrag_balance::KernelChoice`, the one launch path.
 
 pub mod atomic_buf;
 pub mod backend;

@@ -10,19 +10,16 @@
 //!   mode-sorted segment; each window accumulates same-row partials in a
 //!   local buffer (the `mvals` shared-memory tile) and flushes one atomic
 //!   add per (row, rank) pair instead of one per (entry, rank) pair;
-//! * **in the cost model** — via [`tiled_workload`]'s
+//! * **in the cost model** — via [`tiled_workload`](crate::workload::tiled_workload)'s
 //!   `shared_tile_reduction` (fewer global atomics) and higher effective
 //!   coalescing (staged `times_mat` reuse), at the price of a shared-memory
 //!   request that the occupancy calculator charges against residency.
 
 use crate::atomic_buf::AtomicF32Buffer;
 use crate::factors::FactorSet;
-use crate::workload::{tiled_smem_bytes, tiled_workload, SegmentStats};
 use crate::{partials, simd};
-use scalfrag_gpusim::{Gpu, KernelWorkload, LaunchConfig, OpId, StreamId};
 use scalfrag_tensor::CooTensor;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// The shared-memory tiled MTTKRP kernel — ScalFrag's compute contribution.
 pub struct TiledKernel;
@@ -30,18 +27,6 @@ pub struct TiledKernel;
 impl TiledKernel {
     /// Kernel name for reports.
     pub const NAME: &'static str = "scalfrag-tiled";
-
-    /// Cost-model workload of this kernel over a segment.
-    pub fn workload(stats: &SegmentStats, rank: u32, block: u32) -> KernelWorkload {
-        tiled_workload(stats, rank, block)
-    }
-
-    /// The launch configuration this kernel needs for a given base config:
-    /// same grid/block plus the dynamic shared-memory request for the
-    /// `mvals` and `times_mat` tiles.
-    pub fn config_with_smem(base: LaunchConfig, rank: u32) -> LaunchConfig {
-        LaunchConfig::with_shared(base.grid, base.block, tiled_smem_bytes(rank, base.block))
-    }
 
     /// Functional body over the entries `range` of `seg`. They should be
     /// sorted for `mode` (the pipeline's preprocessing guarantees it);
@@ -109,30 +94,6 @@ impl TiledKernel {
             flush(open_row, &mut mvals, list);
         });
     }
-
-    /// Enqueues this kernel over the entries `range` of `seg`, whose
-    /// statistics for `mode` are `stats`, on the simulated GPU.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue(
-        gpu: &mut Gpu,
-        stream: StreamId,
-        base_config: LaunchConfig,
-        stats: &SegmentStats,
-        seg: Arc<CooTensor>,
-        range: Range<usize>,
-        factors: Arc<FactorSet>,
-        mode: usize,
-        out: Arc<AtomicF32Buffer>,
-        label: impl Into<Arc<str>>,
-    ) -> OpId {
-        let rank = factors.rank() as u32;
-        let config = Self::config_with_smem(base_config, rank);
-        let workload = Self::workload(stats, rank, config.block);
-        let block = config.block;
-        gpu.launch_exec(stream, config, workload, label, move || {
-            Self::execute(&seg, range, &factors, mode, block, &out);
-        })
-    }
 }
 
 #[cfg(test)]
@@ -190,41 +151,5 @@ mod tests {
         let out = AtomicF32Buffer::new(5 * 4);
         TiledKernel::execute(&t, 0..0, &f, 0, 256, &out);
         assert!(out.to_vec().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn smem_config_is_attached() {
-        let cfg = TiledKernel::config_with_smem(LaunchConfig::new(512, 256), 16);
-        assert_eq!(cfg.grid, 512);
-        assert_eq!(cfg.block, 256);
-        assert_eq!(cfg.shared_mem_per_block, tiled_smem_bytes(16, 256));
-        assert!(cfg.shared_mem_per_block > 0);
-    }
-
-    #[test]
-    fn enqueued_tiled_kernel_matches_reference() {
-        let mut t = CooTensor::random_uniform(&[30, 10, 10], 800, 7);
-        t.sort_for_mode(0);
-        let t = Arc::new(t);
-        let f = Arc::new(FactorSet::random(&[30, 10, 10], 8, 8));
-        let out = Arc::new(AtomicF32Buffer::new(30 * 8));
-        let mut gpu = Gpu::new(scalfrag_gpusim::DeviceSpec::rtx3090());
-        let s = gpu.create_stream();
-        TiledKernel::enqueue(
-            &mut gpu,
-            s,
-            LaunchConfig::new(128, 128),
-            &SegmentStats::compute(&t, 0),
-            Arc::clone(&t),
-            0..800,
-            Arc::clone(&f),
-            0,
-            Arc::clone(&out),
-            "tiled",
-        );
-        gpu.synchronize();
-        let m = Mat::from_vec(30, 8, out.to_vec());
-        let expect = mttkrp_seq(&t, &f, 0);
-        assert!(m.max_abs_diff(&expect) < 1e-3);
     }
 }

@@ -9,14 +9,11 @@
 //!
 //! Each preset can be materialised at a `scale` divisor: non-zeros are
 //! divided by `scale` and every mode size by `scale^(1/order)`, which keeps
-//! the density of Table III (up to clamping of tiny modes). The default
-//! [`DEFAULT_SCALE`] of 512 turns the 3–144 M-nnz originals into
-//! 6 K–280 K-nnz tensors that the whole benchmark suite can sweep quickly.
+//! the density of Table III (up to clamping of tiny modes). The figure
+//! harnesses pick a divisor per preset (`scalfrag-bench`'s
+//! `effective_scale`).
 
 use crate::{CooTensor, Idx};
-
-/// Default down-scaling divisor applied to preset nnz counts.
-pub const DEFAULT_SCALE: u64 = 512;
 
 /// Structural regime of a dataset's non-zero distribution.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -5,9 +5,10 @@
 //! Run with `cargo run --release --example autotune_workflow`.
 
 use scalfrag::autotune::persist::{load_tree, save_tree};
-use scalfrag::autotune::sweep::{sweep_tensor, KernelFlavor};
+use scalfrag::autotune::sweep::sweep_tensor;
 use scalfrag::autotune::trainer::{generate_corpus, select_config, train_and_evaluate};
 use scalfrag::autotune::{DecisionTree, LaunchPredictor, Regressor};
+use scalfrag::exec::KernelChoice;
 use scalfrag::gpusim::DeviceSpec;
 use scalfrag::prelude::*;
 
@@ -67,7 +68,7 @@ fn main() {
     let full_space = LaunchConfig::sweep_space(&device);
     for (label, t) in &fresh {
         let cfg = predictor.predict(t, 0);
-        let sweep = sweep_tensor(&device, KernelFlavor::Tiled, t, 0, rank, &full_space);
+        let sweep = sweep_tensor(&device, KernelChoice::Tiled, t, 0, rank, &full_space);
         let t_sel =
             sweep.entries.iter().find(|(c, _)| *c == cfg).map(|&(_, s)| s).unwrap_or(f64::INFINITY);
         let (best_cfg, t_best) = sweep.best();

@@ -8,6 +8,7 @@
 //! Run with `cargo run --release --example hardware_sensitivity`.
 
 use scalfrag::autotune::LaunchPredictor;
+use scalfrag::exec::KernelChoice;
 use scalfrag::gpusim::DeviceSpec;
 use scalfrag::prelude::*;
 
@@ -32,7 +33,7 @@ fn main() {
         for (name, t) in &tensors {
             let cfg = p.predict(t, 0);
             let stats = scalfrag::kernels::SegmentStats::compute(t, 0);
-            let dur = scalfrag::autotune::sweep::KernelFlavor::Tiled.duration(d, &stats, rank, cfg);
+            let dur = KernelChoice::Tiled.duration(d, &stats, rank, cfg);
             println!("{:<26} {:>14} {:>22} {:>12.1}µs", d.name, name, format!("{cfg}"), dur * 1e6);
         }
     }

@@ -3,7 +3,8 @@
 //! `scalfrag-bench`: they check the *direction and rough magnitude* of each
 //! result, not absolute numbers.
 
-use scalfrag::autotune::sweep::{sweep_tensor, KernelFlavor};
+use scalfrag::autotune::sweep::sweep_tensor;
+use scalfrag::exec::KernelChoice;
 use scalfrag::gpusim::DeviceSpec;
 use scalfrag::prelude::*;
 use std::sync::OnceLock;
@@ -38,13 +39,13 @@ fn fig4_shape_launch_space_discriminates() {
     let large = scalfrag::tensor::gen::uniform(&[4_000, 3_000, 1_500], 900_000, 2);
 
     for t in [&small, &large] {
-        let sweep = sweep_tensor(&d, KernelFlavor::CooAtomic, t, 0, 16, &space);
+        let sweep = sweep_tensor(&d, KernelChoice::CooAtomic, t, 0, 16, &space);
         let (_, best) = sweep.best();
         let (_, worst) = sweep.worst();
         assert!(worst / best > 3.0, "gap {} too small", worst / best);
     }
-    let b_small = sweep_tensor(&d, KernelFlavor::CooAtomic, &small, 0, 16, &space).best().0;
-    let b_large = sweep_tensor(&d, KernelFlavor::CooAtomic, &large, 0, 16, &space).best().0;
+    let b_small = sweep_tensor(&d, KernelChoice::CooAtomic, &small, 0, 16, &space).best().0;
+    let b_large = sweep_tensor(&d, KernelChoice::CooAtomic, &large, 0, 16, &space).best().0;
     assert_ne!(b_small, b_large, "optima must be tensor-dependent");
 }
 
@@ -144,9 +145,9 @@ fn adaptive_launch_selects_near_optimal_configs() {
     for (seed, nnz) in [(10u64, 40_000usize), (11, 300_000)] {
         let t = scalfrag::tensor::gen::zipf_slices(&[2_000, 1_500, 900], nnz, 0.9, seed);
         let cfg = scal.select_config(&t, 0, 16);
-        let sweep = sweep_tensor(&d, KernelFlavor::Tiled, &t, 0, 16, &space);
+        let sweep = sweep_tensor(&d, KernelChoice::Tiled, &t, 0, 16, &space);
         let stats = scalfrag::kernels::SegmentStats::compute(&t, 0);
-        let t_sel = KernelFlavor::Tiled.duration(&d, &stats, 16, cfg);
+        let t_sel = KernelChoice::Tiled.duration(&d, &stats, 16, cfg);
         let (_, t_best) = sweep.best();
         assert!(
             t_sel / t_best < 1.8,
