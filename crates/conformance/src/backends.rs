@@ -222,7 +222,7 @@ pub fn path_backends() -> Vec<Backend> {
 }
 
 /// Every ScheduleIR plan builder registered anywhere in the workspace
-/// (core, pipeline, cluster, serve, oom, balance, serve-batched),
+/// (core, pipeline, cluster, oom, balance, serve-batched),
 /// concatenated in crate order — later additions append, so the seed
 /// builders keep their pinned fold order in the golden trace
 /// fingerprints.
@@ -234,7 +234,6 @@ pub fn all_plan_builders() -> Vec<PlanBuilder> {
     let mut v = scalfrag_core::plan_builders();
     v.extend(scalfrag_pipeline::plan_builders());
     v.extend(scalfrag_cluster::plan_builders());
-    v.extend(scalfrag_serve::plan_builders());
     v.extend(scalfrag_oom::plan_builders());
     v.extend(scalfrag_pipeline::balance_plan_builders());
     v.extend(scalfrag_pipeline::batched_plan_builders());

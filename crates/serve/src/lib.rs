@@ -64,7 +64,7 @@ pub use job::{JobId, MttkrpJob, Priority};
 pub use plan_cache::{CacheStats, PlanCache, SnapshotError, SNAPSHOT_VERSION};
 pub use queue::{slo_target_s, QosConfig, QosQueues, TokenBucket};
 pub use report::{JobRecord, ServeReport};
-pub use scheduler::{plan_builders, DevicePool, PLAN_HIT_S, PLAN_MISS_S};
+pub use scheduler::{DevicePool, PLAN_HIT_S, PLAN_MISS_S};
 pub use workload::{synthesize, WorkloadSpec};
 
 use scalfrag_autotune::{TrainedPredictor, TRAIN_SEED};

@@ -20,18 +20,14 @@ use crate::report::{JobRecord, ServeReport};
 use crate::ScalFragServer;
 use scalfrag_autotune::prefer_batched;
 use scalfrag_core::PhaseTiming;
-use scalfrag_exec::{run_plan, PlanBuilder};
+use scalfrag_exec::run_plan;
 use scalfrag_faults::{DeviceHealth, FaultInjector, OpClass, OpVerdict, RecoveryAction};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig, SpanKind};
 use scalfrag_kernels::SegmentStats;
 use scalfrag_linalg::Mat;
 use scalfrag_opt::Pipeline;
-use scalfrag_pipeline::plan::MAX_SEGMENTS;
-use scalfrag_pipeline::{
-    build_shared_pipelined_plan, lower_batched_plan, BatchedJobSpec, ExecMode, KernelChoice,
-    PipelinePlan,
-};
-use scalfrag_tensor::{segment, CooTensor, FeatureKey, TensorFeatures};
+use scalfrag_pipeline::{lower_batched_plan, BatchedJobSpec, ExecMode, KernelChoice};
+use scalfrag_tensor::{CooTensor, FeatureKey, TensorFeatures};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -645,33 +641,6 @@ fn job_of_label(label: &str) -> Option<u64> {
     let rest = label.strip_prefix("job")?;
     let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
     rest[..end].parse().ok()
-}
-
-/// The serving layer's registered plan builders: `serve-functional`, an
-/// auto-segmented pipelined plan (4–16 segments, at most 4 streams) of one
-/// job with the ParTI launch heuristic, so building stays training-free
-/// and deterministic. It is not what a server dispatches: every dispatch
-/// lowers the fused `serve-batched` shape ([`lower_batched_plan`]), a solo
-/// job as a group of one — which is what the `path:serve-functional`
-/// conformance backend runs, through a functional server.
-pub fn plan_builders() -> Vec<PlanBuilder> {
-    vec![PlanBuilder::new("serve-functional", |tensor, factors, mode| {
-        let device = DeviceSpec::rtx3090();
-        let config = LaunchConfig::parti_default(tensor.nnz());
-        let segments = segment::auto_segment_count(
-            tensor.byte_size(),
-            factors.byte_size(),
-            device.global_mem_bytes as usize,
-            MAX_SEGMENTS,
-        )
-        .clamp(4, MAX_SEGMENTS);
-        let sorted = Arc::new(tensor.sorted_for_mode(mode));
-        let pplan = PipelinePlan::new(&sorted, mode, config, segments, segments.min(4));
-        let mut p =
-            build_shared_pipelined_plan(&device, sorted, factors, &pplan, KernelChoice::Tiled);
-        p.name = "serve-functional";
-        p
-    })]
 }
 
 /// Inserts a resubmission keeping the list sorted descending by

@@ -148,7 +148,7 @@ fn bits(m: &Mat) -> Vec<u32> {
 fn every_builder_recovers_a_storm_bit_exactly_raw_and_optimized() {
     let (tensor, factors) = registry_tensor();
     let builders = scalfrag::conformance::all_plan_builders();
-    assert_eq!(builders.len(), 11);
+    assert_eq!(builders.len(), 10);
     for builder in &builders {
         let raw = (builder.build)(&tensor, &factors, 0);
         for plan in [scalfrag::opt::optimize_default(&raw), raw] {

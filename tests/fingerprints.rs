@@ -35,15 +35,21 @@ const GOLDEN_SERVE_FINGERPRINT: u64 = 0xf111_6031_af67_9f0f;
 // program position instead of per retry wave.
 const GOLDEN_FAULT_LOG_FINGERPRINT: u64 = 0x52b9_83c6_7791_6e25;
 const GOLDEN_CLUSTER_OUTPUT_CHECKSUM: u64 = 0xd336_3d55_543a_4baf;
-const GOLDEN_PLAN_TRACE_FINGERPRINT: u64 = 0xed33_cf2f_445d_e4d6;
+// Re-pinned when the `serve-functional` registered builder was deleted:
+// this digest folds every seed builder's trace, and that one is gone (the
+// `path:serve-functional` backend still drives a functional server).
+const GOLDEN_PLAN_TRACE_FINGERPRINT: u64 = 0x035d_d6b2_f3e9_6c0d;
 const GOLDEN_BALANCE_PLAN_TRACE_FINGERPRINT: u64 = 0x22fc_902a_17f3_df68;
 const GOLDEN_BATCHED_PLAN_TRACE_FINGERPRINT: u64 = 0x4a79_4e71_6d71_1c32;
-// Re-pinned when the batch-fused serving builder joined the registry
-// (the opt digest deliberately folds every builder, so it shifts on
-// registration — previously when the two balance builders joined).
-const GOLDEN_OPT_PLAN_TRACE_FINGERPRINT: u64 = 0x2c80_f8f5_d801_5bc1;
+// Re-pinned when the `serve-functional` registered builder was deleted
+// (the opt digest deliberately folds every builder, so it shifts when the
+// registry changes — previously when the batch-fused serving builder and
+// the two balance builders joined).
+const GOLDEN_OPT_PLAN_TRACE_FINGERPRINT: u64 = 0x78ea_839d_061d_e981;
 const GOLDEN_STREAMING_TRACE_FINGERPRINT: u64 = 0x3d53_ffcf_3f4e_e0c3;
-const GOLDEN_PLAN_RENDER_DIGEST: u64 = 0x6a60_9c09_1ce9_56cf;
+// Re-pinned when the `serve-functional` registered builder was deleted:
+// the digest renders every registered builder's program.
+const GOLDEN_PLAN_RENDER_DIGEST: u64 = 0x7440_0639_1a92_fdc0;
 const GOLDEN_RESCUE_TRACE_FINGERPRINT: u64 = 0x8268_fab4_323b_1fb1;
 
 /// FNV-1a folding of `bytes` into the running hash `h`.
@@ -176,7 +182,7 @@ fn batched_plan_trace_fingerprint_is_pinned() {
 
 /// Every registered builder's plan, run through the *default optimizer
 /// pipeline* and interpreted dry, must also schedule deterministically —
-/// the optimized twin of the raw pin above, covering all eleven builders
+/// the optimized twin of the raw pin above, covering all ten builders
 /// (the streamer and both balance arms included: the streamer's
 /// evict/prefetch loop is exactly what the memory-op passes canonicalize).
 #[test]

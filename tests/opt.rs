@@ -98,7 +98,7 @@ fn declared_commutations_are_symmetric_and_hold_on_every_builder() {
     }
 }
 
-/// The tentpole acceptance gate: all eleven registered builders, through
+/// The tentpole acceptance gate: all ten registered builders, through
 /// the full default pipeline, ULP-clean against the differential oracle.
 #[test]
 fn optimized_builders_stay_ulp_clean_against_the_oracle() {
@@ -119,7 +119,7 @@ fn optimized_builders_stay_ulp_clean_against_the_oracle() {
             }
         })
         .collect();
-    assert_eq!(backends.len(), 11, "eleven registered builders expected");
+    assert_eq!(backends.len(), 10, "ten registered builders expected");
     let cases: Vec<_> = smoke_corpus(17).into_iter().filter(|c| c.tensor.nnz() > 0).collect();
     assert!(cases.len() >= 3);
     let report = run_differential(&backends, &cases, 17);
