@@ -25,6 +25,8 @@
 //!    between the tiled baseline, the load-balanced segmented scan and the
 //!    FLYCOO mode-agnostic arm, calibrated against the cost-model argmin.
 
+#![forbid(unsafe_code)]
+
 pub mod arms;
 pub mod boost;
 pub mod forest;

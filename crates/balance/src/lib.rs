@@ -35,6 +35,8 @@
 //! [`KernelChoice::enqueue`], at the same price. It lives here because this
 //! crate already depends on every kernel it dispatches to.
 
+#![forbid(unsafe_code)]
+
 pub mod choice;
 pub mod flycoo_kernel;
 pub mod segscan;

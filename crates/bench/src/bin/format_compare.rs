@@ -9,7 +9,8 @@
 use scalfrag_bench::{render_table, scaled_suite, RANK};
 use scalfrag_exec::KernelChoice;
 use scalfrag_gpusim::{kernel_duration, DeviceSpec, LaunchConfig};
-use scalfrag_kernels::{CsfFiberKernel, FCooKernel, HiCooKernel, SegmentStats};
+use scalfrag_kernels::workload::csf_fiber_workload;
+use scalfrag_kernels::{FCooKernel, HiCooKernel, SegmentStats};
 use scalfrag_tensor::{CsfTensor, FCooTensor, HiCooTensor};
 
 fn main() {
@@ -44,7 +45,7 @@ fn main() {
         let t_csf = kernel_duration(
             &device,
             &cfg,
-            &CsfFiberKernel::workload(&stats, RANK as u32, csf.num_slices() as u64),
+            &csf_fiber_workload(&stats, RANK as u32, csf.num_slices() as u64),
         )
         .total;
 

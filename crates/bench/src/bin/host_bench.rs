@@ -1,6 +1,6 @@
 //! Host-executor bench: the first *real wall-clock* perf trajectory in
 //! the repo. Everything else here measures the analytic cost model; this
-//! harness times the work-stealing pool itself — the conformance corpus
+//! harness times the host pool itself — the conformance corpus
 //! runner, the plan interpreter and every kernel format — at pool sizes
 //! 1/2/4/8 and records the speedup curve plus the bit-identity verdict.
 //!
@@ -56,7 +56,7 @@ fn main() {
     let builders = scalfrag_conformance::all_plan_builders();
 
     // The kernel-throughput tensor: Zipf skew so units are uneven and the
-    // pool actually has stealing to do.
+    // pool's threads finish them at uneven times.
     let t = gen::zipf_slices(&[80, 60, 40], if smoke { 8_000 } else { 40_000 }, 1.2, 77);
     let f = FactorSet::random(t.dims(), 16, 78);
     // FLOP-equivalents per MTTKRP run: one fma per (entry, other-mode,

@@ -19,6 +19,8 @@
 //! `balance_bench`, `oom_stream`, `fault_storm`, `conformance`,
 //! `plan_dump`) check the implementation itself.
 
+#![forbid(unsafe_code)]
+
 pub mod svg;
 
 use scalfrag_kernels::FactorSet;

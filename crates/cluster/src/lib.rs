@@ -30,6 +30,8 @@
 //! *shard* and fold in shard-index order, so for a fixed shard count the
 //! result is bitwise identical across device counts and schedulers.
 
+#![forbid(unsafe_code)]
+
 pub mod builders;
 pub mod node;
 pub mod schedule;

@@ -16,7 +16,7 @@
 //!   [`differential::ConformanceReport`] with per-backend max-ULP and
 //!   first-divergence coordinates.
 //!   [`differential::run_differential_parallel`] fans the (case, mode)
-//!   units out across the `scalfrag-host` work-stealing pool and folds
+//!   units out across the `scalfrag-host` pool and folds
 //!   verdict fragments in submission order — same report, real cores.
 //! * **Metamorphic suite** — [`metamorphic`] is a catalogue of reusable
 //!   invariants the mathematics guarantees (mode permutation, nnz shuffle,
@@ -26,6 +26,8 @@
 //!   over every kernel's write trace and gates CI on a self-test: the
 //!   deliberately-racy mutant must be caught, the shipped kernels must be
 //!   clean.
+
+#![forbid(unsafe_code)]
 
 pub mod backends;
 pub mod differential;

@@ -1,14 +1,12 @@
 //! The multi-GPU ScalFrag facade: the [`ScalFrag`](crate::ScalFrag)
 //! builder pattern lifted onto a [`NodeSpec`] of simulated devices.
 
-use crate::report::{call_flops, PhaseTiming};
+use crate::report::PhaseTiming;
 use scalfrag_autotune::{TrainedPredictor, TRAIN_SEED};
 use scalfrag_cluster::{
-    build_cluster_plan, ClusterOptions, DeviceScheduler, ExecMode, FaultRecoveryPolicy, NodeSpec,
-    ShardPolicy,
+    build_cluster_plan, ClusterOptions, DeviceScheduler, ExecMode, NodeSpec, ShardPolicy,
 };
-use scalfrag_exec::{run_plan, run_plan_faulted, ExecOutcome, Plan};
-use scalfrag_faults::FaultInjector;
+use scalfrag_exec::{run_plan, ExecOutcome, Plan};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
 use scalfrag_linalg::Mat;
@@ -199,31 +197,6 @@ impl ClusterScalFrag {
         self.run(tensor, factors, mode, ExecMode::Dry)
     }
 
-    /// Runs one multi-device MTTKRP under injected faults, recovering per
-    /// `policy` (segment retries, transient-outage waits and — in
-    /// re-shard mode — placement of a dead device's shards onto the
-    /// survivors). When the run completes fully, the output is bitwise
-    /// identical to [`ClusterScalFrag::mttkrp`] on the same inputs.
-    pub fn mttkrp_resilient(
-        &self,
-        tensor: &CooTensor,
-        factors: &FactorSet,
-        mode: usize,
-        injector: &mut FaultInjector,
-        policy: &FaultRecoveryPolicy,
-    ) -> ResilientClusterMttkrpReport {
-        let plan = self.plan(tensor, factors, mode);
-        let run = run_plan_faulted(&plan, ExecMode::Functional, injector, policy);
-        ResilientClusterMttkrpReport {
-            failed_segments: run.lost_items(),
-            completed_segments: run.completed_items,
-            replaced_segments: run.replaced_items,
-            retries: run.retries,
-            dead_devices: run.dead_devices.clone(),
-            report: ClusterMttkrpReport::from_run(&plan, run, call_flops(tensor, factors)),
-        }
-    }
-
     fn run(
         &self,
         tensor: &CooTensor,
@@ -232,8 +205,7 @@ impl ClusterScalFrag {
         exec: ExecMode,
     ) -> ClusterMttkrpReport {
         let plan = self.plan(tensor, factors, mode);
-        let run = run_plan(&plan, exec);
-        ClusterMttkrpReport::from_run(&plan, run, call_flops(tensor, factors))
+        ClusterMttkrpReport::from_run(&plan, run_plan(&plan, exec))
     }
 }
 
@@ -251,16 +223,12 @@ pub struct ClusterMttkrpReport {
     /// Per-device phase breakdowns, index-aligned with the node's device
     /// list (idle devices report zeros).
     pub per_device: Vec<PhaseTiming>,
-    /// Device names, index-aligned with `per_device`.
-    pub device_names: Vec<&'static str>,
     /// Global shard indices each device executed.
     pub assignments: Vec<Vec<usize>>,
     /// Simulated seconds of the cross-shard reduction stage.
     pub reduction_s: f64,
     /// Cluster makespan: slowest device + reduction (s).
     pub total_s: f64,
-    /// MTTKRP FLOPs.
-    pub flops: u64,
     /// The MTTKRP output (zeros for dry runs).
     pub output: Mat,
 }
@@ -269,45 +237,18 @@ impl ClusterMttkrpReport {
     /// The report of one run of a cluster `plan`, in any run mode: the
     /// node shape comes from the plan; the timings, the shards each
     /// device completed and the output (moved, not copied) from the run.
-    pub(crate) fn from_run(plan: &Plan, run: ExecOutcome, flops: u64) -> Self {
+    pub(crate) fn from_run(plan: &Plan, run: ExecOutcome) -> Self {
         Self {
             mode: plan.mode,
             rank: plan.rank,
             config: plan.kernel.full_config(plan.config, plan.rank as u32),
             num_shards: plan.shards.len(),
             per_device: run.device_timelines.iter().map(PhaseTiming::from_timeline).collect(),
-            device_names: plan.devices.iter().map(|d| d.spec.name).collect(),
             total_s: run.makespan(),
             reduction_s: run.reduction_s,
             assignments: run.device_shards,
-            flops,
             output: run.output,
         }
-    }
-}
-
-/// A [`ClusterMttkrpReport`] plus the fault-recovery bookkeeping of the
-/// run that produced it.
-#[derive(Clone, Debug)]
-pub struct ResilientClusterMttkrpReport {
-    /// The usual cluster report (output, per-device timings, makespan).
-    pub report: ClusterMttkrpReport,
-    /// Segments permanently lost (0 when recovery succeeded everywhere).
-    pub failed_segments: usize,
-    /// Segments that completed somewhere.
-    pub completed_segments: usize,
-    /// Segments rescued by re-sharding onto a surviving device.
-    pub replaced_segments: usize,
-    /// Total segment retry attempts beyond the first.
-    pub retries: usize,
-    /// Devices that died permanently during the run.
-    pub dead_devices: Vec<usize>,
-}
-
-impl ResilientClusterMttkrpReport {
-    /// True when every segment completed despite the faults.
-    pub fn all_complete(&self) -> bool {
-        self.failed_segments == 0
     }
 }
 
@@ -365,7 +306,9 @@ mod tests {
 
     #[test]
     fn resilient_facade_recovers_a_dead_device_bit_exactly() {
-        use scalfrag_faults::{FaultKind, FaultPlan, FaultTrigger};
+        use scalfrag_cluster::FaultRecoveryPolicy;
+        use scalfrag_exec::run_plan_faulted;
+        use scalfrag_faults::{FaultInjector, FaultKind, FaultPlan, FaultTrigger};
         let (t, f) = small();
         let ctx =
             ClusterScalFrag::builder().fixed_config(LaunchConfig::new(1024, 256)).shards(4).build();
@@ -375,15 +318,20 @@ mod tests {
             FaultTrigger::AtOp(2),
             FaultKind::DeviceFail { down_s: None },
         ));
-        let r = ctx.mttkrp_resilient(&t, &f, 0, &mut inj, &FaultRecoveryPolicy::retry_reshard());
-        assert!(r.all_complete(), "re-sharding must rescue the dead device's shards");
+        let r = run_plan_faulted(
+            &ctx.plan(&t, &f, 0),
+            ExecMode::Functional,
+            &mut inj,
+            &FaultRecoveryPolicy::retry_reshard(),
+        );
+        assert_eq!(r.lost_items(), 0, "re-sharding must rescue the dead device's shards");
         assert_eq!(r.dead_devices, vec![1]);
-        assert!(r.replaced_segments > 0);
+        assert!(r.replaced_items > 0);
         let same = clean
             .output
             .as_slice()
             .iter()
-            .zip(r.report.output.as_slice())
+            .zip(r.output.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "recovered output must be bitwise identical to the fault-free run");
     }

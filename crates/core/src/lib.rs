@@ -18,15 +18,14 @@
 //! tensor is sharded, shards are scheduled onto `N` simulated devices
 //! behind an interconnect model, and partial outputs are reduced.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod parti;
 pub mod report;
 pub mod scalfrag;
 
-pub use cluster::{
-    ClusterConfig, ClusterMttkrpReport, ClusterScalFrag, ClusterScalFragBuilder,
-    ResilientClusterMttkrpReport,
-};
+pub use cluster::{ClusterConfig, ClusterMttkrpReport, ClusterScalFrag, ClusterScalFragBuilder};
 pub use parti::{plan_builders, Parti};
 pub use report::{MttkrpReport, PhaseTiming};
 pub use scalfrag::{ScalFrag, ScalFragBuilder, ScalFragConfig};

@@ -209,19 +209,19 @@ impl MttkrpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalfrag_gpusim::{Engine, Span, SpanKind};
+    use scalfrag_gpusim::{Span, SpanKind};
 
-    fn span(engine: Engine, start: f64, end: f64) -> Span {
-        Span { op: 0, stream: 0, engine, kind: SpanKind::Kernel, label: "".into(), start, end }
+    fn span(kind: SpanKind, start: f64, end: f64) -> Span {
+        Span { op: 0, stream: 0, kind, label: "".into(), start, end }
     }
 
     #[test]
     fn phase_timing_from_timeline() {
         let t = Timeline {
             spans: vec![
-                span(Engine::H2D, 0.0, 3.0),
-                span(Engine::Compute, 3.0, 4.0),
-                span(Engine::D2H, 4.0, 4.5),
+                span(SpanKind::CopyH2D, 0.0, 3.0),
+                span(SpanKind::Kernel, 3.0, 4.0),
+                span(SpanKind::CopyD2H, 4.0, 4.5),
             ],
         };
         let p = PhaseTiming::from_timeline(&t);
@@ -269,8 +269,9 @@ mod tests {
 
     #[test]
     fn queue_wait_extends_total_but_not_busy() {
-        let t =
-            Timeline { spans: vec![span(Engine::H2D, 0.0, 2.0), span(Engine::Compute, 2.0, 3.0)] };
+        let t = Timeline {
+            spans: vec![span(SpanKind::CopyH2D, 0.0, 2.0), span(SpanKind::Kernel, 2.0, 3.0)],
+        };
         let p = PhaseTiming::from_timeline(&t).with_queue(1.5);
         assert_eq!(p.queue_s, 1.5);
         assert_eq!(p.busy_s(), 3.0, "queue wait is not busy time");
@@ -299,8 +300,9 @@ mod tests {
 
     #[test]
     fn batch_wait_extends_total_but_not_busy() {
-        let t =
-            Timeline { spans: vec![span(Engine::H2D, 0.0, 2.0), span(Engine::Compute, 2.0, 3.0)] };
+        let t = Timeline {
+            spans: vec![span(SpanKind::CopyH2D, 0.0, 2.0), span(SpanKind::Kernel, 2.0, 3.0)],
+        };
         let p = PhaseTiming { batch_wait_s: 0.5, ..PhaseTiming::from_timeline(&t).with_queue(1.0) };
         assert_eq!(p.batch_wait_s, 0.5);
         assert_eq!(p.busy_s(), 3.0, "batch wait is idle time, not busy time");

@@ -8,8 +8,9 @@ pub use scalfrag_balance::KernelChoice;
 mod tests {
     use super::*;
     use scalfrag_conformance::{max_ulp, tolerance_for};
-    use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig};
+    use scalfrag_gpusim::{occupancy, DeviceSpec, Gpu, LaunchConfig, Limiter};
     use scalfrag_kernels::reference::mttkrp_seq;
+    use scalfrag_kernels::workload::tiled_workload;
     use scalfrag_kernels::{AtomicF32Buffer, FactorSet, SegmentStats};
     use scalfrag_tensor::CooTensor;
     use std::ops::Range;
@@ -52,7 +53,9 @@ mod tests {
     /// span durations of the same launch on a `slice_range` copy. (The
     /// range's statistics equal the copy's; the `SegmentStats` tests pin
     /// that.) The one span a launch records, dry or functional, lasts
-    /// exactly the [`KernelChoice::duration`] the autotuner prices it at.
+    /// exactly the [`KernelChoice::duration`] the autotuner prices it at —
+    /// also on a dry launch where the tiled arm's shared-memory request is
+    /// what limits residency, so pricing any other configuration shows.
     #[test]
     fn range_launches_match_launches_on_a_slice_copy() {
         let dims = [60u32, 40, 30];
@@ -98,6 +101,34 @@ mod tests {
                     }
                 }
             }
+        }
+
+        // A dims-only shard priced from hand-built statistics of 1M
+        // entries at rank 150 on <<<4096, 128>>>: the tiled arm asks for
+        // 21,600 B per block, which leaves room for 6 blocks per SM against
+        // 9 by registers and 12 by threads.
+        let device = DeviceSpec::rtx3090();
+        let (rank, wide) = (150, LaunchConfig::new(4096, 128));
+        let big = SegmentStats {
+            nnz: 1 << 20,
+            order: 3,
+            mode_dim: dims[MODE] as u64,
+            row_hotness: 1.0 / dims[MODE] as f64,
+            avg_nnz_per_slice: (1u64 << 20) as f64 / dims[MODE] as f64,
+        };
+        let regs = tiled_workload(&big, rank, wide.block).regs_per_thread;
+        let tiled = occupancy(&device, &KernelChoice::Tiled.full_config(wide, rank), regs);
+        assert_eq!((tiled.limiter, tiled.blocks_per_sm), (Limiter::SharedMem, 6));
+        let shard = Arc::new(CooTensor::new(&dims));
+        let f = Arc::new(FactorSet::random(&dims, rank as usize, 5));
+        for kernel in KERNELS {
+            let mut gpu = Gpu::new(device.clone());
+            let s = gpu.create_stream();
+            kernel.enqueue(&mut gpu, s, wide, &big, &shard, 0..1 << 20, &f, MODE, None, "k".into());
+            let spans: Vec<u64> =
+                gpu.synchronize().spans.iter().map(|span| span.duration().to_bits()).collect();
+            let priced = kernel.duration(&device, &big, rank, wide);
+            assert_eq!(spans, [priced.to_bits()], "{kernel:?} rank {rank} priced at {priced} s");
         }
     }
 }

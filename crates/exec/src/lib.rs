@@ -9,6 +9,7 @@
 //! fault-free or under fault injection, functional or dry — and emits a
 //! fingerprintable [`PlanTrace`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod interp;

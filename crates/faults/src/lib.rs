@@ -31,6 +31,8 @@
 //! one place per layer — the `scalfrag-exec` interpreter retries ops and
 //! re-places a dead device's units, and `scalfrag-serve` requeues jobs.
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 pub mod event;
 pub mod injector;

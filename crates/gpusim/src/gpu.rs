@@ -24,7 +24,7 @@ use crate::cost::{kernel_duration, KernelWorkload};
 use crate::device::{DeviceSpec, HostSpec};
 use crate::launch::LaunchConfig;
 use crate::memory::MemoryPool;
-use crate::timeline::{Engine, Span, SpanKind, Timeline};
+use crate::timeline::{Span, SpanKind, Timeline};
 use std::sync::Arc;
 
 /// Identifier of a stream created by [`Gpu::create_stream`].
@@ -84,7 +84,8 @@ pub struct Gpu {
     pending: Vec<PendingOp>,
     /// Ready time per stream, indexed by [`StreamId`].
     stream_ready: Vec<f64>,
-    /// Ready time per engine, indexed by `Engine as usize`.
+    /// Ready time per engine, indexed by `SpanKind as usize` (each kind
+    /// occupies its own engine).
     engine_ready: [f64; 4],
     /// Completion time per recorded event, indexed by [`EventId`]; NaN
     /// until the event's record op resolves.
@@ -282,11 +283,11 @@ impl Gpu {
         let mut pending = std::mem::take(&mut self.pending);
         for op in pending.drain(..) {
             let s = op.stream.0 as usize;
-            let (engine, kind) = match &op.payload {
-                OpPayload::Copy { h2d: true, .. } => (Engine::H2D, SpanKind::CopyH2D),
-                OpPayload::Copy { h2d: false, .. } => (Engine::D2H, SpanKind::CopyD2H),
-                OpPayload::Kernel { .. } => (Engine::Compute, SpanKind::Kernel),
-                OpPayload::HostTask { .. } => (Engine::Host, SpanKind::HostTask),
+            let kind = match &op.payload {
+                OpPayload::Copy { h2d: true, .. } => SpanKind::CopyH2D,
+                OpPayload::Copy { h2d: false, .. } => SpanKind::CopyD2H,
+                OpPayload::Kernel { .. } => SpanKind::Kernel,
+                OpPayload::HostTask { .. } => SpanKind::HostTask,
                 OpPayload::EventWait { event } => {
                     let t = self.event_time[event.0 as usize];
                     assert!(!t.is_nan(), "wait on unresolved event {event:?}");
@@ -302,13 +303,13 @@ impl Gpu {
                     continue;
                 }
             };
-            let e = engine as usize;
+            let e = kind as usize;
             let start = self.stream_ready[s].max(self.engine_ready[e]);
             let end = start + self.op_duration(&op.payload);
             self.stream_ready[s] = end;
             self.engine_ready[e] = end;
             let label = op.label.expect("every op that occupies an engine carries a label");
-            let span = Span { op: op.id, stream: op.stream.0, engine, kind, label, start, end };
+            let span = Span { op: op.id, stream: op.stream.0, kind, label, start, end };
             batch.spans.push(span);
             if let Some(f) = op.exec {
                 f();
@@ -446,8 +447,8 @@ mod tests {
         g.launch(s1, LaunchConfig::new(256, 256), small_kernel(1_000_000), "k");
         let t = g.synchronize();
         assert_eq!(counter.load(Ordering::SeqCst), 1);
-        let host = t.spans.iter().find(|s| s.engine == Engine::Host).unwrap();
-        let kern = t.spans.iter().find(|s| s.engine == Engine::Compute).unwrap();
+        let host = t.spans.iter().find(|s| s.kind == SpanKind::HostTask).unwrap();
+        let kern = t.spans.iter().find(|s| s.kind == SpanKind::Kernel).unwrap();
         assert_eq!(host.start, 0.0);
         assert_eq!(kern.start, 0.0, "host and device work overlap");
     }

@@ -25,9 +25,11 @@
 //!   breakdowns of Fig. 5 and the overlap analysis of Fig. 10/11.
 //!
 //! Kernels are *functionally executed* on the host (their bodies run on
-//! the `scalfrag-host` work-stealing pool) so numeric results are real
+//! the `scalfrag-host` pool) so numeric results are real
 //! and testable; the *simulated clock* is entirely analytic and
 //! therefore deterministic.
+
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod device;
@@ -49,4 +51,4 @@ pub use racecheck::{
     block_of_item, grid_stride_thread, AccessKind, AccessLog, AddrSpace, RaceConflict, RaceReport,
     SimThread,
 };
-pub use timeline::{Engine, Span, SpanKind, Timeline};
+pub use timeline::{Span, SpanKind, Timeline};

@@ -7,29 +7,18 @@
 
 use std::sync::Arc;
 
-/// The hardware engine a span occupied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// The host→device PCIe copy engine.
-    H2D,
-    /// The device→host PCIe copy engine.
-    D2H,
-    /// The SM array (kernel execution).
-    Compute,
-    /// The host CPU (hybrid execution / pre- and post-processing).
-    Host,
-}
-
-/// What kind of operation a span represents.
+/// What kind of operation a span represents. Each kind occupies its own
+/// exclusive hardware engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
-    /// Host→device transfer.
+    /// Host→device transfer, on the H2D PCIe copy engine.
     CopyH2D,
-    /// Device→host transfer.
+    /// Device→host transfer, on the D2H PCIe copy engine.
     CopyD2H,
-    /// Kernel execution.
+    /// Kernel execution, on the SM array.
     Kernel,
-    /// Host-side task.
+    /// Host-side task, on the host CPU (hybrid execution / pre- and
+    /// post-processing).
     HostTask,
 }
 
@@ -40,9 +29,7 @@ pub struct Span {
     pub op: u64,
     /// The stream the op was enqueued on.
     pub stream: u32,
-    /// The engine it occupied.
-    pub engine: Engine,
-    /// Operation kind.
+    /// Operation kind, which names the engine it occupied.
     pub kind: SpanKind,
     /// Human-readable label for reports, shared with the op that
     /// produced the span (cloning a span copies no text).
@@ -73,9 +60,9 @@ impl Timeline {
         self.spans.iter().map(|s| s.end).fold(0.0, f64::max)
     }
 
-    /// Total busy time of one engine (sum of span durations).
-    pub fn engine_busy(&self, engine: Engine) -> f64 {
-        self.spans.iter().filter(|s| s.engine == engine).map(Span::duration).sum()
+    /// Total busy time of one kind's engine (sum of span durations).
+    pub fn engine_busy(&self, kind: SpanKind) -> f64 {
+        self.spans.iter().filter(|s| s.kind == kind).map(Span::duration).sum()
     }
 
     /// Sum of all span durations (the serialized-execution lower bound on
@@ -99,10 +86,10 @@ impl Timeline {
     /// Per-kind busy time `(h2d, kernel, d2h, host)` — the Fig. 5 bars.
     pub fn breakdown(&self) -> (f64, f64, f64, f64) {
         (
-            self.engine_busy(Engine::H2D),
-            self.engine_busy(Engine::Compute),
-            self.engine_busy(Engine::D2H),
-            self.engine_busy(Engine::Host),
+            self.engine_busy(SpanKind::CopyH2D),
+            self.engine_busy(SpanKind::Kernel),
+            self.engine_busy(SpanKind::CopyD2H),
+            self.engine_busy(SpanKind::HostTask),
         )
     }
 
@@ -114,14 +101,14 @@ impl Timeline {
                 return Err(format!("span {} ends before it starts", s.op));
             }
         }
-        for engine in [Engine::H2D, Engine::D2H, Engine::Compute, Engine::Host] {
-            let mut spans: Vec<&Span> = self.spans.iter().filter(|s| s.engine == engine).collect();
+        for kind in [SpanKind::CopyH2D, SpanKind::CopyD2H, SpanKind::Kernel, SpanKind::HostTask] {
+            let mut spans: Vec<&Span> = self.spans.iter().filter(|s| s.kind == kind).collect();
             spans.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
             for w in spans.windows(2) {
                 if w[1].start < w[0].end - 1e-12 {
                     return Err(format!(
-                        "engine {:?}: op {} (start {}) overlaps op {} (end {})",
-                        engine, w[1].op, w[1].start, w[0].op, w[0].end
+                        "engine of {:?}: op {} (start {}) overlaps op {} (end {})",
+                        kind, w[1].op, w[1].start, w[0].op, w[0].end
                     ));
                 }
             }
@@ -137,14 +124,14 @@ impl Timeline {
             return String::from("(empty timeline)\n");
         }
         let mut out = String::new();
-        for (engine, tag) in [
-            (Engine::H2D, "H2D    "),
-            (Engine::Compute, "Kernel "),
-            (Engine::D2H, "D2H    "),
-            (Engine::Host, "Host   "),
+        for (kind, tag) in [
+            (SpanKind::CopyH2D, "H2D    "),
+            (SpanKind::Kernel, "Kernel "),
+            (SpanKind::CopyD2H, "D2H    "),
+            (SpanKind::HostTask, "Host   "),
         ] {
             let mut row = vec![b'.'; width];
-            for s in self.spans.iter().filter(|s| s.engine == engine) {
+            for s in self.spans.iter().filter(|s| s.kind == kind) {
                 let a = ((s.start / makespan) * width as f64) as usize;
                 let b = (((s.end / makespan) * width as f64).ceil() as usize).min(width);
                 for c in row.iter_mut().take(b).skip(a.min(width)) {
@@ -164,30 +151,17 @@ impl Timeline {
 mod tests {
     use super::*;
 
-    fn span(op: u64, engine: Engine, start: f64, end: f64) -> Span {
-        Span {
-            op,
-            stream: 0,
-            engine,
-            kind: match engine {
-                Engine::H2D => SpanKind::CopyH2D,
-                Engine::D2H => SpanKind::CopyD2H,
-                Engine::Compute => SpanKind::Kernel,
-                Engine::Host => SpanKind::HostTask,
-            },
-            label: format!("op{op}").into(),
-            start,
-            end,
-        }
+    fn span(op: u64, kind: SpanKind, start: f64, end: f64) -> Span {
+        Span { op, stream: 0, kind, label: format!("op{op}").into(), start, end }
     }
 
     #[test]
     fn makespan_and_busy() {
         let t = Timeline {
             spans: vec![
-                span(0, Engine::H2D, 0.0, 2.0),
-                span(1, Engine::Compute, 2.0, 3.0),
-                span(2, Engine::D2H, 3.0, 3.5),
+                span(0, SpanKind::CopyH2D, 0.0, 2.0),
+                span(1, SpanKind::Kernel, 2.0, 3.0),
+                span(2, SpanKind::CopyD2H, 3.0, 3.5),
             ],
         };
         assert_eq!(t.makespan(), 3.5);
@@ -202,10 +176,10 @@ mod tests {
         // Two H2D+kernel pairs where transfer of segment 2 overlaps kernel 1.
         let t = Timeline {
             spans: vec![
-                span(0, Engine::H2D, 0.0, 1.0),
-                span(1, Engine::H2D, 1.0, 2.0),
-                span(2, Engine::Compute, 1.0, 2.0),
-                span(3, Engine::Compute, 2.0, 3.0),
+                span(0, SpanKind::CopyH2D, 0.0, 1.0),
+                span(1, SpanKind::CopyH2D, 1.0, 2.0),
+                span(2, SpanKind::Kernel, 1.0, 2.0),
+                span(3, SpanKind::Kernel, 2.0, 3.0),
             ],
         };
         assert_eq!(t.makespan(), 3.0);
@@ -217,14 +191,14 @@ mod tests {
     #[test]
     fn validate_rejects_engine_overlap() {
         let t = Timeline {
-            spans: vec![span(0, Engine::H2D, 0.0, 2.0), span(1, Engine::H2D, 1.0, 3.0)],
+            spans: vec![span(0, SpanKind::CopyH2D, 0.0, 2.0), span(1, SpanKind::CopyH2D, 1.0, 3.0)],
         };
         assert!(t.validate().is_err());
     }
 
     #[test]
     fn validate_rejects_negative_duration() {
-        let t = Timeline { spans: vec![span(0, Engine::Compute, 2.0, 1.0)] };
+        let t = Timeline { spans: vec![span(0, SpanKind::Kernel, 2.0, 1.0)] };
         assert!(t.validate().is_err());
     }
 
@@ -240,7 +214,7 @@ mod tests {
     #[test]
     fn gantt_renders_rows() {
         let t = Timeline {
-            spans: vec![span(0, Engine::H2D, 0.0, 1.0), span(1, Engine::Compute, 1.0, 2.0)],
+            spans: vec![span(0, SpanKind::CopyH2D, 0.0, 1.0), span(1, SpanKind::Kernel, 1.0, 2.0)],
         };
         let g = t.ascii_gantt(20);
         assert!(g.contains("H2D"));

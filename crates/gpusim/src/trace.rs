@@ -2,15 +2,16 @@
 //! timelines. The JSON is hand-rolled (trace events are flat and simple),
 //! so no serialisation dependency is needed.
 
-use crate::timeline::{Engine, Timeline};
+use crate::timeline::{SpanKind, Timeline};
 use std::io::Write;
 
-fn engine_track(e: Engine) -> (&'static str, u32) {
-    match e {
-        Engine::H2D => ("H2D copy engine", 1),
-        Engine::Compute => ("SM array", 2),
-        Engine::D2H => ("D2H copy engine", 3),
-        Engine::Host => ("Host CPU", 4),
+/// The trace track (engine name, tid) of a span kind.
+fn engine_track(kind: SpanKind) -> (&'static str, u32) {
+    match kind {
+        SpanKind::CopyH2D => ("H2D copy engine", 1),
+        SpanKind::Kernel => ("SM array", 2),
+        SpanKind::CopyD2H => ("D2H copy engine", 3),
+        SpanKind::HostTask => ("Host CPU", 4),
     }
 }
 
@@ -31,8 +32,8 @@ pub fn write_chrome_trace(timeline: &Timeline, mut w: impl Write) -> std::io::Re
     writeln!(w, "[")?;
     let mut first = true;
     // Track-name metadata events.
-    for e in [Engine::H2D, Engine::Compute, Engine::D2H, Engine::Host] {
-        let (name, tid) = engine_track(e);
+    for kind in [SpanKind::CopyH2D, SpanKind::Kernel, SpanKind::CopyD2H, SpanKind::HostTask] {
+        let (name, tid) = engine_track(kind);
         if !first {
             writeln!(w, ",")?;
         }
@@ -43,7 +44,7 @@ pub fn write_chrome_trace(timeline: &Timeline, mut w: impl Write) -> std::io::Re
         )?;
     }
     for span in &timeline.spans {
-        let (_, tid) = engine_track(span.engine);
+        let (_, tid) = engine_track(span.kind);
         writeln!(w, ",")?;
         write!(
             w,

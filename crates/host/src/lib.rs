@@ -1,10 +1,10 @@
-//! `scalfrag-host` — a real work-stealing thread pool (Chase–Lev deques,
-//! no external deps) plus the *deterministic* parallel primitives the
-//! rest of the repo builds on.
+//! `scalfrag-host` — a self-scheduling thread pool (no external deps)
+//! plus the *deterministic* parallel primitive the rest of the repo
+//! builds on.
 //!
 //! # The determinism contract
 //!
-//! The pool schedules freely — pieces run wherever stealing lands them —
+//! The pool schedules freely — a unit runs on whichever thread claims it —
 //! but [`par_map`] gives every unit a private output slot, so the
 //! returned `Vec` is in unit order no matter the schedule. Callers then
 //! fold those per-unit results **in submission order** (the same
@@ -13,7 +13,7 @@
 //! golden fingerprint pins:
 //!
 //! * **Thread-count invariance:** the fold order is a function of the
-//!   unit decomposition only, so 1, 2, 4 and 8 workers produce
+//!   unit decomposition only, so 1, 2, 4 and 8 threads produce
 //!   bit-identical f32 outputs. [`check::thread_invariant`] is the
 //!   reusable harness for asserting this.
 //! * **Sequential equivalence:** with units folded in submission order,
@@ -27,40 +27,29 @@
 //!
 //! # Thread-count control
 //!
-//! The effective worker count is resolved per call site:
-//! 1. inside a pool worker → `1` (nested parallelism runs inline —
+//! The effective thread count is resolved per call site:
+//! 1. while running units (on a pool worker, or on a caller helping its
+//!    own [`par_map`]) → `1` (nested parallelism runs inline —
 //!    deadlock-free by construction);
 //! 2. innermost [`with_threads`] override on this thread, if any;
 //! 3. the `SCALFRAG_THREADS` env var, if set;
 //! 4. `std::thread::available_parallelism()`.
 //!
-//! Pools are cached per size and shared across calls, so
+//! Pools are cached per size and shared by every calling thread, so
 //! `with_threads(4, ..)` in a loop spawns threads once.
 
-mod deque;
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod pool;
 
 pub mod check;
 
-pub use pool::Pool;
-
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::mem::{ManuallyDrop, MaybeUninit};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::{RefCell, UnsafeCell};
+use std::mem::MaybeUninit;
+use std::sync::OnceLock;
 
 thread_local! {
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
     static THREAD_OVERRIDE: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-}
-
-pub(crate) fn enter_worker() {
-    IN_WORKER.with(|w| w.set(true));
-}
-
-/// True on a pool worker thread (where nested parallel calls run inline).
-pub fn in_worker() -> bool {
-    IN_WORKER.with(|w| w.get())
 }
 
 fn default_threads() -> usize {
@@ -75,13 +64,13 @@ fn default_threads() -> usize {
     })
 }
 
-/// The worker count parallel primitives will use *right now* on this
+/// The thread count parallel primitives will use *right now* on this
 /// thread (see the crate docs for the resolution order).
 ///
 /// Chunking heuristics must **not** divide work by this value if they
 /// feed a bit-pinned path — decomposition must be thread-independent.
 pub fn current_num_threads() -> usize {
-    if in_worker() {
+    if pool::in_worker() {
         return 1;
     }
     THREAD_OVERRIDE.with(|o| o.borrow().last().copied()).unwrap_or_else(default_threads)
@@ -104,52 +93,13 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Cached pools, one per size, spawned on first use and kept for the
-/// process lifetime.
-fn pool_for(threads: usize) -> Arc<Pool> {
-    static POOLS: OnceLock<Mutex<HashMap<usize, Arc<Pool>>>> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
-    Arc::clone(pools.lock().unwrap().entry(threads).or_insert_with(|| Arc::new(Pool::new(threads))))
-}
+/// One unit's output, written by whichever thread runs the unit.
+struct Slot<T>(UnsafeCell<MaybeUninit<T>>);
 
-/// Runs `body(start, end)` over a partition of `0..n`, parallel when the
-/// effective thread count exceeds 1, inline otherwise.
-///
-/// **Scheduling-only splits:** piece boundaries depend on the thread
-/// count and on stealing, so `body` must be *range-fold-safe* — its
-/// observable effect for `(s, e)` must equal running `(s, s+1) … (e-1, e)`
-/// individually. Per-index writes to disjoint slots qualify; folding a
-/// range into one accumulator does not (use [`par_map`] over explicit
-/// units for that).
-pub fn par_for(n: usize, grain: usize, body: impl Fn(usize, usize) + Sync) {
-    if n == 0 {
-        return;
-    }
-    let threads = current_num_threads();
-    if threads <= 1 || n <= grain.max(1) {
-        body(0, n);
-        return;
-    }
-    pool_for(threads).run(n, grain, &body);
-}
-
-struct SendPtr<T>(*mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    // Accessor (rather than field access) so closures capture the whole
-    // wrapper — edition-2021 disjoint capture would otherwise grab the
-    // raw pointer field and lose the Send/Sync impls.
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
+// SAFETY: threads share slots only inside `par_map`'s `run`, where each
+// slot is written once, by the one thread that claimed its unit, and read
+// by none; `T: Send` lets that thread hand the value over.
+unsafe impl<T: Send> Sync for Slot<T> {}
 
 /// Maps `f` over `0..n` in parallel, returning results **in unit order**
 /// regardless of the schedule — the deterministic building block.
@@ -157,38 +107,37 @@ impl<T> SendPtr<T> {
 /// Each unit writes a private slot, so this is exactly as deterministic
 /// as `(0..n).map(f).collect()` provided `f(i)` itself only depends on
 /// `i`. Fold the returned `Vec` in order and the whole pipeline is
-/// bit-identical across thread counts.
+/// bit-identical across thread counts. A panic in `f` reaches the caller.
 pub fn par_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
     let threads = current_num_threads();
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
-    out.resize_with(n, MaybeUninit::uninit);
-    let base = SendPtr(out.as_mut_ptr());
-    // Grain 1: units are coarse by construction (kernel chunks, corpus
-    // cases), so per-unit tasks are the right granularity.
-    pool_for(threads).run(n, 1, &move |s, e| {
-        for i in s..e {
-            let value = f(i);
-            unsafe { (*base.get().add(i)).write(value) };
-        }
+    let slots: Vec<Slot<T>> =
+        (0..n).map(|_| Slot(UnsafeCell::new(MaybeUninit::uninit()))).collect();
+    pool::pool_for(threads).run(n, &|i| {
+        let value = f(i);
+        // SAFETY: the pool hands unit `i` to this thread alone, so this is
+        // slot `i`'s only access until `run` returns.
+        unsafe { (*slots[i].0.get()).write(value) };
     });
-    // All n slots are initialized: `run` returns only after every index
-    // executed, and a worker panic would have propagated above.
-    let mut out = ManuallyDrop::new(out);
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<T>(), out.len(), out.capacity()) }
+    // SAFETY: `run` returned without re-throwing a panic, so every unit
+    // ran to the end and wrote its slot.
+    slots.into_iter().map(|slot| unsafe { slot.0.into_inner().assume_init() }).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_map_is_in_unit_order() {
         for &threads in &[1usize, 2, 4, 8] {
-            let got = with_threads(threads, || par_map(1000, |i| i * 3));
-            assert_eq!(got, (0..1000).map(|i| i * 3).collect::<Vec<_>>(), "{threads} threads");
+            for n in [0, 1000] {
+                let got = with_threads(threads, || par_map(n, |i| i * 3));
+                assert_eq!(got, (0..n).map(|i| i * 3).collect::<Vec<_>>(), "{threads} threads");
+            }
         }
     }
 
@@ -205,8 +154,9 @@ mod tests {
     fn nested_par_map_runs_inline_without_deadlock() {
         let got = with_threads(4, || {
             par_map(16, |i| {
-                // Inside a worker, current_num_threads() is 1 and this
-                // nested call runs inline.
+                // Every thread running a unit, the caller included, sees
+                // one thread, so this nested call runs inline.
+                assert_eq!(current_num_threads(), 1, "outer unit {i}");
                 let inner: usize = par_map(8, |j| i * j).into_iter().sum();
                 inner
             })
@@ -216,25 +166,60 @@ mod tests {
     }
 
     #[test]
-    fn par_for_covers_range() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let hits: Vec<AtomicUsize> = (0..513).map(|_| AtomicUsize::new(0)).collect();
-        with_threads(4, || {
-            par_for(513, 32, |s, e| {
-                for h in &hits[s..e] {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    fn par_map_covers_every_unit_once() {
+        for (threads, n) in [(4usize, 513usize), (4, 10_007), (2, 10_007)] {
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            with_threads(threads, || par_map(n, |i| hits[i].fetch_add(1, Ordering::Relaxed)));
+            for (i, h) in hits.iter().enumerate() {
+                assert_eq!(h.load(Ordering::Relaxed), 1, "{threads} threads, {n} units: unit {i}");
+            }
+        }
     }
 
     #[test]
     fn par_map_propagates_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            with_threads(4, || par_map(64, |i| if i == 13 { panic!("unlucky") } else { i }))
+        with_threads(4, || {
+            let caught = std::panic::catch_unwind(|| {
+                par_map(64, |i| if i == 13 { panic!("unlucky") } else { i })
+            });
+            let payload = caught.expect_err("panic must propagate");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+            assert_eq!(msg, "unlucky");
+            // The caller's flag is restored and the pool serves the next call.
+            assert_eq!(current_num_threads(), 4);
+            assert_eq!(par_map(10, |i| i), (0..10).collect::<Vec<_>>());
         });
-        assert!(caught.is_err());
+    }
+
+    #[test]
+    fn many_back_to_back_calls_do_not_wedge() {
+        let total = AtomicUsize::new(0);
+        with_threads(3, || {
+            for _ in 0..200 {
+                par_map(97, |_| total.fetch_add(1, Ordering::Relaxed));
+            }
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 200 * 97);
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_pool() {
+        // Four OS threads post jobs on the one cached 2-thread pool at once;
+        // each must get its own results, in unit order.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for caller in 0..4usize {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..100 {
+                        let got = with_threads(2, || par_map(16, |i| (caller, round, i)));
+                        let want: Vec<_> = (0..16).map(|i| (caller, round, i)).collect();
+                        assert_eq!(got, want, "caller {caller} round {round}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -88,13 +88,7 @@ mod tests {
         // 10_000 adds of 1.0 spread over 8 slots from four pool threads:
         // integer values up to 10k are exact in f32, so the result must be
         // exact.
-        scalfrag_host::with_threads(4, || {
-            scalfrag_host::par_for(10_000, 64, |s, e| {
-                for i in s..e {
-                    buf.add(i % 8, 1.0);
-                }
-            })
-        });
+        scalfrag_host::with_threads(4, || scalfrag_host::par_map(10_000, |i| buf.add(i % 8, 1.0)));
         let total: f32 = buf.to_vec().iter().sum();
         assert_eq!(total, 10_000.0);
         assert_eq!(buf.get(0), 1250.0);

@@ -7,8 +7,6 @@
 use crate::atomic_buf::AtomicF32Buffer;
 use crate::factors::FactorSet;
 use crate::reference;
-use crate::workload::{csf_fiber_workload, SegmentStats};
-use scalfrag_gpusim::KernelWorkload;
 use scalfrag_tensor::CsfTensor;
 
 /// The slice-parallel CSF MTTKRP kernel.
@@ -17,12 +15,6 @@ pub struct CsfFiberKernel;
 impl CsfFiberKernel {
     /// Kernel name for reports.
     pub const NAME: &'static str = "csf-fiber";
-
-    /// Cost-model workload for a CSF tree built from a segment with the
-    /// given stats.
-    pub fn workload(stats: &SegmentStats, rank: u32, num_slices: u64) -> KernelWorkload {
-        csf_fiber_workload(stats, rank, num_slices)
-    }
 
     /// Functional body: the host-pool slice-parallel CSF walk, accumulated into
     /// the shared output buffer (adds are conflict-free because each slice

@@ -27,6 +27,8 @@
 //! A plan launches the COO and tiled kernels (and the two balance arms)
 //! through `scalfrag_balance::KernelChoice`, the one launch path.
 
+#![forbid(unsafe_code)]
+
 pub mod atomic_buf;
 pub mod backend;
 pub mod bcsf_kernel;

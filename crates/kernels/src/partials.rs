@@ -1,5 +1,5 @@
 //! Submission-order folding of per-unit partials — the discipline that
-//! lets the kernels run on the work-stealing pool without moving a single
+//! lets the kernels run on the host pool without moving a single
 //! output bit.
 //!
 //! A kernel splits its entries into **units** (fixed windows, blocks,

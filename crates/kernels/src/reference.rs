@@ -15,7 +15,7 @@ use scalfrag_linalg::Mat;
 use scalfrag_tensor::{CooTensor, CsfTensor};
 
 /// Fixed partial count for [`mttkrp_par`]. Deliberately **not** derived
-/// from `scalfrag_host::current_num_threads()`: with the work-stealing pool the
+/// from `scalfrag_host::current_num_threads()`: with the host pool the
 /// thread count varies per call site, and a thread-dependent chunk count
 /// would change the partial fold order — and therefore the f32 bits —
 /// between pool sizes. 32 partials keep 8 workers busy (4 chunks each)

@@ -16,6 +16,8 @@
 //! is small (8–64 in the paper's experiments) so no BLAS is needed; the
 //! implementations favour clarity and are unit/property tested instead.
 
+#![forbid(unsafe_code)]
+
 pub mod eig;
 pub mod mat;
 pub mod ops;

@@ -24,6 +24,7 @@
 //! analytic segment statistics per unit and execute dry-only, with the
 //! identical op schedule a materialised run would have.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod preset;

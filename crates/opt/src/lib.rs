@@ -25,6 +25,7 @@
 //! interpreter — the same analytic workload model the autotuner trains
 //! on — and keeps the cheapest schedule.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod orderer;

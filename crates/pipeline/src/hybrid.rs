@@ -119,7 +119,7 @@ mod tests {
             .timeline
             .spans
             .iter()
-            .find(|s| s.engine == scalfrag_gpusim::Engine::Host)
+            .find(|s| s.kind == scalfrag_gpusim::SpanKind::HostTask)
             .expect("host span present");
         // The host task starts immediately, i.e. before the device finishes.
         assert!(host_span.start < run.timeline.makespan() * 0.5);

@@ -27,6 +27,8 @@
 //! interpreter's [`ExecMode::Dry`]; fault injection runs the same plan
 //! through [`scalfrag_exec::run_plan_faulted`].
 
+#![forbid(unsafe_code)]
+
 pub mod builders;
 pub mod hybrid;
 pub mod plan;

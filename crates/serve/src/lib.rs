@@ -47,6 +47,8 @@
 //! assert_eq!(report.completed.len() + report.rejected.len(), 20);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod autoscale;
 pub mod batch;

@@ -28,6 +28,8 @@
 //! * [`io`] — FROSTT `.tns` text format reader/writer so real datasets can
 //!   be dropped in.
 
+#![forbid(unsafe_code)]
+
 mod bucket;
 pub mod chunked;
 pub mod coo;

@@ -47,9 +47,10 @@
 //!   staging under a configurable device-memory budget with `Evict` /
 //!   `Prefetch` ScheduleIR ops, plus synthetic ≥1B-nnz presets executed
 //!   as virtual (analytic-workload) plans.
-//! * [`host`] — the work-stealing host executor: Chase-Lev deques, a
-//!   parking worker pool, order-preserving `par_map`/`par_for` helpers
-//!   and the thread-count-invariance test harness. Kernel inner loops
+//! * [`host`] — the self-scheduling host executor: a cached worker pool
+//!   whose threads claim units from one shared counter per call, the
+//!   order-preserving `par_map` and the thread-count-invariance test
+//!   harness. Kernel inner loops
 //!   and the conformance corpus runner fan out through it while staying
 //!   bit-identical at every pool size.
 //! * [`conformance`] — the conformance harness: a slow `f64` differential
@@ -78,6 +79,8 @@
 //! assert!(report.timing.total_s > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use scalfrag_autotune as autotune;
 pub use scalfrag_balance as balance;
 pub use scalfrag_cluster as cluster;
@@ -99,10 +102,7 @@ pub use scalfrag_tensor as tensor;
 pub mod prelude {
     pub use scalfrag_cluster::{DeviceScheduler, Interconnect, NodeSpec, ShardPolicy};
     pub use scalfrag_conformance::{oracle_mttkrp, run_differential, ConformanceReport};
-    pub use scalfrag_core::{
-        ClusterMttkrpReport, ClusterScalFrag, MttkrpReport, Parti, ResilientClusterMttkrpReport,
-        ScalFrag,
-    };
+    pub use scalfrag_core::{ClusterMttkrpReport, ClusterScalFrag, MttkrpReport, Parti, ScalFrag};
     pub use scalfrag_exec::{
         run_plan, run_plan_faulted, ExecMode, ExecOutcome, FaultRecoveryPolicy, Plan, PlanBuilder,
         PlanTrace, RecoveryMode, RetryPolicy,

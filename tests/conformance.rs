@@ -296,7 +296,7 @@ fn regression_bcsf_threshold_extremes() {
     }
 }
 
-/// Pinned regression: the resilient cluster path must not double-count a
+/// Pinned regression: a faulted cluster plan must not double-count a
 /// retried segment — recovered runs land bitwise on the fault-free output.
 #[test]
 fn regression_resilient_retry_has_no_double_accumulation() {
@@ -315,10 +315,15 @@ fn regression_resilient_retry_has_no_double_accumulation() {
         .fault(1, FaultTrigger::AtOp(4), FaultKind::DeviceFail { down_s: Some(1e-3) })
         .fault(2, FaultTrigger::AtOp(3), FaultKind::TransferCorruption);
     let mut inj = FaultInjector::new(plan);
-    let run = build().mttkrp_resilient(&t, &f, 0, &mut inj, &FaultRecoveryPolicy::retry_reshard());
-    assert_eq!(run.failed_segments, 0);
+    let run = run_plan_faulted(
+        &build().plan(&t, &f, 0),
+        ExecMode::Functional,
+        &mut inj,
+        &FaultRecoveryPolicy::retry_reshard(),
+    );
+    assert_eq!(run.lost_items(), 0);
     assert!(run.retries > 0, "the plan must actually force retries");
-    let w = max_ulp(clean.as_slice(), run.report.output.as_slice());
+    let w = max_ulp(clean.as_slice(), run.output.as_slice());
     assert_eq!(w.max_ulp, 0, "retried output differs from fault-free bits by {} ulp", w.max_ulp);
 }
 

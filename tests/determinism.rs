@@ -67,7 +67,7 @@ fn multi_gpu_timelines_are_bit_identical_across_runs() {
         (r.per_device.clone(), r.assignments.clone(), r.reduction_s, r.total_s)
     };
     assert_eq!(run(), run());
-    // The parallel runtime is now a real work-stealing pool, so the old
+    // The parallel runtime is now a real thread pool, so the old
     // "exactly one worker by construction" assumption is gone. What holds
     // instead — and what matters — is thread-count invariance: the
     // simulated schedule is a pure function of the plan, not of how many
@@ -88,7 +88,7 @@ fn feature_extraction_is_deterministic() {
 
 /// The tentpole property: every registered kernel format produces
 /// **bit-identical** output at pool sizes 1/2/4/8. The inner loops fan
-/// out across the work-stealing pool, but per-unit partials fold in
+/// out across the host pool, but per-unit partials fold in
 /// submission order, so the add sequence — and therefore every output
 /// bit — is a function of the unit decomposition alone.
 #[test]
@@ -96,7 +96,7 @@ fn kernel_formats_are_bit_identical_across_pool_sizes() {
     use scalfrag::conformance::kernel_backends;
     let backends = kernel_backends();
     assert!(backends.len() >= 6, "expected the six kernel formats, got {}", backends.len());
-    // Zipf skew forces uneven units (steal-heavy schedules) and large
+    // Zipf skew forces uneven units (threads finish at uneven times) and large
     // per-row populations (order-sensitive f32 sums).
     let t = scalfrag::tensor::gen::zipf_slices(&[48, 32, 24], 4_000, 1.3, 21);
     let f = FactorSet::random(t.dims(), 16, 22);

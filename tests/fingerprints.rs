@@ -316,7 +316,7 @@ fn cluster_shard_order_reduction_checksum_is_pinned() {
     print_or_assert("cluster-output", sums[0], GOLDEN_CLUSTER_OUTPUT_CHECKSUM);
 
     // The same golden must hold at every host-pool size: the kernels
-    // fan out across the work-stealing pool, but submission-order
+    // fan out across the host pool, but submission-order
     // partial folding keeps the add sequence — the checksum hashes
     // value bits, so this pins the whole determinism discipline.
     scalfrag::host::check::assert_thread_invariant("cluster-output-vs-pool", || {

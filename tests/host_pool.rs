@@ -1,4 +1,4 @@
-//! The work-stealing pool under adversarial load, plus the mutant net:
+//! The self-scheduling pool under adversarial load, plus the mutant net:
 //! deliberately broken parallel disciplines the determinism harness must
 //! catch. A test net that only ever passes proves nothing — the mutants
 //! prove the invariance checks have teeth.
@@ -11,8 +11,8 @@ use std::sync::Mutex;
 
 /// Seeded shuffle-heavy stress: unit costs follow a Zipf-ish decay and
 /// are shuffled so heavy units land at random positions — the shape that
-/// maximizes stealing. Every index must execute exactly once, at every
-/// pool size, across repeated runs.
+/// makes threads finish their units at the most uneven times. Every index
+/// must execute exactly once, at every pool size, across repeated runs.
 #[test]
 fn stress_uneven_shuffled_workload_runs_every_index_exactly_once() {
     use rand::{Rng, SeedableRng};
@@ -30,17 +30,15 @@ fn stress_uneven_shuffled_workload_runs_every_index_exactly_once() {
         for round in 0..3 {
             let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
             host::with_threads(threads, || {
-                host::par_for(N, 7, |s, e| {
-                    for i in s..e {
-                        // Busy work proportional to the unit's cost so
-                        // piece runtimes are genuinely imbalanced.
-                        let mut x = i as u64;
-                        for _ in 0..costs[i] {
-                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        }
-                        std::hint::black_box(x);
-                        hits[i].fetch_add(1, Ordering::Relaxed);
+                host::par_map(N, |i| {
+                    // Busy work proportional to the unit's cost so unit
+                    // runtimes are genuinely imbalanced.
+                    let mut x = i as u64;
+                    for _ in 0..costs[i] {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                     }
+                    std::hint::black_box(x);
+                    hits[i].fetch_add(1, Ordering::Relaxed);
                 });
             });
             let bad: Vec<usize> =
@@ -57,7 +55,7 @@ fn stress_uneven_shuffled_workload_runs_every_index_exactly_once() {
 
 /// par_map keeps unit order under the same adversarial load.
 #[test]
-fn stress_par_map_order_survives_heavy_stealing() {
+fn stress_par_map_order_survives_uneven_units() {
     const N: usize = 2_048;
     for &threads in &check::INVARIANCE_THREADS {
         let got = host::with_threads(threads, || {
@@ -101,24 +99,22 @@ fn mutant_thread_derived_chunking_is_caught() {
 }
 
 /// Mutant B — completion-order folding. Folding partials as units finish
-/// (instead of in submission order) is bit-wrong the moment stealing
-/// reorders completions. Unit 0 carries the absorbing 1e8 payload and
-/// sleeps, so at ≥2 workers units 1 and 2 reliably finish first:
+/// (instead of in submission order) is bit-wrong the moment two threads
+/// reorder completions. Unit 0 carries the absorbing 1e8 payload and
+/// sleeps, so at ≥2 threads units 1 and 2 reliably finish first:
 /// (5 + 5) + 1e8 = 100000008 vs the ordered (1e8 + 5) + 5 = 100000016.
 #[test]
 fn mutant_completion_order_fold_is_caught() {
     let err = check::thread_invariant("mutant-completion-fold", || {
         let done = Mutex::new(Vec::new());
-        host::par_for(3, 1, |s, e| {
-            for u in s..e {
-                let v = if u == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(60));
-                    1e8f32
-                } else {
-                    5.0f32
-                };
-                done.lock().unwrap().push(v); // the mutant: completion order
-            }
+        host::par_map(3, |u| {
+            let v = if u == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(60));
+                1e8f32
+            } else {
+                5.0f32
+            };
+            done.lock().unwrap().push(v); // the mutant: completion order
         });
         done.into_inner().unwrap().into_iter().fold(0.0f32, |a, b| a + b).to_bits()
     })
